@@ -10,7 +10,8 @@ import numpy as np
 
 from repro.analysis import render_table
 from repro.runner import point_from_machine, register_suite
-from repro.runner.chaos import CHAOS_ALGOS, CHAOS_PROFILES, run_chaos_pair
+from repro.runner.chaos import CHAOS_PROFILES, run_chaos_pair
+from repro.workloads import WORKLOADS
 
 # a representative cross-section for pytest-benchmark reporting; the runner
 # suite below sweeps the full algorithm list
@@ -37,7 +38,7 @@ def test_chaos_smoke(benchmark, report):
 @register_suite(
     "chaos",
     artifact="Fault-injection sweep: bit-identical recovery with bounded cost inflation",
-    grid={"algo": list(CHAOS_ALGOS), "profile": list(CHAOS_PROFILES), "side": [8]},
+    grid={"algo": list(WORKLOADS), "profile": list(CHAOS_PROFILES), "side": [8]},
     quick={"algo": ["scan", "select", "mergesort", "spmv"], "profile": ["mixed"], "side": [4]},
 )
 def _suite_point(params, rng):

@@ -13,18 +13,10 @@ figures that the CostTree attribution makes available.
 import numpy as np
 
 from repro.analysis import render_table, tail_exponent
-from repro.graphs import (
-    bfs_distances,
-    bfs_reference,
-    cc_reference,
-    connected_components,
-    generate_graph,
-    iteration_costs,
-    pagerank,
-    pagerank_reference,
-)
+from repro.graphs import generate_graph, iteration_costs
 from repro.machine import SpatialMachine
 from repro.runner import point_from_machine, register_suite
+from repro.workloads import WORKLOADS, Graph, OracleError
 
 #: pagerank scaling sizes for the exponent fit (full sweep)
 SCALING_NS = [64, 144, 256, 400]
@@ -32,38 +24,29 @@ SCALING_NS = [64, 144, 256, 400]
 QUICK_SCALING_NS = [16, 36, 64]
 
 
+#: graph suite/bench algorithm -> registry entry
+ENTRIES = {"cc": "graph", "bfs": "bfs", "pagerank": "pagerank"}
+
+
 def _run_graph_point(algo, generator, n, rounds, rng):
     """One measured run; returns (machine, per-round rows, nnz, extras)."""
-    adjacency = generate_graph(generator, n, rng)
-    m = SpatialMachine()
-    if algo == "cc":
-        labels = connected_components(m, adjacency)
-        assert np.array_equal(labels, cc_reference(adjacency))
-        extra = {"components": int(len(np.unique(labels)))}
-        phase = "cc"
-    elif algo == "bfs":
-        dist = bfs_distances(m, adjacency, 0)
-        assert np.array_equal(dist, bfs_reference(adjacency, 0))
-        extra = {"reached": int(np.isfinite(dist).sum())}
-        phase = "bfs"
-    elif algo == "pagerank":
-        # tol=0 pins the round count, keeping the point deterministic and
-        # the per-round energies directly comparable across sizes
-        res = pagerank(m, adjacency, tol=0.0, max_rounds=rounds)
-        ref = pagerank_reference(adjacency, tol=0.0, max_rounds=rounds)
-        assert np.allclose(res.ranks, ref.ranks, rtol=1e-9, atol=1e-12)
-        extra = {"residual": float(res.residual)}
-        phase = "pagerank"
-    else:
+    if algo not in ENTRIES:
         raise ValueError(f"unknown graph algo {algo!r}")
-    rows = iteration_costs(m.cost_tree, phase)
-    assert rows, f"{algo} ran no round_### phases"
+    adjacency = generate_graph(generator, n, rng)
+    # tol=0 pins pagerank's round count, keeping the point deterministic and
+    # the per-round energies directly comparable across sizes
+    graph = Graph(adjacency, rounds=rounds if algo == "pagerank" else None)
+    m = SpatialMachine()
+    out = WORKLOADS[ENTRIES[algo]].execute(m, graph)
+    rows = iteration_costs(m.cost_tree, algo)
+    if not rows:
+        raise OracleError(f"{algo} ran no round_### phases")
     # lossless decomposition: the tree's root-inclusive totals are the flat
     # MachineStats counters, so per-iteration rows sum exactly to them
     total = m.cost_tree.total()
-    assert total.energy == m.stats.energy
-    assert total.messages == m.stats.messages
-    return m, rows, adjacency.nnz, extra
+    if (total.energy, total.messages) != (m.stats.energy, m.stats.messages):
+        raise OracleError(f"{algo}: cost tree total does not match the flat counters")
+    return m, rows, adjacency.nnz, out.extra
 
 
 def _scaling_rows(rng, ns, rounds=2):

@@ -66,7 +66,7 @@ def test_table1_scan(benchmark, report, rng):
 
 
 # -- repro.runner suite ----------------------------------------------------
-from repro.runner import point_from_machine, register_suite
+from repro.runner import register_suite, workload_point
 
 
 @register_suite(
@@ -76,13 +76,4 @@ from repro.runner import point_from_machine, register_suite
     quick={"n": [64, 256]},
 )
 def _suite_point(params, rng):
-    n = params["n"]
-    side = int(np.sqrt(n))
-    region = Region(0, 0, side, side)
-    x = rng.random(n)
-    m = SpatialMachine()
-    res = scan(m, m.place_zorder(x, region), region)
-    assert np.allclose(res.inclusive.payload, np.cumsum(x))
-    return point_from_machine(
-        m, out_depth=res.inclusive.max_depth(), out_distance=res.inclusive.max_dist()
-    )
+    return workload_point("scan", params["n"], rng)

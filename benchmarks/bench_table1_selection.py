@@ -66,7 +66,7 @@ def test_table1_selection(benchmark, report, rng):
 
 
 # -- repro.runner suite ----------------------------------------------------
-from repro.runner import point_from_machine, register_suite
+from repro.runner import register_suite, workload_point
 
 
 @register_suite(
@@ -77,11 +77,4 @@ from repro.runner import point_from_machine, register_suite
     seeds=(0, 1, 2),
 )
 def _suite_point(params, rng):
-    n = params["n"]
-    side = int(np.sqrt(n))
-    region = Region(0, 0, side, side)
-    x = rng.standard_normal(n)
-    m = SpatialMachine()
-    res = rank_select(m, m.place_zorder(x, region), region, n // 2, rng)
-    assert res.value == np.sort(x)[n // 2 - 1]
-    return point_from_machine(m, iterations=res.iterations, fell_back=int(res.fell_back))
+    return workload_point("select", params["n"], rng)

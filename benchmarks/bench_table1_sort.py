@@ -63,7 +63,7 @@ def test_table1_sort(benchmark, report, rng):
 
 
 # -- repro.runner suite ----------------------------------------------------
-from repro.runner import point_from_machine, register_suite
+from repro.runner import register_suite, workload_point
 
 
 @register_suite(
@@ -73,9 +73,4 @@ from repro.runner import point_from_machine, register_suite
     quick={"side": [8, 16]},
 )
 def _suite_point(params, rng):
-    side = params["side"]
-    x = rng.random(side * side)
-    m = SpatialMachine()
-    out = sort_values(m, x, Region(0, 0, side, side))
-    assert np.allclose(out.payload[:, 0], np.sort(x))
-    return point_from_machine(m, out_depth=out.max_depth(), out_distance=out.max_dist())
+    return workload_point("mergesort", params["side"] ** 2, rng)

@@ -92,7 +92,7 @@ def test_table1_spmv_matrix_kinds(benchmark, report, rng):
 
 
 # -- repro.runner suite ----------------------------------------------------
-from repro.runner import point_from_machine, register_suite
+from repro.runner import register_suite, workload_point
 
 
 @register_suite(
@@ -102,10 +102,4 @@ from repro.runner import point_from_machine, register_suite
     quick={"n": [16, 32]},
 )
 def _suite_point(params, rng):
-    n = params["n"]
-    A = random_coo(n, 4 * n, rng)
-    x = rng.standard_normal(n)
-    m = SpatialMachine()
-    y = spmv_spatial(m, A, x)
-    assert np.allclose(y.payload, A.multiply_dense(x))
-    return point_from_machine(m, nnz=A.nnz)
+    return workload_point("spmv", params["n"], rng)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Graph analytics from semiring SpMV: components, BFS, degrees, statistics.
 
-Builds a random graph and runs the :mod:`repro.apps` kernels — each round of
+Builds a random graph and runs the :mod:`repro.graphs` kernels — each round of
 each kernel is one Section VIII SpMV over a different semiring — then
 summarizes the degree distribution with Section VI order statistics.
 Everything is cross-checked against networkx/NumPy.
@@ -13,13 +13,8 @@ import networkx as nx
 import numpy as np
 
 from repro import Region, SpatialMachine
-from repro.apps import (
-    bfs_distances,
-    connected_components,
-    degree_table,
-    median,
-    quantile,
-)
+from repro.apps import median, quantile
+from repro.graphs import bfs_distances, connected_components, degree_table
 from repro.spmv import graph_adjacency_coo
 
 N = 48

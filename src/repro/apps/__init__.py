@@ -1,14 +1,6 @@
 """Applications composed from the public primitives: order statistics
-(Section VI motivation) and graph kernels (introduction's motivation)."""
+(Section VI motivation).  The graph kernels live in :mod:`repro.graphs`."""
 
-from .graph import (
-    GraphConvergenceError,
-    PageRankResult,
-    bfs_distances,
-    connected_components,
-    degree_table,
-    pagerank,
-)
 from .statistics import (
     interquartile_range,
     median,
@@ -19,12 +11,6 @@ from .statistics import (
 )
 
 __all__ = [
-    "GraphConvergenceError",
-    "PageRankResult",
-    "bfs_distances",
-    "connected_components",
-    "degree_table",
-    "pagerank",
     "interquartile_range",
     "median",
     "median_absolute_deviation",

@@ -28,140 +28,97 @@ import sys
 
 import numpy as np
 
+from . import workloads
 from .analysis import make_workload, render_table
-from .core.scan import scan
-from .core.selection import rank_select
-from .core.sorting.mergesort2d import sort_values
-from .machine import Region, SpatialMachine
-from .spmv import random_coo, spmv_spatial
+from .machine import SpatialMachine
+from .workloads import Keys, OracleError
 
 __all__ = ["main"]
 
+#: ``repro sort --algorithm`` value -> registry entry
+_SORTERS = {
+    "merge": "mergesort",
+    "quick": "quicksort",
+    "bitonic": "bitonic",
+    "oddeven": "oddeven",
+    "shear": "shearsort",
+}
 
-def _square_for(n: int) -> Region:
-    side = 1
-    while side * side < n:
-        side *= 2
-    if side * side != n:
-        raise SystemExit(f"--n must be a power of 4, got {n}")
-    return Region(0, 0, side, side)
+
+def _measure(name: str, args, **machine_kw):
+    """Run registry entry ``name`` at ``--n``/``--seed`` on a fresh machine;
+    return (machine, output, label).  ``--workload`` swaps in other keys for
+    the entries whose input is one key per cell of a square, ``--k`` sets
+    the selection rank."""
+    entry = workloads.lookup(name)
+    if not entry.sizes.shaped(args.n):
+        raise SystemExit(f"--n must be a power of 4, got {args.n}")
+    inp = entry.make_input(args.n, np.random.default_rng(args.seed))
+    if isinstance(inp, Keys) and inp.region.is_square:
+        if getattr(args, "workload", None):
+            rng = np.random.default_rng(args.seed)
+            inp = Keys.on_square(make_workload(args.workload, args.n, rng), rng)
+        inp.k = getattr(args, "k", 0)
+    m = SpatialMachine(**machine_kw)
+    return m, entry.execute(m, inp), f"{entry.title} (n={args.n})"
+
+
+def _verb(name: str, args, label: str = ""):
+    """A key-workload verb: run entry ``name`` and print its costs."""
+    m, out, _ = _measure(name, args)
+    entry = workloads.lookup(name)
+    _print_costs(label or entry.title, entry.bound, m,
+                 out.extra.get("out_depth", m.stats.max_depth),
+                 out.extra.get("out_distance", m.stats.max_distance))
+    return out
 
 
 def _cmd_scan(args) -> int:
-    region = _square_for(args.n)
-    rng = np.random.default_rng(args.seed)
-    x = make_workload(args.workload, args.n, rng)
-    m = SpatialMachine()
-    res = scan(m, m.place_zorder(x, region), region)
-    assert np.allclose(res.inclusive.payload, np.cumsum(x))
-    _print_costs("parallel scan", "Θ(n) E, O(log n) D", m,
-                 res.inclusive.max_depth(), res.inclusive.max_dist())
+    _verb("scan", args)
     return 0
 
 
 def _cmd_sort(args) -> int:
-    region = _square_for(args.n)
-    rng = np.random.default_rng(args.seed)
-    x = make_workload(args.workload, args.n, rng)
-    m = SpatialMachine()
-    if args.algorithm == "merge":
-        out = sort_values(m, x, region)
-        name, bound = "2D mergesort", "Θ(n^1.5) E, O(log³ n) D"
-        got = out.payload[:, 0]
-    elif args.algorithm == "quick":
-        from .core.sorting.quicksort2d import quicksort_2d
-
-        out = quicksort_2d(m, x, region, rng)
-        name, bound = "2D quicksort", "Θ(n^1.5) E w.h.p., polylog D"
-        got = out.payload
-    elif args.algorithm == "bitonic":
-        from .core.sorting.bitonic import bitonic_sort
-        from .core.sorting.sortutil import as_sort_payload
-
-        out = bitonic_sort(m, m.place_rowmajor(as_sort_payload(x), region), region)
-        name, bound = "bitonic network", "Θ(n^1.5 log n) E, Θ(log² n) D"
-        got = out.payload[:, 0]
-    elif args.algorithm == "oddeven":
-        from .core.sorting.odd_even import odd_even_mergesort
-        from .core.sorting.sortutil import as_sort_payload
-
-        out = odd_even_mergesort(m, m.place_rowmajor(as_sort_payload(x), region), region)
-        name, bound = "odd-even network", "Θ(n^1.5 log n) E, Θ(log² n) D"
-        got = out.payload[:, 0]
-    else:  # shear
-        from .core.sorting.mesh_sort import shearsort
-        from .core.sorting.sortutil import as_sort_payload
-
-        out = shearsort(m, m.place_rowmajor(as_sort_payload(x), region), region)
-        name, bound = "shearsort (mesh)", "Θ(n^1.5 log n) E, Θ(√n log n) D"
-        got = out.payload[:, 0]
-    assert np.allclose(got, np.sort(x))
-    _print_costs(name, bound, m, out.max_depth(), out.max_dist())
+    _verb(_SORTERS[args.algorithm], args)
     return 0
 
 
 def _cmd_select(args) -> int:
-    region = _square_for(args.n)
-    rng = np.random.default_rng(args.seed)
-    x = make_workload(args.workload, args.n, rng)
-    k = args.k if args.k else args.n // 2
-    m = SpatialMachine()
-    res = rank_select(m, m.place_zorder(x, region), region, k, rng)
-    assert res.value == np.sort(x)[k - 1]
-    _print_costs(f"rank select (k={k})", "Θ(n) E, O(log² n) D w.h.p.", m,
-                 m.stats.max_depth, m.stats.max_distance)
-    print(f"  iterations={res.iterations} fallback={res.fell_back} value={res.value:.6g}")
+    out = _verb("select", args, f"rank select (k={args.k or args.n // 2})")
+    print(f"  iterations={out.extra['iterations']} fallback={bool(out.extra['fell_back'])} "
+          f"value={out.values[0]:.6g}")
     return 0
 
 
 def _cmd_spmv(args) -> int:
+    entry = workloads.lookup("spmv")
     rng = np.random.default_rng(args.seed)
-    A = random_coo(args.n, args.density * args.n, rng)
-    x = rng.standard_normal(args.n)
+    ops = workloads.spmv_operands(args.n, rng, density=args.density)
     m = SpatialMachine()
-    y = spmv_spatial(m, A, x)
-    assert np.allclose(y.payload, A.multiply_dense(x))
-    _print_costs(f"SpMV (n={args.n}, m={A.nnz})", "Θ(m^1.5) E, O(log³ n) D", m,
+    entry.execute(m, ops)
+    _print_costs(f"SpMV (n={args.n}, m={ops.matrix.nnz})", entry.bound, m,
                  m.stats.max_depth, m.stats.max_distance)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    rng = np.random.default_rng(args.seed)
     sizes = (64, 256, 1024) if args.quick else (64, 256, 1024, 4096)
     rows = []
     for n in sizes:
-        region = _square_for(n)
-        x = rng.standard_normal(n)
-
-        m1 = SpatialMachine()
-        r = scan(m1, m1.place_zorder(x, region), region)
-        m2 = SpatialMachine()
-        s = sort_values(m2, x, region)
-        m3 = SpatialMachine()
-        rank_select(m3, m3.place_zorder(x, region), region, n // 2, rng)
-        A = random_coo(int(np.sqrt(n)) * 2, n // 2, rng)
-        m4 = SpatialMachine()
-        spmv_spatial(m4, A, rng.standard_normal(A.n))
-        rows.append(
-            [
-                n,
-                m1.stats.energy,
-                r.inclusive.max_depth(),
-                m2.stats.energy,
-                s.max_depth(),
-                m3.stats.energy,
-                m3.stats.max_depth,
-                m4.stats.energy,
-                m4.stats.max_depth,
-            ]
-        )
+        row = [n]
+        # SpMV runs with m = n nonzeros: a dimension-n/4 matrix
+        for name, size in (("scan", n), ("mergesort", n), ("select", n), ("spmv", n // 4)):
+            entry = workloads.WORKLOADS[name]
+            m = SpatialMachine()
+            out = entry.execute(m, entry.make_input(size, np.random.default_rng(args.seed)))
+            row += [m.stats.energy, out.extra.get("out_depth", m.stats.max_depth)]
+        rows.append(row)
     print(
         render_table(
             ["n", "scan E", "scan D", "sort E", "sort D", "sel E", "sel D",
              "spmv E", "spmv D"],
             rows,
-            title="Table I measured (E = energy, D = depth)",
+            title="Table I measured (E = energy, D = depth; SpMV with m = n nonzeros)",
         )
     )
     return 0
@@ -173,51 +130,12 @@ def _print_costs(name: str, bound: str, m: SpatialMachine, depth: int, dist: int
     print(f"  paper bound: {bound}")
 
 
-def _run_algo(algo: str, n: int, seed: int, workload: str, trace: bool,
-              profile: bool = False):
-    """Run one primitive on a fresh machine; return (machine, label)."""
-    rng = np.random.default_rng(seed)
-    m = SpatialMachine(trace=trace, profile=profile)
-    if algo == "scan":
-        region = _square_for(n)
-        x = make_workload(workload, n, rng)
-        res = scan(m, m.place_zorder(x, region), region)
-        assert np.allclose(res.inclusive.payload, np.cumsum(x))
-        return m, f"parallel scan (n={n})"
-    if algo == "sort":
-        region = _square_for(n)
-        x = make_workload(workload, n, rng)
-        out = sort_values(m, x, region)
-        assert np.allclose(out.payload[:, 0], np.sort(x))
-        return m, f"2D mergesort (n={n})"
-    if algo == "select":
-        region = _square_for(n)
-        x = make_workload(workload, n, rng)
-        res = rank_select(m, m.place_zorder(x, region), region, n // 2, rng)
-        assert res.value == np.sort(x)[n // 2 - 1]
-        return m, f"rank select (n={n}, k={n // 2})"
-    if algo == "spmv":
-        dim = max(4, int(np.sqrt(n)))
-        A = random_coo(dim, max(dim, n // 2), rng)
-        x = rng.standard_normal(dim)
-        y = spmv_spatial(m, A, x)
-        assert np.allclose(y.payload, A.multiply_dense(x))
-        return m, f"SpMV (n={dim}, m={A.nnz})"
-    raise SystemExit(f"unknown algorithm {algo!r}")
+#: ``repro graph`` algorithm -> registry entry (``degrees`` has none)
+_GRAPH_ENTRIES = {"cc": "graph", "bfs": "bfs", "pagerank": "pagerank"}
 
 
 def _cmd_graph(args) -> int:
-    from .graphs import (
-        bfs_distances,
-        bfs_reference,
-        cc_reference,
-        connected_components,
-        degree_table,
-        generate_graph,
-        iteration_costs,
-        pagerank,
-        pagerank_reference,
-    )
+    from .graphs import degree_table, generate_graph, iteration_costs
 
     rng = np.random.default_rng(args.seed)
     try:
@@ -227,41 +145,39 @@ def _cmd_graph(args) -> int:
     want_profiler = bool(args.heatmap or args.trace or args.ascii)
     m = SpatialMachine(profile=want_profiler)
     phase = args.algo
-    if args.algo == "cc":
-        labels = connected_components(m, A, max_rounds=args.max_rounds)
-        assert np.array_equal(labels, cc_reference(A))
-        extra = f"components={len(np.unique(labels))}"
-        label = f"connected components ({args.generator}, n={args.n}, m={A.nnz})"
-    elif args.algo == "bfs":
-        dist = bfs_distances(m, A, args.source, max_rounds=args.max_rounds)
-        assert np.array_equal(dist, bfs_reference(A, args.source))
-        reached = int(np.isfinite(dist).sum())
-        extra = f"source={args.source} reached={reached}/{args.n}"
-        label = f"BFS ({args.generator}, n={args.n}, m={A.nnz})"
-    elif args.algo == "pagerank":
-        res = pagerank(m, A, damping=args.damping, tol=args.tol,
-                       max_rounds=args.max_rounds or 50)
-        ref = pagerank_reference(A, damping=args.damping, tol=args.tol,
-                                 max_rounds=args.max_rounds or 50)
-        assert np.allclose(res.ranks, ref.ranks, rtol=1e-9, atol=1e-12)
-        extra = (f"rounds={res.rounds} converged={res.converged} "
-                 f"residual={res.residual:.3g}")
-        label = f"PageRank ({args.generator}, n={args.n}, m={A.nnz})"
+    if args.algo in _GRAPH_ENTRIES:
+        entry = workloads.WORKLOADS[_GRAPH_ENTRIES[args.algo]]
+        cap = (args.max_rounds or 50) if args.algo == "pagerank" else args.max_rounds
+        g = workloads.Graph(A, source=args.source, rounds=cap, damping=args.damping,
+                            tol=args.tol)
+        out = entry.execute(m, g)
+        label = f"{entry.title} ({args.generator}, n={args.n}, m={A.nnz})"
+        bound = entry.bound
     else:  # degrees
         deg = degree_table(m, A)
         ref_deg = np.zeros(A.n)
         np.add.at(ref_deg, np.asarray(A.rows), np.asarray(A.vals))
-        assert np.array_equal(deg, np.rint(ref_deg).astype(np.int64))
-        extra = f"max_degree={int(deg.max())}"
+        if not np.array_equal(deg, np.rint(ref_deg).astype(np.int64)):
+            raise OracleError(f"degree table differs from the host degrees: {deg}")
         label = f"degree table ({args.generator}, n={args.n}, m={A.nnz})"
+        bound = workloads.WORKLOADS["graph"].bound
         phase = "degrees"
-    _print_costs(label, "Θ(m^1.5) E, O(log³ n) D per round", m,
-                 m.stats.max_depth, m.stats.max_distance)
-    print(f"  {extra}")
-    total = m.cost_tree.total()
-    assert total.energy == m.stats.energy and total.messages == m.stats.messages
-
+    _print_costs(label, bound, m, m.stats.max_depth, m.stats.max_distance)
     rounds = iteration_costs(m.cost_tree, phase)
+    if args.algo == "cc":
+        print(f"  components={out.extra['components']}")
+    elif args.algo == "bfs":
+        print(f"  source={args.source} reached={out.extra['reached']}/{args.n}")
+    elif args.algo == "pagerank":
+        residual = out.extra["residual"]
+        print(f"  rounds={len(rounds)} converged={residual <= args.tol} "
+              f"residual={residual:.3g}")
+    else:
+        print(f"  max_degree={int(deg.max())}")
+    total = m.cost_tree.total()
+    if (total.energy, total.messages) != (m.stats.energy, m.stats.messages):
+        raise OracleError(f"cost tree total {total} does not match the flat counters")
+
     if args.per_round and rounds:
         print()
         print(
@@ -305,9 +221,9 @@ def _cmd_graph(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from .runner.chaos import CHAOS_ALGOS, CHAOS_PROFILES, run_chaos_grid
+    from .runner.chaos import CHAOS_PROFILES, run_chaos_grid
 
-    algos = list(CHAOS_ALGOS) if args.algos == "all" else args.algos.split(",")
+    algos = list(workloads.WORKLOADS) if args.algos == "all" else args.algos.split(",")
     profiles = list(CHAOS_PROFILES) if args.profiles == "all" else args.profiles.split(",")
     seeds = tuple(range(args.seed, args.seed + args.plans))
     try:
@@ -354,14 +270,9 @@ def _cmd_chaos(args) -> int:
 def _cmd_conformance(args) -> int:
     import json
 
-    from .runner.conformance import (
-        CONFORMANCE_ALGOS,
-        CONFORMANCE_PROFILES,
-        diff_point,
-        run_conformance_grid,
-    )
+    from .runner.conformance import CONFORMANCE_PROFILES, diff_point, run_conformance_grid
 
-    algos = list(CONFORMANCE_ALGOS) if args.algos == "all" else args.algos.split(",")
+    algos = list(workloads.WORKLOADS) if args.algos == "all" else args.algos.split(",")
     profiles = (
         list(CONFORMANCE_PROFILES) if args.profiles == "all" else args.profiles.split(",")
     )
@@ -412,7 +323,7 @@ def _cmd_conformance(args) -> int:
 def _cmd_report(args) -> int:
     import json
 
-    m, label = _run_algo(args.algo, args.n, args.seed, args.workload, trace=False)
+    m, _, label = _measure(args.algo, args)
     s = m.stats
     if args.format == "json":
         doc = {
@@ -444,8 +355,7 @@ def _cmd_profile(args) -> int:
     from .machine.chrometrace import write_chrome_trace
     from .machine.heatmap import render_ascii, write_heatmap
 
-    m, label = _run_algo(args.algo, args.n, args.seed, args.workload,
-                         trace=False, profile=True)
+    m, _, label = _measure(args.algo, args, profile=True)
     prof = m.profiler
     s = m.stats
     print(f"{label}: energy={s.energy} messages={s.messages} rounds={s.rounds} "
@@ -531,7 +441,7 @@ def _cmd_trace_collect(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    m, label = _run_algo(args.algo, args.n, args.seed, args.workload, trace=True)
+    m, _, label = _measure(args.algo, args, trace=True)
     if args.out:
         try:
             count = m.tracer.to_jsonl(args.out)
@@ -553,19 +463,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_n=1024):
+    def common(sp, default_n=1024, workload=None):
         sp.add_argument("-n", "--n", type=int, default=default_n,
-                        help="input size (power of 4)")
+                        help="input size (power of 4 for the key workloads)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workload", default="uniform",
-                        choices=("uniform", "reversed", "sorted", "few_distinct", "zipf"))
+        sp.add_argument("--workload", default=workload,
+                        choices=("uniform", "reversed", "sorted", "few_distinct", "zipf"),
+                        help="key distribution (default: the workload's own keys)")
 
     sp = sub.add_parser("scan", help="energy-optimal parallel scan (§IV.C)")
-    common(sp, 4096)
+    common(sp, 4096, "uniform")
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("sort", help="sorting algorithms (§V and extensions)")
-    common(sp, 1024)
+    common(sp, 1024, "uniform")
     sp.add_argument(
         "--algorithm",
         default="merge",
@@ -596,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--algo",
             default="sort",
-            choices=("scan", "sort", "select", "spmv"),
-            help="which primitive to run (default: 2D mergesort)",
+            choices=workloads.names(),
+            help="which registry workload to run (default: 2D mergesort)",
         )
 
     sp = sub.add_parser("report", help="cost report, optionally broken down by phase")
@@ -614,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="spatial profiler: per-cell heatmaps, link load, critical-path witnesses",
     )
-    sp.add_argument("algo", choices=("scan", "sort", "select", "spmv"),
-                    help="which primitive to profile")
+    sp.add_argument("algo", choices=workloads.names(),
+                    help="which registry workload to profile")
     common(sp, 1024)
     sp.add_argument("--metric", default="energy",
                     choices=("energy", "sent", "received", "links"),

@@ -155,19 +155,14 @@ def broadcast_1d(machine: SpatialMachine, value: TrackedArray, region: Region) -
         raise ValueError(f"broadcast_1d needs a 1-wide or 1-tall region, got {region}")
     n = region.size
     vertical = region.width == 1
-    plan = machine.faults
     if (
-        n > 1
+        machine.clean_fast
+        and n > 1
         and len(value) == 1
         # the closed-form tables measure hops from the region root, so the
         # value must already sit there
         and int(value.rows[0]) == region.row
         and int(value.cols[0]) == region.col
-        and machine.fast
-        and not machine.strict
-        and machine.tracer is None
-        and machine.profiler is None
-        and (plan is None or not plan.injects_faults)
     ):
         return _broadcast_1d_fast(machine, value, region, n, vertical)
 

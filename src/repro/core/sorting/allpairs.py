@@ -95,14 +95,7 @@ def allpairs_rank(
     if workspace is None:
         workspace = Region(int(ta.rows.min()), int(ta.cols.min()), s * s, s * s)
     R, C = workspace.row, workspace.col
-    plan = machine.faults
-    if (
-        machine.fast
-        and not machine.strict
-        and machine.tracer is None
-        and machine.profiler is None
-        and (plan is None or not plan.injects_faults)
-    ):
+    if machine.clean_fast:
         return _allpairs_rank_fast(machine, ta, key_cols, R, C, s, n)
     return _allpairs_rank_reference(machine, ta, key_cols, R, C, s, n)
 

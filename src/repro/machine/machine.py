@@ -409,6 +409,20 @@ class SpatialMachine:
         return _PhaseSpan(self, name)
 
     @property
+    def clean_fast(self) -> bool:
+        """True when the batched kernels may run: a fast, non-strict machine
+        with no tracer, no profiler and no fault-injecting plan.  Every
+        batched API checks this one predicate before its fast body."""
+        plan = self.faults
+        return (
+            self.fast
+            and not self.strict
+            and self.tracer is None
+            and self.profiler is None
+            and (plan is None or not plan.injects_faults)
+        )
+
+    @property
     def current_phase(self) -> str:
         """The active phase path ("" at top level or with phases disabled)."""
         return self._phase_node.path if self._phase_node is not None else ""
@@ -792,15 +806,7 @@ class SpatialMachine:
         ``|dr| + |dc|`` each).
         """
         offsets = [(int(dr), int(dc)) for dr, dc in offsets]
-        plan = self.faults
-        if (
-            not self.fast
-            or self.strict
-            or len(ta) == 0
-            or self.tracer is not None
-            or self.profiler is not None
-            or (plan is not None and plan.injects_faults)
-        ):
+        if not self.clean_fast or len(ta) == 0:
             # every observing/validating feature wants real coordinate
             # arrays: degrade to the defining per-offset loop
             return [self.send(ta, ta.rows + dr, ta.cols + dc) for dr, dc in offsets]
@@ -863,15 +869,7 @@ class SpatialMachine:
         batches = list(batches)
         if not batches:
             return []
-        plan = self.faults
-        if (
-            not self.fast
-            or self.strict
-            or self.tracer is not None
-            or self.profiler is not None
-            or (plan is not None and plan.injects_faults)
-            or any(len(b[0]) == 0 for b in batches)
-        ):
+        if not self.clean_fast or any(len(b[0]) == 0 for b in batches):
             return [self.send(ta, rows, cols) for ta, rows, cols in batches]
         return self._send_many_fast(batches)
 
@@ -958,15 +956,7 @@ class SpatialMachine:
         side = int(side)
         if side <= 1:
             return ta
-        plan = self.faults
-        if (
-            self.fast
-            and not self.strict
-            and self.tracer is None
-            and self.profiler is None
-            and (plan is None or not plan.injects_faults)
-            and len(ta)
-        ):
+        if self.clean_fast and len(ta):
             return _tracked(self, *quadrant_broadcast_fast(self, ta, side, int(scale)))
         cur = ta
         s = side
@@ -999,15 +989,7 @@ class SpatialMachine:
         side = int(side)
         if side <= 1:
             return ta
-        plan = self.faults
-        if (
-            self.fast
-            and not self.strict
-            and self.tracer is None
-            and self.profiler is None
-            and (plan is None or not plan.injects_faults)
-            and len(ta)
-        ):
+        if self.clean_fast and len(ta):
             per = side * side
             payload, depth, dist = quadrant_reduce_fast(
                 self, ta.payload, ta.depth, ta.dist, side, combine

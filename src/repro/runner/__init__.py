@@ -36,6 +36,7 @@ from .registry import (
     load_suites,
     point_from_machine,
     register_suite,
+    workload_point,
 )
 from .result import (
     METRIC_NAMES,
@@ -73,6 +74,7 @@ __all__ = [
     "load_suites",
     "point_from_machine",
     "register_suite",
+    "workload_point",
     "METRIC_NAMES",
     "SCHEMA_VERSION",
     "PointResult",

@@ -1,10 +1,12 @@
-"""Chaos harness: every primitive under seeded fault plans.
+"""Chaos harness: every registry workload under seeded fault plans.
 
-Each chaos point runs one algorithm **twice with the same algorithm seed** —
-once on a pristine machine and once under a :class:`~repro.machine.FaultPlan`
-— then checks that the results are bit-identical and reports the cost of
+Each chaos point runs one :mod:`repro.workloads` entry **twice with the same
+input seed** — once on a pristine machine and once under a
+:class:`~repro.machine.FaultPlan` — checks both outputs with the entry's host
+oracle, then checks that they are bit-identical and reports the cost of
 surviving: energy/depth inflation factors and the recovery accounting
-(retries, detours, sparing) that explains them.
+(retries, detours, sparing) that explains them.  A ``side x side`` working
+set runs each entry at its ``harness_n(side)``.
 
 Recovery in the simulator is *result-transparent* by construction (dropped
 and corrupted messages are re-sent, dead cells are spared deterministically),
@@ -21,136 +23,27 @@ Profiles are small named fault grids (see :data:`CHAOS_PROFILES`):
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+from .. import workloads
 from ..machine import RECOVERY_PHASE, FaultPlan, Region, SpatialMachine
 
 __all__ = [
-    "CHAOS_ALGOS",
     "CHAOS_PROFILES",
     "chaos_plan",
+    "run_entry",
     "run_chaos_pair",
     "run_chaos_point",
     "run_chaos_grid",
 ]
 
 
-# ---------------------------------------------------------------------------
-# algorithm runners: fn(machine, side, rng) -> result ndarray
-# ---------------------------------------------------------------------------
-def _run_scan(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.scan import scan
+def run_entry(entry: workloads.Workload, machine: SpatialMachine, side: int, seed: int):
+    """One oracle-checked run of a registry entry sized for a ``side x side``
+    working set; returns the host output values."""
+    inp = entry.make_input(entry.harness_n(side), np.random.default_rng(seed))
+    return entry.execute(machine, inp).values
 
-    region = Region(0, 0, side, side)
-    x = rng.random(side * side)
-    return scan(m, m.place_zorder(x, region), region).inclusive.payload.copy()
-
-
-def _run_blocked_scan(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.blocked import blocked_scan
-
-    x = rng.random(4 * side * side)
-    return blocked_scan(m, x, block=4).prefix.copy()
-
-
-def _run_select(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.selection import rank_select
-
-    region = Region(0, 0, side, side)
-    n = side * side
-    x = rng.random(n)
-    res = rank_select(m, m.place_zorder(x, region), region, n // 3 + 1, rng)
-    return np.array([res.value])
-
-
-def _sorter_input(m: SpatialMachine, side: int, rng: np.random.Generator):
-    from ..core.sorting.sortutil import as_sort_payload
-
-    region = Region(0, 0, side, side)
-    x = rng.random(side * side)
-    return m.place_rowmajor(as_sort_payload(x), region), region
-
-
-def _run_mergesort(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.mergesort2d import sort_values
-
-    x = rng.random(side * side)
-    return sort_values(m, x, Region(0, 0, side, side)).payload[:, 0].copy()
-
-
-def _run_quicksort(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.quicksort2d import quicksort_2d
-
-    x = rng.random(side * side)
-    return np.asarray(quicksort_2d(m, x, Region(0, 0, side, side), rng).payload).copy()
-
-
-def _run_bitonic(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.bitonic import bitonic_sort
-
-    ta, region = _sorter_input(m, side, rng)
-    return bitonic_sort(m, ta, region).payload[:, 0].copy()
-
-
-def _run_odd_even(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.odd_even import odd_even_mergesort
-
-    ta, region = _sorter_input(m, side, rng)
-    return odd_even_mergesort(m, ta, region).payload[:, 0].copy()
-
-
-def _run_shearsort(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.mesh_sort import shearsort
-
-    ta, region = _sorter_input(m, side, rng)
-    return shearsort(m, ta, region).payload[:, 0].copy()
-
-
-def _run_allpairs(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.allpairs import allpairs_sort
-
-    ta, region = _sorter_input(m, side, rng)
-    return allpairs_sort(m, ta, region).payload[:, 0].copy()
-
-
-def _run_merge2d(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..core.sorting.merge2d import merge_sorted_2d
-    from ..core.sorting.sortutil import as_sort_payload
-
-    a = np.sort(rng.standard_normal(side * side))
-    b = np.sort(rng.standard_normal(side * side))
-    A = m.place_rowmajor(as_sort_payload(a), Region(0, 0, side, side))
-    B = m.place_rowmajor(as_sort_payload(b), Region(0, side, side, side))
-    out = merge_sorted_2d(m, A, B, Region(0, 0, side, 2 * side))
-    return out.payload[:, 0].copy()
-
-
-def _run_spmv(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    from ..spmv import random_coo, spmv_spatial
-
-    dim = side * side
-    A = random_coo(dim, 4 * dim, rng)
-    x = rng.standard_normal(dim)
-    return np.asarray(spmv_spatial(m, A, x, rng=rng).payload).copy()
-
-
-#: name -> runner, covering scan, blocked scan, rank selection, all seven
-#: sorters, and SpMV (the acceptance list of ISSUE 3).
-CHAOS_ALGOS: dict[str, Callable[[SpatialMachine, int, np.random.Generator], np.ndarray]] = {
-    "scan": _run_scan,
-    "blocked_scan": _run_blocked_scan,
-    "select": _run_select,
-    "mergesort": _run_mergesort,
-    "quicksort": _run_quicksort,
-    "bitonic": _run_bitonic,
-    "oddeven": _run_odd_even,
-    "shearsort": _run_shearsort,
-    "allpairs": _run_allpairs,
-    "merge2d": _run_merge2d,
-    "spmv": _run_spmv,
-}
 
 #: profile name -> kwargs template (dead regions are side-dependent, so they
 #: are materialized by :func:`chaos_plan`).
@@ -185,19 +78,16 @@ def run_chaos_pair(
     """Run ``algo`` clean and under ``profile``; return (report, clean machine,
     faulty machine).  Both runs use the same algorithm generator seed so any
     internal randomness (quicksort splitters, selection samples) matches."""
-    try:
-        fn = CHAOS_ALGOS[algo]
-    except KeyError:
-        raise ValueError(f"unknown chaos algo {algo!r}; have {', '.join(CHAOS_ALGOS)}") from None
+    entry = workloads.lookup(algo, "chaos algo")
     if plan_seed is None:
         plan_seed = seed + 1_000_003
 
     clean_m = SpatialMachine()
-    clean = fn(clean_m, side, np.random.default_rng(seed))
+    clean = run_entry(entry, clean_m, side, seed)
 
     plan = chaos_plan(profile, plan_seed, side)
     faulty_m = SpatialMachine(faults=plan)
-    faulty = fn(faulty_m, side, np.random.default_rng(seed))
+    faulty = run_entry(entry, faulty_m, side, seed)
 
     cs, fs = clean_m.stats, faulty_m.stats
     report = {
@@ -238,9 +128,11 @@ def run_chaos_grid(
     side: int = 8,
     seeds: tuple[int, ...] = (0,),
 ) -> list[dict]:
-    """Cross (algos x profiles x seeds); returns one report per point."""
+    """Cross (algos x profiles x seeds); returns one report per point.
+
+    ``algos`` defaults to every registry entry."""
     out = []
-    for algo in algos or list(CHAOS_ALGOS):
+    for algo in algos or list(workloads.WORKLOADS):
         for profile in profiles or list(CHAOS_PROFILES):
             for seed in seeds:
                 out.append(run_chaos_point(algo, profile, side, seed))

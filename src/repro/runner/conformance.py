@@ -1,12 +1,13 @@
 """Differential conformance: the fast machine against the reference oracle.
 
-Every conformance point runs one algorithm **twice with the same algorithm
-seed and the same fault-plan seed** — once on a :class:`ReferenceMachine`
-(per-call scalar sends and relays, the executable specification) and once on
-a fast :class:`SpatialMachine` (vectorized kernels, closed-form charging) —
-and demands *exact* agreement:
+Every conformance point runs one :mod:`repro.workloads` entry **twice with
+the same input seed and the same fault-plan seed** — once on a
+:class:`ReferenceMachine` (per-call scalar sends and relays, the executable
+specification) and once on a fast :class:`SpatialMachine` (vectorized
+kernels, closed-form charging) — and demands *exact* agreement:
 
-- **payloads** bit-identical (``tobytes()``), same shape and dtype;
+- **payloads** bit-identical (``tobytes()``), same shape and dtype, and
+  each one accepted by the entry's host oracle;
 - **counters** exactly equal: :class:`MachineStats` (energy, messages,
   rounds, max_depth, max_distance), the per-phase :class:`CostTree`, and
   the :class:`RecoveryStats` fault accounting.
@@ -36,39 +37,17 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .. import workloads
 from ..machine import FaultPlan, ReferenceMachine, SpatialMachine
-from .chaos import CHAOS_ALGOS, chaos_plan
+from .chaos import chaos_plan, run_entry
 
 __all__ = [
-    "CONFORMANCE_ALGOS",
     "CONFORMANCE_PROFILES",
     "conformance_plan",
     "run_conformance_pair",
     "run_conformance_point",
     "run_conformance_grid",
 ]
-
-
-def _run_graph(m: SpatialMachine, side: int, rng: np.random.Generator) -> np.ndarray:
-    """Iterated-SpMV workload: connected components on a seeded R-MAT graph.
-
-    Uses a quarter of the working set (``n = side²/4`` vertices) — each CC
-    round is a full semiring SpMV over ~4n entries, and the differential
-    runs the whole loop on the per-call reference oracle, so the point cost
-    stays comparable to the single-shot ``spmv`` entry.
-    """
-    from ..graphs import connected_components, rmat_coo
-
-    n = max(4, (side * side) // 4)
-    adjacency = rmat_coo(n, rng)
-    return connected_components(m, adjacency).astype(np.float64)
-
-
-#: the conformance grid covers the chaos algorithms — scan, blocked scan,
-#: rank selection, the seven sorters, and SpMV — plus ``graph``, an
-#: iterated-SpMV workload (connected components) that exercises per-round
-#: phase spans and repeated kernel launches on one machine.
-CONFORMANCE_ALGOS = {**CHAOS_ALGOS, "graph": _run_graph}
 
 #: ``clean`` plus the seeded fault profiles of the chaos harness.
 CONFORMANCE_PROFILES: tuple[str, ...] = ("clean", "drops", "corruption", "dead", "mixed")
@@ -99,12 +78,7 @@ def run_conformance_pair(
     profiles — identically seeded :class:`FaultPlan` instances, so the
     failure streams both machines must recover from are the same.
     """
-    try:
-        fn = CONFORMANCE_ALGOS[algo]
-    except KeyError:
-        raise ValueError(
-            f"unknown conformance algo {algo!r}; have {', '.join(CONFORMANCE_ALGOS)}"
-        ) from None
+    entry = workloads.lookup(algo, "conformance algo")
     if profile not in CONFORMANCE_PROFILES:
         raise ValueError(
             f"unknown conformance profile {profile!r}; "
@@ -116,12 +90,12 @@ def run_conformance_pair(
     # two separately constructed (but identically seeded) plans: a FaultPlan
     # carries its own rng stream, which each run advances
     ref_m = ReferenceMachine(faults=conformance_plan(profile, plan_seed, side))
-    ref = fn(ref_m, side, np.random.default_rng(seed))
+    ref = run_entry(entry, ref_m, side, seed)
 
     fast_m = SpatialMachine(
         fast=True, strict=False, faults=conformance_plan(profile, plan_seed, side)
     )
-    fast = fn(fast_m, side, np.random.default_rng(seed))
+    fast = run_entry(entry, fast_m, side, seed)
 
     checks = {
         "payload_equal": _payload_equal(np.asarray(ref), np.asarray(fast)),
@@ -163,9 +137,11 @@ def run_conformance_grid(
     side: int = 8,
     seeds: tuple[int, ...] = (0,),
 ) -> list[dict]:
-    """Cross (algos x profiles x seeds); returns one report per point."""
+    """Cross (algos x profiles x seeds); returns one report per point.
+
+    ``algos`` defaults to every registry entry."""
     out = []
-    for algo in algos or list(CONFORMANCE_ALGOS):
+    for algo in algos or list(workloads.WORKLOADS):
         for profile in profiles or list(CONFORMANCE_PROFILES):
             for seed in seeds:
                 out.append(run_conformance_point(algo, profile, side, seed))

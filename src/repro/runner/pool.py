@@ -11,8 +11,10 @@ the executor's :func:`~repro.runner.worker.run_suite_point`).
 
 Failure semantics:
 
-* a task that exceeds its timeout gets its worker killed and replaced; the
-  caller sees :class:`PoolTimeout`;
+* a task that exceeds its timeout gets its worker killed (SIGKILL) and
+  replaced; the caller sees :class:`PoolTimeout`.  The timeout covers the
+  task only: a freshly spawned replacement finishes its warm-up handshake
+  first;
 * a worker that dies mid-task (segfault, OOM-kill) is replaced; the caller
   sees :class:`PoolCrash`;
 * a deterministic exception inside the point function travels back as a
@@ -28,12 +30,14 @@ an event loop.
 from __future__ import annotations
 
 import threading
-import time
 
 from .executor import mp_context
 from .worker import pool_worker_main
 
 __all__ = ["PoolError", "PoolTimeout", "PoolCrash", "PoolTaskError", "WorkerPool"]
+
+#: seconds a new worker may take to start before it counts as crashed
+STARTUP_TIMEOUT = 60.0
 
 
 class PoolError(RuntimeError):
@@ -84,6 +88,11 @@ class _Worker:
                 self.conn.send(None)
             except (OSError, ValueError):
                 pass
+        else:
+            # a hung or dead worker: SIGKILL at once, rather than waiting
+            # out the join below, and a signal no inherited handler (such as
+            # the server's SIGTERM drain handler) can intercept
+            self.proc.kill()
         try:
             self.conn.close()
         except OSError:
@@ -138,20 +147,17 @@ class WorkerPool:
         replace = False
         try:
             try:
+                # a replacement worker may still be starting; its start-up
+                # is not part of this task's execution deadline
+                if not worker.consume_ready(STARTUP_TIMEOUT):
+                    raise EOFError("pool worker never finished starting")
                 worker.conn.send(
                     (suite_name, dict(params), int(seed), bool(profile), trace)
                 )
-                deadline = time.monotonic() + timeout
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not worker.conn.poll(remaining):
-                        replace = True
-                        raise PoolTimeout(f"no result within {timeout:.1f}s")
-                    kind, payload = worker.conn.recv()
-                    if kind == "ready":  # startup handshake racing the task
-                        worker.warm = True
-                        continue
-                    break
+                if not worker.conn.poll(timeout):
+                    replace = True
+                    raise PoolTimeout(f"no result within {timeout:.1f}s")
+                kind, payload = worker.conn.recv()
             except PoolTimeout:
                 raise
             except (EOFError, OSError, BrokenPipeError) as exc:

@@ -31,6 +31,7 @@ __all__ = [
     "REGISTRY",
     "register_suite",
     "point_from_machine",
+    "workload_point",
     "load_suites",
     "default_bench_dir",
 ]
@@ -122,6 +123,18 @@ def point_from_machine(machine, **extra) -> dict:
     if profiler is not None:
         out["profile"] = profiler.summary()
     return out
+
+
+def workload_point(name: str, n: int, rng) -> dict:
+    """Registry entry ``name`` at ``n`` on a fresh machine, checked by its
+    oracle and measured; the entry's extra scalars ride along."""
+    from .. import workloads
+    from ..machine import SpatialMachine
+
+    entry = workloads.WORKLOADS[name]
+    machine = SpatialMachine()
+    out = entry.execute(machine, entry.make_input(n, rng))
+    return point_from_machine(machine, **out.extra)
 
 
 def _jsonable(v):

@@ -55,11 +55,10 @@ from .fleet import FleetConfig, FleetGateway, HashRing, fleet_main
 from .health import BackendState, HealthMonitor
 from .metrics import FleetMetrics, LatencyHistogram, ServiceMetrics
 from .promexport import PROM_CONTENT_TYPE, render_prometheus
-from .protocol import ALGO_SUITES, RequestError, ServiceRequest
+from .protocol import RequestError, ServiceRequest
 from .server import ServiceConfig, SpatialService, serve_main
 
 __all__ = [
-    "ALGO_SUITES",
     "PROM_CONTENT_TYPE",
     "BackendState",
     "Batcher",

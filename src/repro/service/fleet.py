@@ -47,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .. import workloads
 from ..obs.context import TRACE_HEADER, TRACE_HEADER_LOWER, TraceContext
 from ..obs.tracer import ENV_TRACE_DIR, tracer_from_env
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -63,16 +64,7 @@ from .httpio import (
     write_text_response,
 )
 from .metrics import FleetMetrics
-from .protocol import (
-    ALGO_SUITES,
-    AUTO_CLASSES,
-    AUTO_PREFIX,
-    AUTO_SIZE_LIMITS,
-    SIZE_LIMITS,
-    TUNER_SUITE_NAME,
-    RequestError,
-    ServiceRequest,
-)
+from .protocol import RequestError, ServiceRequest, algos_doc
 
 __all__ = [
     "FleetConfig",
@@ -234,9 +226,9 @@ class FleetGateway:
         self.stale_cache = ServiceCache(maxsize=256, disk=disk)
         suites = load_suites(config.bench_dir or None)
         self.code_versions = {
-            algo: suite_code_version(suites[suite_name])
-            for algo, suite_name in ALGO_SUITES.items()
-            if suite_name in suites
+            algo: suite_code_version(suites[w.suite])
+            for algo, w in workloads.served().items()
+            if w.suite in suites
         }
         self.draining = False
         self.port = config.port
@@ -752,16 +744,7 @@ class FleetGateway:
                 return 200, render_prometheus(self.metrics_doc()), []
             return 200, self.metrics_doc(), []
         if path == "/algos":
-            algos = {
-                algo: {"suite": suite_name, "n_range": list(SIZE_LIMITS[algo])}
-                for algo, suite_name in sorted(ALGO_SUITES.items())
-            }
-            for cls_name in AUTO_CLASSES:
-                algos[f"{AUTO_PREFIX}{cls_name}"] = {
-                    "suite": TUNER_SUITE_NAME,
-                    "n_range": list(AUTO_SIZE_LIMITS[cls_name]),
-                }
-            return 200, {"algos": algos}, []
+            return 200, algos_doc(), []
         if path == "/":
             return (
                 200,

@@ -4,9 +4,9 @@ A request is a small JSON object::
 
     {"algo": "scan", "n": 4096, "seed": 7, "profile": false}
 
-``algo`` selects one of the Table I primitives; each maps onto a suite in
-the benchmark registry (:data:`ALGO_SUITES`), so a served request is the
-same unit of work as a ``repro bench run`` sweep point — same point
+``algo`` selects a served :mod:`repro.workloads` entry; each names the
+bench suite whose point runs it and its admitted sizes, so a served request
+is the same unit of work as a ``repro bench run`` sweep point — same point
 function, same determinism contract, same cache identity.  Validation is
 strict: unknown fields, wrong types, and out-of-range sizes are rejected
 with :class:`RequestError` (HTTP 400) before any work is admitted.
@@ -22,61 +22,26 @@ sweep params until the server resolves the plan (:meth:`ServiceRequest.resolve`)
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .. import workloads
 from ..runner.cachekey import PROFILE_SALT, point_key
 from ..runner.spec import PointSpec
+from ..tuner.space import ALGO_CLASSES as AUTO_CLASSES, CLASS_SIZES as AUTO_SIZES
 
 __all__ = [
-    "ALGO_SUITES",
-    "SIZE_LIMITS",
     "AUTO_PREFIX",
     "AUTO_CLASSES",
-    "AUTO_SIZE_LIMITS",
     "TUNER_SUITE_NAME",
     "RequestError",
     "ServiceRequest",
+    "algos_doc",
 ]
-
-#: served algorithm -> registered suite executing it
-ALGO_SUITES = {
-    "scan": "table1_scan",
-    "sort": "table1_sort",
-    "select": "table1_selection",
-    "spmv": "table1_spmv",
-    "graph": "graph",
-}
-
-#: inclusive (min, max) admitted problem size per algorithm.  The caps match
-#: each suite's full sweep grid — sizes the repo's own benchmarks exercise.
-SIZE_LIMITS = {
-    "scan": (64, 65536),
-    "sort": (64, 4096),
-    "select": (64, 16384),
-    "spmv": (4, 1024),
-    "graph": (8, 256),
-}
-
-#: algorithms whose ``n`` must be a power of four (square power-of-two grid)
-_POWER_OF_FOUR = frozenset({"scan", "sort", "select"})
 
 #: auto-tuned dispatch: ``"auto:<class>"`` resolves through the plan DB
 AUTO_PREFIX = "auto:"
-AUTO_CLASSES = ("sort", "scan", "spmv")
 TUNER_SUITE_NAME = "tuner"
-
-#: tighter caps for auto requests — resolving a cold plan simulates several
-#: candidate configurations, so admitted sizes stay tuning-affordable
-AUTO_SIZE_LIMITS = {
-    "sort": (16, 1024),
-    "scan": (16, 4096),
-    "spmv": (4, 256),
-}
-
-#: classes whose auto ``n`` must be a power of four (square regions)
-_AUTO_POWER_OF_FOUR = frozenset({"sort", "scan"})
 
 _TUNE_METRICS = ("energy", "max_depth", "edp")
 
@@ -91,10 +56,6 @@ class RequestError(ValueError):
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message)
         self.field = field
-
-
-def _is_power_of_four(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0 and n.bit_length() % 2 == 1
 
 
 def _require_int(doc: Mapping[str, Any], field: str, default: int | None) -> int:
@@ -141,22 +102,19 @@ class ServiceRequest:
                     + ", ".join(f"{AUTO_PREFIX}{c}" for c in AUTO_CLASSES),
                     "algo",
                 )
-        elif not isinstance(algo, str) or algo not in ALGO_SUITES:
-            served = sorted(ALGO_SUITES) + [f"{AUTO_PREFIX}{c}" for c in AUTO_CLASSES]
+        elif not isinstance(algo, str) or algo not in workloads.served():
+            served = sorted(workloads.served()) + [f"{AUTO_PREFIX}{c}" for c in AUTO_CLASSES]
             raise RequestError(
                 f"unknown algo {algo!r}; served: {', '.join(served)}",
                 "algo",
             )
         n = _require_int(doc, "n", None)
-        lo, hi = (AUTO_SIZE_LIMITS[auto_class] if auto_class else SIZE_LIMITS[algo])
-        if not lo <= n <= hi:
-            raise RequestError(f"n={n} out of range for {algo} (admitted: {lo}..{hi})", "n")
-        pow4 = (
-            auto_class in _AUTO_POWER_OF_FOUR
-            if auto_class
-            else algo in _POWER_OF_FOUR
-        )
-        if pow4 and not _is_power_of_four(n):
+        sizes = AUTO_SIZES[auto_class] if auto_class else workloads.served()[algo].sizes
+        if not sizes.lo <= n <= sizes.hi:
+            raise RequestError(
+                f"n={n} out of range for {algo} (admitted: {sizes.lo}..{sizes.hi})", "n"
+            )
+        if not sizes.shaped(n):
             raise RequestError(f"n={n} must be a power of 4 for {algo}", "n")
         seed = _require_int(doc, "seed", 0)
         if not 0 <= seed < _MAX_SEED:
@@ -204,7 +162,7 @@ class ServiceRequest:
     def suite_name(self) -> str:
         if self.is_auto:
             return TUNER_SUITE_NAME
-        return ALGO_SUITES[self.algo]
+        return workloads.served()[self.algo].suite
 
     def params(self) -> dict:
         if self.is_auto:
@@ -213,10 +171,7 @@ class ServiceRequest:
                     f"auto request {self.algo} n={self.n} has no resolved plan yet"
                 )
             return dict(self.resolved_params)
-        # table1_sort sweeps the grid side, every other suite sweeps n
-        if self.algo == "sort":
-            return {"side": math.isqrt(self.n)}
-        return {"n": self.n}
+        return workloads.served()[self.algo].suite_params(self.n)
 
     def point(self) -> PointSpec:
         """The registry sweep point this request denotes."""
@@ -246,3 +201,17 @@ class ServiceRequest:
         else:
             out["params"] = self.params()
         return out
+
+
+def algos_doc() -> dict:
+    """The ``GET /algos`` document: every served name, its suite and range."""
+    algos = {
+        name: {"suite": w.suite, "n_range": [w.sizes.lo, w.sizes.hi]}
+        for name, w in sorted(workloads.served().items())
+    }
+    for cls_name, sizes in AUTO_SIZES.items():
+        algos[f"{AUTO_PREFIX}{cls_name}"] = {
+            "suite": TUNER_SUITE_NAME,
+            "n_range": [sizes.lo, sizes.hi],
+        }
+    return {"algos": algos}

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 
 from ..obs.context import TRACE_HEADER_LOWER, TraceContext
+from .. import workloads
 from ..obs.tracer import ENV_TRACE_DIR, tracer_from_env
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..runner.cachekey import suite_code_version
@@ -49,14 +50,12 @@ from .executor import ExecutionCrash, ExecutionError, ExecutionTimeout, ServiceE
 from .httpio import BadRequest, read_http_request, write_json_response, write_text_response
 from .metrics import ServiceMetrics
 from .protocol import (
-    ALGO_SUITES,
     AUTO_CLASSES,
     AUTO_PREFIX,
-    AUTO_SIZE_LIMITS,
-    SIZE_LIMITS,
     TUNER_SUITE_NAME,
     RequestError,
     ServiceRequest,
+    algos_doc,
 )
 
 __all__ = ["ServiceConfig", "SpatialService", "serve_main"]
@@ -106,7 +105,8 @@ class SpatialService:
             self._trace_env_set = True
         self.obs = tracer_from_env(f"shard-{config.shard_id}" if config.shard_id else "server")
         suites = load_suites(config.bench_dir or None)
-        missing = [a for a, s in sorted(ALGO_SUITES.items()) if s not in suites]
+        served = workloads.served()
+        missing = [a for a, w in sorted(served.items()) if w.suite not in suites]
         if TUNER_SUITE_NAME not in suites:
             missing.append("auto:*")
         if missing:
@@ -115,8 +115,8 @@ class SpatialService:
             )
         # unsalted per-suite code versions; requests salt for profile runs
         self.code_versions = {
-            algo: suite_code_version(suites[suite_name])
-            for algo, suite_name in ALGO_SUITES.items()
+            algo: suite_code_version(suites[w.suite])
+            for algo, w in served.items()
         }
         tuner_ver = suite_code_version(suites[TUNER_SUITE_NAME])
         for cls_name in AUTO_CLASSES:
@@ -539,16 +539,7 @@ class SpatialService:
                 return 200, render_prometheus(self.metrics_doc()), []
             return 200, self.metrics_doc(), []
         if path == "/algos":
-            algos = {
-                algo: {"suite": suite_name, "n_range": list(SIZE_LIMITS[algo])}
-                for algo, suite_name in sorted(ALGO_SUITES.items())
-            }
-            for cls_name in AUTO_CLASSES:
-                algos[f"{AUTO_PREFIX}{cls_name}"] = {
-                    "suite": TUNER_SUITE_NAME,
-                    "n_range": list(AUTO_SIZE_LIMITS[cls_name]),
-                }
-            return 200, {"algos": algos}, []
+            return 200, algos_doc(), []
         if path == "/":
             return (
                 200,

@@ -99,7 +99,7 @@ def spmv_spatial(
     so SpMV inherits semiring generality: ``combine`` is the row-accumulation
     monoid (default ``ADD``) and ``multiply`` the elementwise product (e.g.
     ``combine=MIN, multiply=lambda a, x: x`` gives the min-label propagation
-    used for connected components in :mod:`repro.apps.graph`).  Rows with no
+    used for connected components in :mod:`repro.graphs`).  Rows with no
     entries receive ``combine.identity_scalar``.
 
     Fault-transparent: ``y`` is bit-identical under any

@@ -20,12 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..runner.spec import spec_hash
+from ..workloads import Sizes
 
-__all__ = ["ALGO_CLASSES", "TuneConfig", "SearchSpace"]
+__all__ = ["ALGO_CLASSES", "CLASS_SIZES", "TuneConfig", "SearchSpace"]
 
 #: request classes the tuner serves (sorters x layouts, scan tree/blocked
-#: x block factors, direct vs planned SpMV)
-ALGO_CLASSES = ("sort", "scan", "spmv")
+#: x block factors, direct vs planned SpMV) and the sizes ``auto:``
+#: requests admit: resolving a cold plan simulates several candidate
+#: configurations, so they stay tuning-affordable
+CLASS_SIZES = {
+    "sort": Sizes(16, 1024, pow4=True),
+    "scan": Sizes(16, 4096, pow4=True),
+    "spmv": Sizes(4, 256),
+}
+ALGO_CLASSES = tuple(CLASS_SIZES)
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class SearchSpace:
             )
         configs: list[TuneConfig] = []
         for variant in variants_for(algo_class):
-            for layout in variant.tunable_layouts(n):
+            for layout in variant.layouts:
                 for block in variant.blocks(n):
                     configs.append(
                         TuneConfig(

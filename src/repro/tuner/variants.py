@@ -1,9 +1,10 @@
-"""Tunable algorithm variants and their execution adapters.
+"""Tunable algorithm variants and the layout adapter that runs them.
 
-Every variant is registered as a :class:`Variant`: which layouts its input
-may arrive in (native first), which block factors it accepts at a given
-``n``, and a runner that executes one :class:`~repro.tuner.space.TuneConfig`
-on a fresh machine and verifies the output host-side.
+A :class:`Variant` names the :mod:`repro.workloads` entry it runs, the
+layouts its input may arrive in (native first), the block factors it accepts
+at a given ``n``, and a note.  The input, the run and the host oracle are the
+entry's, so a tuned configuration is the same workload the CLI, chaos,
+conformance and the service run.
 
 **Layout adapter semantics.**  Placement is free in the spatial computer
 model, so "the input arrives in layout L" is modeled by placing the input
@@ -13,20 +14,21 @@ is then bit-identical to the native configuration — which is exactly what
 makes non-native layouts analytically dominated (see
 :mod:`repro.tuner.bounds`).
 
-To register a new tunable variant, append a :class:`Variant` entry for its
-algo class here (or call :func:`register_variant` from your own module) —
-the search space, pruner, CLI table, plan DB, and ``/plan`` endpoint all
-pick it up from this registry.  See ``docs/TUNER.md``.
+To make a workload tunable, add its entry to :mod:`repro.workloads` and
+register a :class:`Variant` naming it here (or call :func:`register_variant`
+from your own module) — the search space, pruner, CLI table, plan DB, and
+``/plan`` endpoint all pick it up from this registry.  See ``docs/TUNER.md``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .. import workloads
+from ..core.sorting.sortutil import as_sort_payload
 from ..machine import Region, SpatialMachine
 from ..machine.layout import rowmajor_layout, square_plus_l_layout, zorder_layout
 from ..runner.registry import point_from_machine
@@ -41,6 +43,7 @@ __all__ = [
     "get_variant",
     "layout_coords",
     "sort_workload",
+    "run_variant",
     "run_config",
     "run_config_point",
 ]
@@ -49,7 +52,7 @@ __all__ = [
 SORT_LAYOUTS = ("rowmajor", "zorder", "square_l")
 
 #: multiplies per SpMV request — planned SpMV amortizes its plan over these
-SPMV_ITERS = 4
+SPMV_ITERS = workloads.SPMV_APPLIES
 
 
 def layout_coords(layout: str, region: Region, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,18 +87,20 @@ class Variant:
 
     algo_class: str
     name: str
-    #: the layout the implementation consumes (relayout target)
-    native_layout: str
+    #: the :mod:`repro.workloads` entry it runs
+    entry: str
     #: layouts the input may arrive in, native first
     layouts: tuple[str, ...]
-    #: ``run(machine, config, n, rng) -> verified output ndarray``
-    run: Callable[[SpatialMachine, "object", int, np.random.Generator], np.ndarray]
     #: ``n -> valid block factors`` (``(None,)`` for unblocked variants)
     blocks: Callable[[int], tuple] = field(default=lambda n: (None,))
     note: str = ""
+    #: entry runs per request (direct SpMV pays every multiply in full)
+    calls: int = 1
 
-    def tunable_layouts(self, n: int) -> tuple[str, ...]:
-        return self.layouts
+    @property
+    def native_layout(self) -> str:
+        """The layout the implementation consumes (relayout target)."""
+        return self.layouts[0]
 
 
 #: algo class -> variant name -> Variant (enumeration order = registration)
@@ -121,135 +126,21 @@ def get_variant(algo_class: str, name: str) -> Variant:
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# sorters: all seven variants share the placement/relayout/verify driver
-# ---------------------------------------------------------------------------
 def sort_workload(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The workload the sort tuner measures (uniform keys, seed-determined)."""
-    return rng.random(n)
+    """The keys every sort variant's entry draws (uniform, seed-determined)."""
+    return workloads.WORKLOADS["mergesort"].make_input(n, rng).values
 
 
-def _sort_region(n: int) -> Region:
-    side = math.isqrt(n)
-    if side * side != n or side & (side - 1):
-        raise ValueError(f"sort configs need n a power of 4, got {n}")
-    return Region(0, 0, side, side)
-
-
-def _run_sorter(sorter) -> Callable:
-    """Wrap a ``(machine, ta, region, x, rng) -> 1-D values`` sorter body."""
-
-    def run(machine: SpatialMachine, config, n: int, rng: np.random.Generator):
-        from ..core.sorting.sortutil import as_sort_payload
-
-        region = _sort_region(n)
-        x = sort_workload(n, rng)
-        rows, cols = layout_coords(config.layout, region, n)
-        ta = machine.place(as_sort_payload(x), rows, cols)
-        ta = relayout(machine, ta, region, config.layout, "rowmajor")
-        out = np.asarray(sorter(machine, ta, region, x, rng))
-        expect = np.sort(x)
-        if not np.array_equal(out, expect):
-            raise RuntimeError(f"{config.label()} returned an unsorted result")
-        return out
-
-    return run
-
-
-def _sort_mergesort(machine, ta, region, x, rng):
-    from ..core.sorting.mergesort2d import mergesort_2d
-
-    return mergesort_2d(machine, ta, region).payload[:, 0]
-
-
-def _sort_quicksort(machine, ta, region, x, rng):
-    # quicksort_2d consumes raw values (placement is free); the relayout
-    # send on ``ta`` is already charged, which is the cost being tuned
-    from ..core.sorting.quicksort2d import quicksort_2d
-
-    return np.asarray(quicksort_2d(machine, x, region, rng).payload)
-
-
-def _sort_bitonic(machine, ta, region, x, rng):
-    from ..core.sorting.bitonic import bitonic_sort
-
-    return bitonic_sort(machine, ta, region).payload[:, 0]
-
-
-def _sort_oddeven(machine, ta, region, x, rng):
-    from ..core.sorting.odd_even import odd_even_mergesort
-
-    return odd_even_mergesort(machine, ta, region).payload[:, 0]
-
-
-def _sort_shearsort(machine, ta, region, x, rng):
-    from ..core.sorting.mesh_sort import shearsort
-
-    return shearsort(machine, ta, region).payload[:, 0]
-
-
-def _sort_allpairs(machine, ta, region, x, rng):
-    from ..core.sorting.allpairs import allpairs_sort
-
-    return allpairs_sort(machine, ta, region).payload[:, 0]
-
-
-def _sort_merge2d(machine, ta, region, x, rng):
-    # one-level 2D merge: quadrant-sized base cases sorted by all-pairs
-    # rank, then a single round of the Fig. 3 merge recursion
-    from ..core.sorting.mergesort2d import mergesort_2d
-
-    n = len(x)
-    return mergesort_2d(machine, ta, region, base_case=max(4, n // 4)).payload[:, 0]
-
-
-for _name, _body, _note in (
-    ("mergesort", _sort_mergesort, "2D mergesort (energy-optimal, §V)"),
-    ("quicksort", _sort_quicksort, "selection quicksort (w.h.p. bounds)"),
-    ("bitonic", _sort_bitonic, "Batcher bitonic network"),
-    ("oddeven", _sort_oddeven, "Batcher odd-even merge network"),
-    ("shearsort", _sort_shearsort, "mesh shearsort baseline"),
-    ("allpairs", _sort_allpairs, "all-pairs rank sort"),
-    ("merge2d", _sort_merge2d, "one-level 2D merge over all-pairs leaves"),
+for _name, _entry, _note in (
+    ("mergesort", "mergesort", "2D mergesort (energy-optimal, §V)"),
+    ("quicksort", "quicksort", "selection quicksort (w.h.p. bounds)"),
+    ("bitonic", "bitonic", "Batcher bitonic network"),
+    ("oddeven", "oddeven", "Batcher odd-even merge network"),
+    ("shearsort", "shearsort", "mesh shearsort baseline"),
+    ("allpairs", "allpairs", "all-pairs rank sort"),
+    ("merge2d", "mergesort_onelevel", "one-level 2D merge over all-pairs leaves"),
 ):
-    register_variant(
-        Variant(
-            algo_class="sort",
-            name=_name,
-            native_layout="rowmajor",
-            layouts=SORT_LAYOUTS,
-            run=_run_sorter(_body),
-            note=_note,
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
-# scan: the Z-order tree scan (layout-tunable) vs host-blocked scans
-# ---------------------------------------------------------------------------
-def _run_scan_tree(machine, config, n, rng):
-    from ..core.scan import scan
-
-    region = _sort_region(n)
-    x = rng.random(n)
-    rows, cols = layout_coords(config.layout, region, n)
-    ta = machine.place(x, rows, cols)
-    ta = relayout(machine, ta, region, config.layout, "zorder")
-    res = scan(machine, ta, region)
-    out = np.asarray(res.inclusive.payload)
-    if not np.allclose(out, np.cumsum(x)):
-        raise RuntimeError(f"{config.label()} scan prefix mismatch")
-    return out
-
-
-def _run_scan_blocked(machine, config, n, rng):
-    from ..core.blocked import blocked_scan
-
-    x = rng.random(n)
-    out = np.asarray(blocked_scan(machine, x, block=int(config.block)).prefix)
-    if not np.allclose(out, np.cumsum(x)):
-        raise RuntimeError(f"{config.label()} blocked-scan prefix mismatch")
-    return out
+    register_variant(Variant("sort", _name, _entry, SORT_LAYOUTS, note=_note))
 
 
 def _scan_blocks(n: int) -> tuple:
@@ -266,85 +157,39 @@ def _scan_blocks(n: int) -> tuple:
 
 register_variant(
     Variant(
-        algo_class="scan",
-        name="tree",
-        native_layout="zorder",
-        layouts=("zorder", "rowmajor", "square_l"),
-        run=_run_scan_tree,
+        "scan",
+        "tree",
+        "scan",
+        ("zorder", "rowmajor", "square_l"),
         note="4-ary Z-order summation tree (§IV.C)",
     )
 )
 register_variant(
     Variant(
-        algo_class="scan",
-        name="blocked",
-        native_layout="host",
-        layouts=("host",),
-        run=_run_scan_blocked,
+        "scan",
+        "blocked",
+        "blocked_scan",
+        ("host",),
         blocks=_scan_blocks,
         note="b words per PE: free local prefix + spatial scan of block totals",
     )
 )
-
-
-# ---------------------------------------------------------------------------
-# spmv: one-shot direct multiplies vs plan-once-apply-many
-# ---------------------------------------------------------------------------
-def _spmv_operands(n: int, rng: np.random.Generator):
-    from ..spmv import random_coo
-
-    A = random_coo(n, 4 * n, rng)
-    xs = rng.standard_normal((SPMV_ITERS, n))
-    return A, xs
-
-
-def _spmv_verify(config, A, x, y):
-    expect = np.zeros(A.n)
-    np.add.at(expect, A.rows, A.vals * x[A.cols])
-    if not np.allclose(np.asarray(y), expect):
-        raise RuntimeError(f"{config.label()} SpMV result mismatch")
-
-
-def _run_spmv_direct(machine, config, n, rng):
-    from ..spmv import spmv_spatial
-
-    A, xs = _spmv_operands(n, rng)
-    y = None
-    for x in xs:
-        y = spmv_spatial(machine, A, x)
-    _spmv_verify(config, A, xs[-1], y.payload)
-    return np.asarray(y.payload)
-
-
-def _run_spmv_planned(machine, config, n, rng):
-    from ..spmv import plan_spmv
-
-    A, xs = _spmv_operands(n, rng)
-    plan = plan_spmv(machine, A)
-    y = None
-    for x in xs:
-        y = plan.apply(x)
-    _spmv_verify(config, A, xs[-1], y.payload)
-    return np.asarray(y.payload)
-
-
 register_variant(
     Variant(
-        algo_class="spmv",
-        name="direct",
-        native_layout="coo",
-        layouts=("coo",),
-        run=_run_spmv_direct,
+        "spmv",
+        "direct",
+        "spmv",
+        ("coo",),
         note=f"{SPMV_ITERS} independent full multiplies",
+        calls=SPMV_ITERS,
     )
 )
 register_variant(
     Variant(
-        algo_class="spmv",
-        name="planned",
-        native_layout="coo",
-        layouts=("coo",),
-        run=_run_spmv_planned,
+        "spmv",
+        "planned",
+        "spmv_planned",
+        ("coo",),
         note=f"plan once, {SPMV_ITERS} applies along precomputed lanes",
     )
 )
@@ -353,12 +198,32 @@ register_variant(
 # ---------------------------------------------------------------------------
 # execution entry points
 # ---------------------------------------------------------------------------
+def run_variant(machine: SpatialMachine, config, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Run one configuration's entry on ``machine``; return its checked output.
+
+    The input is the entry's own at ``n``.  Spatially placed inputs arrive in
+    ``config.layout`` and pay the relayout to the variant's native layout.
+    """
+    variant = get_variant(config.algo_class, config.variant)
+    entry = workloads.WORKLOADS[variant.entry]
+    if not entry.sizes.shaped(n):
+        raise ValueError(f"{config.label()} needs n a power of 4, got {n}")
+    inp = entry.make_input(n, rng)
+    if config.block is not None:
+        inp.block = int(config.block)
+    if variant.native_layout in ("rowmajor", "zorder"):
+        payload = as_sort_payload(inp.values) if config.algo_class == "sort" else inp.values
+        ta = machine.place(payload, *layout_coords(config.layout, inp.region, n))
+        inp.placed = relayout(machine, ta, inp.region, config.layout, variant.native_layout)
+    for _ in range(variant.calls):
+        out = entry.execute(machine, inp)
+    return out.values
+
+
 def run_config(config, n: int, seed: int = 0) -> SpatialMachine:
     """Execute one configuration on a fresh machine; return the machine."""
-    variant = get_variant(config.algo_class, config.variant)
     machine = SpatialMachine()
-    rng = np.random.default_rng(seed)
-    variant.run(machine, config, n, rng)
+    run_variant(machine, config, n, np.random.default_rng(seed))
     return machine
 
 
@@ -373,9 +238,8 @@ def run_config_point(params: dict, rng) -> dict:
     params = dict(params)
     n = int(params.pop("n"))
     config = TuneConfig.from_params(params)
-    variant = get_variant(config.algo_class, config.variant)
     machine = SpatialMachine()
-    variant.run(machine, config, n, rng)
+    run_variant(machine, config, n, rng)
     return point_from_machine(
         machine,
         config=config.as_dict(),

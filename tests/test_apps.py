@@ -1,4 +1,4 @@
-"""Tests for the application layer (repro.apps): statistics and graph kernels."""
+"""Tests for the application layer: repro.apps statistics and the repro.graphs kernels."""
 
 import networkx as nx
 import numpy as np
@@ -6,15 +6,13 @@ import pytest
 
 from repro.apps import (
     top_k,
-    bfs_distances,
-    connected_components,
-    degree_table,
     interquartile_range,
     median,
     median_absolute_deviation,
     quantile,
     trimmed_mean,
 )
+from repro.graphs import bfs_distances, connected_components, degree_table
 from repro.machine import Region, SpatialMachine
 from repro.spmv.coo import COOMatrix, graph_adjacency_coo
 

@@ -1,6 +1,6 @@
 """Differential conformance: fast machine vs the per-call reference oracle.
 
-Every registered chaos algorithm runs twice per point — once on a
+Every registry workload runs twice per point — once on a
 :class:`ReferenceMachine` (the executable specification: scalar sends,
 sequential relays) and once on a fast :class:`SpatialMachine` (vectorized
 kernels, closed-form charging) — with the same algorithm seed and, for
@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from repro.machine import Region, ReferenceMachine, SpatialMachine
+from repro.runner.chaos import run_entry
 from repro.runner.conformance import (
-    CONFORMANCE_ALGOS,
     CONFORMANCE_PROFILES,
     conformance_plan,
     diff_point,
     run_conformance_pair,
     run_conformance_point,
 )
+from repro.workloads import WORKLOADS
 
 SIDE = 8
 SEEDS = (0, 1, 2)
@@ -33,12 +34,12 @@ CORE_PROFILES = ("clean", "drops", "corruption", "dead")
 class TestConformanceGrid:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("profile", CORE_PROFILES)
-    @pytest.mark.parametrize("algo", sorted(CONFORMANCE_ALGOS))
+    @pytest.mark.parametrize("algo", sorted(WORKLOADS))
     def test_point(self, algo, profile, seed):
         report = run_conformance_point(algo, profile, side=SIDE, seed=seed)
         assert report["conformant"], diff_point(report)
 
-    @pytest.mark.parametrize("algo", sorted(CONFORMANCE_ALGOS))
+    @pytest.mark.parametrize("algo", sorted(WORKLOADS))
     def test_mixed_profile(self, algo):
         report = run_conformance_point(algo, "mixed", side=SIDE, seed=0)
         assert report["conformant"], diff_point(report)
@@ -83,13 +84,10 @@ class TestConformanceHarness:
     def test_oracle_actually_detects_drift(self):
         """A deliberately perturbed fast run must fail the comparison —
         guards against the harness comparing a machine against itself."""
-        from repro.runner.conformance import CONFORMANCE_ALGOS as ALGOS
-
-        fn = ALGOS["scan"]
         ref_m = ReferenceMachine()
-        fn(ref_m, SIDE, np.random.default_rng(0))
+        run_entry(WORKLOADS["scan"], ref_m, SIDE, 0)
         fast_m = SpatialMachine(fast=True, strict=False)
-        fn(fast_m, SIDE, np.random.default_rng(0))
+        run_entry(WORKLOADS["scan"], fast_m, SIDE, 0)
         fast_m.stats.energy += 1
         assert ref_m.stats != fast_m.stats
 

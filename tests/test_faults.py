@@ -26,7 +26,8 @@ from repro.machine.faults import (
     sample_failures,
     spare_extras,
 )
-from repro.runner.chaos import CHAOS_ALGOS, CHAOS_PROFILES, run_chaos_pair
+from repro.runner.chaos import CHAOS_PROFILES, run_chaos_pair, run_entry
+from repro.workloads import WORKLOADS
 
 SEEDS = (0, 1, 2)  # three distinct fault-plan seeds per profile
 
@@ -35,7 +36,7 @@ SEEDS = (0, 1, 2)  # three distinct fault-plan seeds per profile
 # bit-identical results + bounded inflation, every primitive x plan x seed
 # ---------------------------------------------------------------------------
 class TestRecoveryTransparency:
-    @pytest.mark.parametrize("algo", sorted(CHAOS_ALGOS))
+    @pytest.mark.parametrize("algo", sorted(WORKLOADS))
     @pytest.mark.parametrize("profile", CHAOS_PROFILES)
     def test_bit_identical_and_bounded(self, algo, profile):
         for seed in SEEDS:
@@ -187,10 +188,9 @@ class TestStrictMode:
             spmv_spatial(SpatialMachine(strict=True), A, x)
 
     def test_strict_mode_accepts_fault_free_primitives(self):
-        """Strict mode must not reject any legitimate core algorithm."""
-        for algo in sorted(CHAOS_ALGOS):
-            m = SpatialMachine(strict=True)
-            CHAOS_ALGOS[algo](m, 4, np.random.default_rng(0))
+        """Strict mode must not reject any registry workload."""
+        for entry in WORKLOADS.values():
+            run_entry(entry, SpatialMachine(strict=True), 4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,3 @@ class TestContracts:
         res = pagerank(m, empty)
         assert res.converged and np.allclose(res.ranks, 0.25)
         assert m.stats.energy == 0  # nothing ever touched the machine
-
-    def test_apps_shim_reexports(self):
-        import repro.apps as apps
-        import repro.apps.graph as shim
-        from repro.graphs import algorithms
-
-        for name in ("connected_components", "bfs_distances", "pagerank",
-                     "degree_table", "GraphConvergenceError", "PageRankResult"):
-            assert getattr(shim, name) is getattr(algorithms, name)
-            assert getattr(apps, name) is getattr(algorithms, name)
