@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..machine.fastpath import _quad_scaled, quad_offsets
 from ..machine.geometry import Region
 from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ..machine.metrics import META_DTYPE
@@ -28,6 +29,7 @@ __all__ = [
     "broadcast",
     "broadcast_1d",
     "broadcast_2d",
+    "broadcast_many",
     "reduce",
     "reduce_2d",
     "all_reduce",
@@ -115,6 +117,86 @@ def _bc1d_tables(n: int) -> tuple[np.ndarray, np.ndarray, int, int, int, int, in
     )
     _BC1D_CACHE[n] = tables
     return tables
+
+
+# closed form of the whole h x w broadcast, keyed by shape: per row-major
+# cell (depth, dist) offsets from the root value plus the flat counters
+_BCAST_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int, int, int, int, int]] = {}
+
+
+def _broadcast_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray, int, int, int, int, int]:
+    """Closed form of :func:`broadcast` on an ``h x w`` region.
+
+    Returns ``(depth_off, dist_off, energy, messages, sends, dmax, smax)``:
+    the metadata increments per row-major cell, the summed counters, and the
+    largest increments observed on the way (the 1D stage of a 2:1 region
+    reaches cells whose values the square stage then overwrites).
+    """
+    cached = _BCAST_CACHE.get((h, w))
+    if cached is not None:
+        return cached
+    side = min(h, w)
+    k = side.bit_length() - 1
+    row_off, col_off, q_dep, q_dst = quad_offsets(side)
+    q_energy = _quad_scaled(side, 1)[4]
+    if h == w:
+        corner_d = corner_s = np.zeros(1, dtype=META_DTYPE)
+        energy = messages = sends = dmax = smax = 0
+    else:
+        line_d, line_s, energy, messages, sends, dmax, smax = _bc1d_tables(max(h, w))
+        corners = np.arange(0, max(h, w), side, dtype=np.int64)
+        corner_d, corner_s = line_d[corners], line_s[corners]
+    m = len(corner_d)
+    # corner j roots the j-th square block along the long side
+    block = np.arange(m, dtype=np.int64)[:, None] * side
+    if h > w:
+        cells = (block + row_off) * w + col_off
+    else:
+        cells = row_off * w + block + col_off
+    depth_off = np.empty(h * w, dtype=META_DTYPE)
+    dist_off = np.empty(h * w, dtype=META_DTYPE)
+    depth_off[cells] = corner_d[:, None] + q_dep
+    dist_off[cells] = corner_s[:, None] + q_dst
+    if k:
+        energy += m * q_energy
+        messages += m * (side * side - 1)
+        sends += 3 * k
+        dmax = max(dmax, int(corner_d.max()) + k)
+        smax = max(smax, int(corner_s.max()) + 2 * (side - 1))
+    tables = (depth_off, dist_off, energy, messages, sends, dmax, smax)
+    _BCAST_CACHE[(h, w)] = tables
+    return tables
+
+
+def broadcast_many(
+    machine: SpatialMachine, h: int, w: int, depth0: np.ndarray, dist0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge ``len(depth0)`` independent ``h x w`` broadcasts (clean fast
+    machines only).
+
+    Broadcast ``i`` starts from a root value at its region's corner carrying
+    ``(depth0[i], dist0[i])``; every counter equals that of the same number
+    of :func:`broadcast` calls.  Returns the per row-major cell increments:
+    cell ``c`` of broadcast ``i`` receives ``depth0[i] + depth_off[c]``.
+    """
+    depth_off, dist_off, energy, messages, sends, dmax, smax = _broadcast_tables(h, w)
+    m = len(depth0)
+    if not m:
+        return depth_off, dist_off
+    with machine.phase("broadcast"):
+        if not sends:  # a 1 x 1 region: the root already holds the value
+            return depth_off, dist_off
+        st = machine.stats
+        st.energy += m * energy
+        st.messages += m * messages
+        st.rounds += m * sends
+        node = machine._phase_node
+        if node is not None:
+            node.energy += m * energy
+            node.messages += m * messages
+            node.sends += m * sends
+        machine.observe_maxima(int(depth0.max()) + dmax, int(dist0.max()) + smax)
+    return depth_off, dist_off
 
 
 def _broadcast_1d_fast(

@@ -17,15 +17,17 @@ Costs: ``O(n^{5/2})`` energy, ``O(log n)`` depth, ``O(n)`` distance — cheap
 when ``n`` is a square-root-sized sample, hopeless as a general sorter (which
 is exactly how Sections V-VI use it).
 
-Two implementations share the rank entry point.  The *reference* body (any
+Two implementations share the entry points.  The *reference* body (any
 non-fast machine, and fast machines under strict mode, tracer/profiler, or a
 fault plan) runs the operation-by-operation construction: per-call sends, the
 explicit quadrupling loop, lexsort regrouping, padding, and the generic 2D
-reduce.  The *fast* body exploits that every index permutation is fixed by
-the exploded-grid geometry: it charges the identical counters in closed form
-and composes the metadata from precomputed quadrant offset tables, never
-materializing the ``n^2`` intermediate placements.  ``repro conformance``
-asserts the two produce bit-identical ranks and exactly equal cost books.
+reduce.  The *batched* body (:func:`allpairs_sort_many`; a single call is one
+segment) sorts many independent inputs at once.  It exploits that every
+index permutation is fixed by the exploded-grid geometry: it charges the
+identical counters in closed form and composes the metadata from
+precomputed quadrant offset tables, never materializing the ``n^2``
+intermediate placements.  ``repro conformance`` asserts the two produce
+bit-identical ranks and exactly equal cost books.
 """
 
 from __future__ import annotations
@@ -33,20 +35,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine.fastpath import (
-    quad_broadcast_charge,
-    quad_offsets,
-    quad_reduce_charge,
-    quad_reduce_offsets,
-)
+from ...machine.fastpath import _quad_scaled, quad_offsets, quad_reduce_offsets
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ...machine.metrics import META_DTYPE
 from ...machine.zorder import zorder_encode
 from ..collectives import broadcast_2d, reduce_2d
 from ..ops import ADD
 from .sortutil import lex_less, strip_tiebreak, with_tiebreak
 
-__all__ = ["allpairs_sort", "allpairs_rank"]
+__all__ = ["allpairs_sort", "allpairs_sort_many", "allpairs_rank"]
 
 
 def _subgrid_side(n: int) -> int:
@@ -57,25 +55,61 @@ def _subgrid_side(n: int) -> int:
     return side
 
 
-# every index permutation used by the fast body depends only on (s, n) — the
+# every table the batched body reads depends only on the subgrid side s —
 # scatter corners, replication orders and pad cells are fixed by the
 # exploded-grid geometry, not the data — so each is computed once and reused
-# (coordinates are cached relative to the workspace corner)
-_LAYOUT_CACHE: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+_SIDE_CACHE: dict[int, dict] = {}
 
 
-def _layout(s: int, n: int) -> dict[str, np.ndarray]:
-    lay = _LAYOUT_CACHE.get((s, n))
-    if lay is None:
-        i = np.arange(n, dtype=np.int64)
-        lay = {
-            "corner_r": (i // s) * s,
-            "corner_c": (i % s) * s,
-            "home_r": i // s,
-            "home_c": i % s,
-        }
-        _LAYOUT_CACHE[(s, n)] = lay
-    return lay
+def _side_tables(s: int) -> dict:
+    """Per-cell metadata offsets of an ``s x s`` exploded grid, plus the
+    per-size maxima of the rank's closed form, indexed by segment size."""
+    t = _SIDE_CACHE.get(s)
+    if t is not None:
+        return t
+    per = s * s
+    row_off, col_off, depth_off, dist_off = quad_offsets(s)
+    # quadrant index landing on local row-major cell 0..per-1
+    perm = np.argsort(row_off * s + col_off, kind="stable")
+    doff, dstoff = depth_off[perm], dist_off[perm]
+    # reduce offsets re-indexed by local row-major cell (tables are Z-indexed)
+    rdo_z, rso_z, block_energy = quad_reduce_offsets(s)
+    cells = np.arange(per, dtype=np.int64)
+    z = zorder_encode(cells // s, cells % s)
+    rdo, rso = rdo_z[z], rso_z[z]
+
+    def prefix_max(x: np.ndarray) -> np.ndarray:
+        """Entry n: max of x[:n] (0 for n = 0)."""
+        return np.concatenate([[0], np.maximum.accumulate(x)])
+
+    def suffix_max(x: np.ndarray) -> np.ndarray:
+        """Entry n: max of x[n:] (0 for n = per), the zero-meta pad cells."""
+        return np.concatenate([np.maximum.accumulate(x[::-1])[::-1], [0]])
+
+    t = {
+        "doff": doff,
+        "dstoff": dstoff,
+        "rdo": rdo,
+        "rso": rso,
+        "k": s.bit_length() - 1,
+        # two quadrant broadcasts (strides 1 and s) and one quadrant reduce
+        "energy": _quad_scaled(s, 1)[4] + _quad_scaled(s, s)[4] + block_energy,
+        "messages": 3 * (per - 1),
+        "doff_max": prefix_max(doff),
+        "dstoff_max": prefix_max(dstoff),
+        "a_dep": prefix_max(doff + rdo),
+        "a_dst": prefix_max(dstoff + rso),
+        "pad_dep": suffix_max(rdo),
+        "pad_dst": suffix_max(rso),
+    }
+    _SIDE_CACHE[s] = t
+    return t
+
+
+def _subgrid_sides(sizes: np.ndarray) -> np.ndarray:
+    """Vector form of :func:`_subgrid_side`: ``2 ** ceil(log2(n) / 2)``."""
+    ceil_log2 = np.frexp(np.asarray(sizes, dtype=np.float64) - 1)[1]
+    return np.left_shift(1, (ceil_log2 + 1) // 2).astype(np.int64)
 
 
 def allpairs_rank(
@@ -96,95 +130,123 @@ def allpairs_rank(
         workspace = Region(int(ta.rows.min()), int(ta.cols.min()), s * s, s * s)
     R, C = workspace.row, workspace.col
     if machine.clean_fast:
-        return _allpairs_rank_fast(machine, ta, key_cols, R, C, s, n)
+        return _rank_segments(
+            machine, ta, np.array([n]), np.array([R]), np.array([C]), key_cols
+        )
     return _allpairs_rank_reference(machine, ta, key_cols, R, C, s, n)
 
 
-def _allpairs_rank_fast(
+def _rank_segments(
     machine: SpatialMachine,
     ta: TrackedArray,
+    sizes: np.ndarray,
+    ws_rows: np.ndarray,
+    ws_cols: np.ndarray,
     key_cols: int,
-    R: int,
-    C: int,
-    s: int,
-    n: int,
 ) -> tuple[TrackedArray, np.ndarray]:
-    """Closed-form rank: same counters and ranks, no ``n^2`` placements.
+    """Closed-form rank of every segment: same counters and ranks as one
+    reference rank per segment, no ``n^2`` placements.
+
+    Segment ``i`` holds the next ``sizes[i]`` entries of ``ta`` and explodes
+    onto a workspace cornered at ``(ws_rows[i], ws_cols[i])``.  Returns the
+    ranked elements in input order and each one's rank within its segment.
 
     After the reference regroups its replicas by (subgrid, cell), the entry
     at cell ``j`` of ``Γ_i`` holds the pair ``(A_i, A_j)``: the blanket copy
     of ``A_i`` arrived via the quadrant whose offset lands on cell ``j``, and
     the replicated copy of ``A_j`` via the quadrant landing on subgrid ``i``.
     Every metadata field is therefore an offset-table update of the two send
-    outputs, and the per-block maxima of the reduce collapse to O(n) vector
-    maxima.  The ranks themselves need no arithmetic at all: summing strict
-    0/1 comparison bits is exact in float64, so the reduce output *is* the
-    element's lexicographic rank — one ``np.lexsort`` of the (strict) keys.
+    outputs, and the per-block maxima of the reduce collapse to per-segment
+    vector maxima.  The ranks themselves need no arithmetic at all: summing
+    strict 0/1 comparison bits is exact in float64, so the reduce output *is*
+    the element's lexicographic rank — one ``np.lexsort`` of the keys.
     """
-    lay = _layout(s, n)
-    per = s * s
+    n_total = len(ta)
+    nseg = len(sizes)
+    starts = np.zeros(nseg, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    seg = np.repeat(np.arange(nseg, dtype=np.int64), sizes)
+    pos = np.arange(n_total, dtype=np.int64) - starts[seg]
+    s_seg = _subgrid_sides(sizes)
+    s = s_seg[seg]
 
-    # -- 1. scatter A_i to the corner of Γ_i; charge its blanket broadcast
-    pivots = machine.send(ta, R + lay["corner_r"], C + lay["corner_c"])
-    pd_max, ps_max = int(pivots.depth.max()), int(pivots.dist.max())
-    quad_broadcast_charge(machine, n, s, 1, pd_max, ps_max)
+    # per-element cell offsets and per-segment closed-form scalars
+    e_doff = np.empty(n_total, dtype=META_DTYPE)
+    e_dstoff = np.empty(n_total, dtype=META_DTYPE)
+    e_rdo = np.empty(n_total, dtype=META_DTYPE)
+    e_rso = np.empty(n_total, dtype=META_DTYPE)
+    fields = ("k", "energy", "messages", "doff_max", "dstoff_max", "a_dep", "a_dst",
+              "pad_dep", "pad_dst")
+    g = {f: np.empty(nseg, dtype=np.int64) for f in fields}
+    for side in np.unique(s_seg).tolist():
+        t = _side_tables(side)
+        on = s_seg == side
+        at = s == side
+        p = pos[at]
+        e_doff[at], e_dstoff[at] = t["doff"][p], t["dstoff"][p]
+        e_rdo[at], e_rso[at] = t["rdo"][p], t["rso"][p]
+        sz = sizes[on]
+        for f in ("k", "energy", "messages"):
+            g[f][on] = t[f]
+        for f in fields[3:]:
+            g[f][on] = t[f][sz]
 
-    # -- 3. compact A into Γ_0; charge its subgrid-lattice replication
-    copies0 = machine.send(ta, R + lay["home_r"], C + lay["home_c"])
-    cd_max, cs_max = int(copies0.depth.max()), int(copies0.dist.max())
-    quad_broadcast_charge(machine, n, s, s, cd_max, cs_max)
+    # -- 1. scatter A_i to the corner of Γ_i; 3. compact A into Γ_0
+    R, C = ws_rows[seg], ws_cols[seg]
+    pivots = machine.send_many((ta, R + (pos // s) * s, C + (pos % s) * s), starts=starts)
+    copies0 = machine.send_many((ta, R + pos // s, C + pos % s), starts=starts)
+    pd_max = np.maximum.reduceat(pivots.depth, starts)
+    ps_max = np.maximum.reduceat(pivots.dist, starts)
+    cd_max = np.maximum.reduceat(copies0.depth, starts)
+    cs_max = np.maximum.reduceat(copies0.dist, starts)
 
-    doff = lay.get("doff")
-    if doff is None:
-        row_off, col_off, depth_off, dist_off = quad_offsets(s)
-        # quadrant index landing on local row-major cell 0..n-1
-        perm = np.argsort(row_off * s + col_off, kind="stable")[:n]
-        doff = depth_off[perm]
-        dstoff = dist_off[perm]
-        lay["doff"], lay["dstoff"] = doff, dstoff
-        lay["dstoff_s"] = dstoff * s
-        lay["doff_max"] = int(doff.max())
-        lay["dstoff_max"] = int(dstoff.max())
-        # reduce offsets re-indexed by local row-major cell (tables are
-        # Z-indexed); pads occupy cells n..per-1 with zero metadata
-        rdo_z, rso_z, _ = quad_reduce_offsets(s)
-        cells = np.arange(per, dtype=np.int64)
-        z = zorder_encode(cells // s, cells % s)
-        rdo_cell, rso_cell = rdo_z[z], rso_z[z]
-        lay["c_rdo"], lay["c_rso"] = rdo_cell[:n].copy(), rso_cell[:n].copy()
-        lay["a_dep"] = int((doff + rdo_cell[:n]).max())
-        lay["a_dst"] = int((dstoff + rso_cell[:n]).max())
-        lay["pad_dep"] = int(rdo_cell[n:].max()) if per != n else 0
-        lay["pad_dst"] = int(rso_cell[n:].max()) if per != n else 0
-    dstoff = lay["dstoff"]
+    # -- 2-5. blanket broadcast, subgrid-lattice replication and the
+    #         per-block reduce: closed-form counters; every compare at cell
+    #         j of Γ_i sees max(pivot[i] + off[j], copy[j] + off[i])
+    k = g["k"]
+    energy = int(np.dot(sizes, g["energy"]))
+    messages = int(np.dot(sizes, g["messages"]))
+    rounds = 9 * int(k.sum())
+    st = machine.stats
+    st.energy += energy
+    st.messages += messages
+    st.rounds += rounds
+    node = machine._phase_node
+    if node is not None:
+        node.energy += energy
+        node.messages += messages
+        node.sends += rounds
+    dmax = np.maximum(np.maximum(pd_max, cd_max) + k, np.maximum(pd_max, cd_max) + g["doff_max"])
+    smax = np.maximum.reduce([
+        ps_max + 2 * (s_seg - 1),
+        cs_max + 2 * (s_seg - 1) * s_seg,
+        ps_max + g["dstoff_max"],
+        cs_max + s_seg * g["dstoff_max"],
+    ])
+    machine.observe_maxima(int(dmax.max()), int(smax.max()))
 
-    # -- 2-4. the compare at cell j of Γ_i sees metadata
-    #         max(pivot[i] + off[j], copy[j] + off[i]); observe its maxima
-    machine.observe_maxima(
-        max(pd_max, cd_max) + lay["doff_max"],
-        max(ps_max + lay["dstoff_max"], cs_max + s * lay["dstoff_max"]),
+    # per-block reduce metadata: max over cells j of (bit meta + reduce
+    # carry offset), split over the two bit terms + the zero-meta pads
+    rdep = np.maximum(
+        pivots.depth + g["a_dep"][seg],
+        e_doff + np.maximum.reduceat(copies0.depth + e_rdo, starts)[seg],
     )
-
-    # -- 5. per-block reduce metadata: max over cells j of (bit meta + reduce
-    #       carry offset), split over the two bit terms + the zero-meta pads
-    quad_reduce_charge(machine, n, s)
-    rdep = np.maximum(pivots.depth + lay["a_dep"], doff + int((copies0.depth + lay["c_rdo"]).max()))
-    rdst = np.maximum(pivots.dist + lay["a_dst"], lay["dstoff_s"] + int((copies0.dist + lay["c_rso"]).max()))
-    if per != n:
-        np.maximum(rdep, rdep.dtype.type(lay["pad_dep"]), out=rdep)
-        np.maximum(rdst, rdst.dtype.type(lay["pad_dst"]), out=rdst)
-    machine.observe(rdep, rdst)
-
-    # rank = number of strictly smaller rows = position in the sorted order
-    P = ta.payload
-    order = np.lexsort(tuple(P[:, c] for c in range(key_cols - 1, -1, -1)))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n, dtype=np.int64)
-
+    rdst = np.maximum(
+        pivots.dist + g["a_dst"][seg],
+        e_dstoff * s + np.maximum.reduceat(copies0.dist + e_rso, starts)[seg],
+    )
+    np.maximum(rdep, g["pad_dep"][seg], out=rdep)
+    np.maximum(rdst, g["pad_dst"][seg], out=rdst)
     # fold the reduction's metadata into the element sitting at the corner
     out_dep = np.maximum(pivots.depth, rdep)
     out_dst = np.maximum(pivots.dist, rdst)
     machine.observe(out_dep, out_dst)
+
+    # rank = number of strictly smaller rows = position in the sorted order
+    P = ta.payload
+    order = np.lexsort((*(P[:, c] for c in range(key_cols - 1, -1, -1)), seg))
+    ranks = np.empty(n_total, dtype=np.int64)
+    ranks[order] = pos
     ranked = _tracked(machine, pivots.payload, pivots.rows, pivots.cols, out_dep, out_dst)
     return ranked, ranks
 
@@ -299,11 +361,25 @@ def allpairs_sort(
     n = len(ta)
     if ta.payload.ndim != 2:
         raise ValueError("sort payloads are (n, k) arrays")
+    if out_region is None:
+        side = _subgrid_side(n)
+        out_region = Region(int(ta.rows.min()), int(ta.cols.min()), side, side)
+    if machine.clean_fast:
+        if workspace is None:
+            workspace = Region(int(ta.rows.min()), int(ta.cols.min()), 1, 1)
+        return allpairs_sort_many(
+            machine,
+            ta,
+            np.array([n]),
+            key_cols,
+            np.array([out_region.row]),
+            np.array([out_region.col]),
+            np.array([out_region.width]),
+            np.array([workspace.row]),
+            np.array([workspace.col]),
+        )
     with machine.phase("allpairs"):
         keyed, kc = with_tiebreak(ta, key_cols)
-        if out_region is None:
-            side = _subgrid_side(n)
-            out_region = Region(int(ta.rows.min()), int(ta.cols.min()), side, side)
         if n == 1:
             out = machine.send(keyed, *out_region.rowmajor_coords(1))
             return strip_tiebreak(out, kc)
@@ -313,3 +389,57 @@ def allpairs_sort(
         placed = machine.send(ranked, out_rows[ranks], out_cols[ranks])
         order = np.argsort(ranks, kind="stable")
         return strip_tiebreak(placed[order], kc)
+
+
+def allpairs_sort_many(
+    machine: SpatialMachine,
+    ta: TrackedArray,
+    sizes: np.ndarray,
+    key_cols: int,
+    out_rows: np.ndarray,
+    out_cols: np.ndarray,
+    out_width: np.ndarray,
+    ws_rows: np.ndarray,
+    ws_cols: np.ndarray,
+) -> TrackedArray:
+    """Sort many independent segments of ``ta`` at once (clean fast machines).
+
+    Segment ``i`` holds the next ``sizes[i] >= 1`` entries; it sorts onto the
+    row-major cells of a region cornered at ``(out_rows[i], out_cols[i])``
+    of width ``out_width[i]``, exploding onto a workspace cornered at
+    ``(ws_rows[i], ws_cols[i])``.  Every counter equals one
+    :func:`allpairs_sort` call per segment.  Returns the segments in order,
+    each sorted (ties by input position, as the tie-break column orders
+    them).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    with machine.phase("allpairs"):
+        n_total = len(ta)
+        starts = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        seg = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        src = ta
+        multi = sizes > 1
+        if multi.all():
+            src, ranks = _rank_segments(machine, ta, sizes, ws_rows, ws_cols, key_cols)
+        else:
+            # a one-element segment skips the rank and just moves to its cell
+            ranks = np.zeros(n_total, dtype=np.int64)
+            if multi.any():
+                at = multi[seg]
+                ranked, ranks[at] = _rank_segments(
+                    machine, ta[at], sizes[multi], ws_rows[multi], ws_cols[multi], key_cols
+                )
+                src = ta.copy()
+                for name in ("rows", "cols", "depth", "dist"):
+                    getattr(src, name)[at] = getattr(ranked, name)
+        # element with rank r goes to output cell r
+        width = out_width[seg]
+        placed = machine.send_many(
+            (src, out_rows[seg] + ranks // width, out_cols[seg] + ranks % width),
+            starts=starts,
+        )
+        order = np.argsort(starts[seg] + ranks)
+        out = placed[order]
+        out.payload = np.asarray(out.payload, dtype=np.float64)
+        return out

@@ -20,18 +20,27 @@ selection per level), distance ``O(sqrt(n))``.
 The split decision is *broadcast* over the region and threaded into every
 element's metadata before it moves, so measured depth reflects the control
 dependency "no routing before the splitters are known".
+
+Two bodies charge identical counters.  The depth-first body (the reference,
+and every strict, traced, profiled or faulted run, whose send order fixes
+the retry rng stream) makes one call per subproblem.  On a clean fast
+machine :func:`merge_sorted_2d_many` runs the recursion level by level over
+many merges at once: every subproblem of a level shares one batched
+selection, one decision send, one broadcast charge and one segmented send
+each for chunk moves and leaf parks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...machine.metrics import META_DTYPE
 from ...machine.geometry import Region
-from ...machine.machine import SpatialMachine, TrackedArray, concat_tracked
-from ..collectives import broadcast
-from .two_sorted_select import select_ranks_two_sorted
+from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ..collectives import broadcast, broadcast_many
+from .two_sorted_select import select_ranks_two_sorted, select_ranks_two_sorted_many
 
-__all__ = ["merge_sorted_2d", "merge_subregions"]
+__all__ = ["merge_sorted_2d", "merge_sorted_2d_many", "merge_subregions"]
 
 
 def merge_subregions(region: Region) -> tuple[Region, Region, Region, Region]:
@@ -69,6 +78,26 @@ def merge_sorted_2d(
         raise ValueError(f"{n} elements vs region size {out_region.size}")
     if base_case < 4:
         raise ValueError("base_case must be at least 4")
+    for name, part in (("A", A), ("B", B)):
+        outside = ~out_region.contains(part.rows, part.cols)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"merge_sorted_2d: {name}[{i}] at ({int(part.rows[i])}, "
+                f"{int(part.cols[i])}) lies outside {out_region}; both inputs "
+                "must lie inside out_region"
+            )
+    if machine.clean_fast:
+        r = out_region
+        return merge_sorted_2d_many(
+            machine,
+            concat_tracked([A, B]),
+            np.array([len(A)]),
+            np.array([len(B)]),
+            np.array([[r.row, r.col, r.height, r.width]]),
+            key_cols,
+            base_case,
+        )
     with machine.phase("merge2d"):
         placed_parts: list[TrackedArray] = []
         rank_parts: list[np.ndarray] = []
@@ -79,6 +108,223 @@ def merge_sorted_2d(
         rows, cols = out_region.rowmajor_coords(n)
         out = machine.send(placed, rows[ranks], cols[ranks])
         return out[np.argsort(ranks, kind="stable")]
+
+
+def merge_sorted_2d_many(
+    machine: SpatialMachine,
+    ta: TrackedArray,
+    a_sizes: np.ndarray,
+    b_sizes: np.ndarray,
+    regions: np.ndarray,
+    key_cols: int = 1,
+    base_case: int = 16,
+) -> TrackedArray:
+    """Merge many sorted pairs at once, level by level (clean fast machines).
+
+    Merge ``i`` takes the next ``a_sizes[i]`` entries of ``ta`` as ``A`` and
+    the ``b_sizes[i]`` after them as ``B``, and fills the region in row ``i``
+    of the ``(merges, 4)`` array ``regions`` (row, col, height, width); the
+    caller has checked the :func:`merge_sorted_2d` preconditions.  Every
+    counter equals one :func:`merge_sorted_2d` call per merge.  Returns each
+    merge's output in row-major order of its region, merges in order.
+    """
+    a_sizes = np.asarray(a_sizes, dtype=np.int64)
+    b_sizes = np.asarray(b_sizes, dtype=np.int64)
+    regions = np.asarray(regions, dtype=np.int64)
+    parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]] = []
+    with machine.phase("merge2d"):
+        # one row per live subproblem: (na, nb, row, col, h, w, offset, merge)
+        sub = np.column_stack(
+            [a_sizes, b_sizes, regions, np.zeros(len(a_sizes), dtype=np.int64),
+             np.arange(len(a_sizes), dtype=np.int64)]
+        )
+        cur = ta
+        while len(sub):
+            cur, sub = _merge_level(machine, cur, sub, key_cols, base_case, parked)
+
+        # Fig. 3d: permute from the recursion's traversal order into row-major
+        placed = concat_tracked([p[0] for p in parked])
+        ranks = np.concatenate([p[1] for p in parked])
+        merge = np.concatenate([p[2] for p in parked])
+        del parked
+        order = np.lexsort((ranks, merge))
+        placed, ranks, merge = placed[order], ranks[order], merge[order]
+        sizes = a_sizes + b_sizes
+        starts = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        row, col, width = regions[merge, 0], regions[merge, 1], regions[merge, 3]
+        return machine.send_many(
+            (placed, row + ranks // width, col + ranks % width), starts=starts
+        )
+
+
+def _merge_level(
+    machine: SpatialMachine,
+    cur: TrackedArray,
+    sub: np.ndarray,
+    key_cols: int,
+    base_case: int,
+    parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]],
+) -> tuple[TrackedArray, np.ndarray]:
+    """One level of :func:`_merge_rec` over every live subproblem.
+
+    ``cur`` holds each subproblem's ``A`` then ``B`` entries, subproblems in
+    order.  Parks the leaves (appending ``(parked, rank, merge)`` to
+    ``parked``) and returns the next level's entries and subproblem rows.
+    """
+    na, nb, row, col, h, w, off, merge = sub.T
+    n = na + nb
+    seg = np.repeat(np.arange(len(sub), dtype=np.int64), n)
+    seg_start = np.cumsum(n) - n
+    pos = np.arange(len(seg), dtype=np.int64) - seg_start[seg]
+    in_b = pos >= na[seg]
+    pos -= np.where(in_b, na[seg], 0)  # index within A or within B
+    leaf = (n <= base_case) | (h == 1) | (w == 1) | (n < 4)
+
+    # ---- leaves: park the merged chunk in row-major order of its region
+    if leaf.any():
+        at = leaf[seg]
+        ls = seg[at]
+        P = cur.payload
+        order = np.lexsort(
+            (pos[at], in_b[at], *(P[at, c] for c in range(key_cols - 1, -1, -1)), ls)
+        )
+        leaf_n = np.where(leaf, n, 0)
+        leaf_start = np.cumsum(leaf_n) - leaf_n
+        inv = np.empty(len(ls), dtype=np.int64)
+        inv[order] = np.arange(len(ls)) - leaf_start[ls[order]]
+        lw = w[ls]
+        starts = leaf_start[leaf]
+        out = machine.send_many(
+            (cur[at], row[ls] + inv // lw, col[ls] + inv % lw), starts=starts
+        )
+        parked.append((out, off[ls] + inv, merge[ls]))
+        if leaf.all():
+            return cur[0:0], sub[0:0]
+        keep = ~leaf
+        cur, sub = cur[~at], sub[keep]
+        seg = np.repeat(np.arange(len(sub), dtype=np.int64), n[keep])
+        pos, in_b = pos[~at], in_b[~at]
+        na, nb, row, col, h, w, off, merge = sub.T
+        n = na + nb
+    S = len(sub)
+    shape_ok = ((h == w) & (h % 2 == 0)) | ((w == 2 * h) & (w % 4 == 0)) | (
+        (h == 2 * w) & (h % 4 == 0)
+    )
+    if not shape_ok.all():
+        i = int(np.argmin(shape_ok))
+        bad = Region(int(row[i]), int(col[i]), int(h[i]), int(w[i]))
+        raise ValueError(f"merge regions must be square or 2:1, got {bad}")
+
+    # ---- find the three rank splitters of every subproblem (Lemma V.6)
+    quarter = n // 4
+    ks = quarter[:, None] * np.arange(1, 4, dtype=np.int64)
+    cut_a = np.zeros((S, 5), dtype=np.int64)
+    cut_b = np.zeros((S, 5), dtype=np.int64)
+    cut_a[:, 4], cut_b[:, 4] = na, nb
+    split_d = np.empty(S, dtype=META_DTYPE)
+    split_s = np.empty(S, dtype=META_DTYPE)
+    where_r = np.empty(S, dtype=np.int64)
+    where_c = np.empty(S, dtype=np.int64)
+    two = (na > 0) & (nb > 0)
+    one = ~two
+    if one.any():
+        # a one-sided pair splits for free: the whole chunk is its decision
+        first_of = np.cumsum(n) - n
+        cut_a[one, 1:4] = np.where(nb[one, None] == 0, ks[one], 0)
+        cut_b[one, 1:4] = np.where(nb[one, None] == 0, 0, ks[one])
+        split_d[one] = np.maximum.reduceat(cur.depth, first_of)[one]
+        split_s[one] = np.maximum.reduceat(cur.dist, first_of)[one]
+        where_r[one] = cur.rows[first_of[one]]
+        where_c[one] = cur.cols[first_of[one]]
+        node = machine._phase_node
+        if node is not None and one[0] and "two_sorted_select" not in node.children:
+            # the depth-first body reaches this one-sided subproblem's
+            # broadcast before any selection: keep the phases in that order
+            with machine.phase("broadcast"):
+                pass
+    if two.any():
+        e_two = two[seg]
+        ca, cb, dd, ds, wr, wc, _ = select_ranks_two_sorted_many(
+            machine,
+            cur[e_two & ~in_b],
+            na[two],
+            cur[e_two & in_b],
+            nb[two],
+            ks[two],
+            key_cols,
+            row[two],
+            col[two],
+        )
+        cut_a[two, 1:4], cut_b[two, 1:4] = ca, cb
+        split_d[two], split_s[two] = dd.max(1), ds.max(1)
+        where_r[two], where_c[two] = wr[:, 2], wc[:, 2]
+
+    # ---- broadcast the routing decision over each region, then move chunks
+    corner = machine.send_many(
+        (_tracked(machine, np.ones(S), where_r, where_c, split_d, split_s), row, col),
+        starts=np.arange(S, dtype=np.int64),
+    )
+    ctl_d = np.empty(len(seg), dtype=META_DTYPE)
+    ctl_s = np.empty(len(seg), dtype=META_DTYPE)
+    shapes = h * (w.max() + 1) + w
+    for key in np.unique(shapes).tolist():
+        group = shapes == key
+        gh, gw = int(h[group][0]), int(w[group][0])
+        dep_off, dst_off = broadcast_many(
+            machine, gh, gw, corner.depth[group], corner.dist[group]
+        )
+        at = group[seg]
+        gs = seg[at]
+        cell = (cur.rows[at] - row[gs]) * gw + (cur.cols[at] - col[gs])
+        ctl_d[at] = corner.depth[gs] + dep_off[cell]
+        ctl_s[at] = corner.dist[gs] + dst_off[cell]
+
+    # chunk q of a subproblem is A[cut_a[q]:cut_a[q+1]] || B[cut_b[q]:cut_b[q+1]]
+    chunk_a, chunk_b = np.diff(cut_a, axis=1), np.diff(cut_b, axis=1)
+    cuts = np.where(in_b[:, None], cut_b[seg, 1:4], cut_a[seg, 1:4])
+    q = (pos[:, None] >= cuts).sum(1)
+    j = np.where(in_b, pos - cut_b[seg, q] + chunk_a[seg, q], pos - cut_a[seg, q])
+    # sub-region q: square -> Z-order quadrants, wide/tall -> four strips
+    q4 = np.arange(4, dtype=np.int64)
+    sq, wide = (h == w)[:, None], (w > h)[:, None]
+    sub_h = np.where(sq[:, 0], h // 2, np.where(wide[:, 0], h, h // 4))
+    sub_w = np.where(sq[:, 0], w // 2, np.where(wide[:, 0], w // 4, w))
+    sub_row = row[:, None] + np.where(sq, (q4 >= 2), np.where(wide, 0, q4)) * sub_h[:, None]
+    sub_col = col[:, None] + np.where(sq, (q4 & 1), np.where(wide, q4, 0)) * sub_w[:, None]
+    s_w = sub_w[seg]
+    dest_r = sub_row[seg, q] + j // s_w
+    dest_c = sub_col[seg, q] + j % s_w
+
+    # one send per (subproblem, chunk, side); entries regroup into the next
+    # level's layout: children in order, each child's A part then B part
+    key = (seg * 4 + q) * 2 + in_b
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=8 * S)
+    moving = _tracked(
+        machine,
+        cur.payload[order],
+        cur.rows[order],
+        cur.cols[order],
+        np.maximum(cur.depth, ctl_d)[order],
+        np.maximum(cur.dist, ctl_s)[order],
+    )
+    moved = machine.send_many(
+        (moving, dest_r[order], dest_c[order]), starts=np.cumsum(counts) - counts
+    )
+    children = np.column_stack(
+        [
+            chunk_a.ravel(),
+            chunk_b.ravel(),
+            sub_row.ravel(),
+            sub_col.ravel(),
+            np.repeat(sub_h, 4),
+            np.repeat(sub_w, 4),
+            (off[:, None] + q4 * quarter[:, None]).ravel(),
+            np.repeat(merge, 4),
+        ]
+    )
+    return moved, children
 
 
 def _merged_order(A: TrackedArray, B: TrackedArray, key_cols: int) -> np.ndarray:

@@ -13,6 +13,12 @@ Lemma V.7.  Costs on a ``sqrt(n) x sqrt(n)`` grid:
 Tiny blocks are finished with the ``O(log n)``-depth All-Pairs Sort — the
 auxiliary sorter the paper pairs with the mergesort — whose
 ``O(base^{5/2})`` energy is a constant per block.
+
+On a clean fast machine the recursion runs level by level with identical
+counters: one segmented All-Pairs Sort for every base block, then per level
+one batch of half merges and one batch of full merges
+(:func:`~repro.core.sorting.merge2d.merge_sorted_2d_many`).  Every other
+machine walks the recursion depth first.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ import numpy as np
 
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray
-from ...machine.zorder import is_power_of_two
+from ...machine.zorder import is_power_of_two, zorder_decode, zorder_encode
 from ..validate import check_finite_values
-from .allpairs import allpairs_sort
-from .merge2d import merge_sorted_2d
+from .allpairs import allpairs_sort, allpairs_sort_many
+from .merge2d import merge_sorted_2d, merge_sorted_2d_many
 
 __all__ = ["mergesort_2d", "sort_values", "sort_any"]
 
@@ -52,7 +58,65 @@ def mergesort_2d(
     if ta.payload.ndim != 2:
         raise ValueError("sort payloads are (n, k) arrays; see sortutil.as_sort_payload")
     with machine.phase("mergesort2d"):
+        if machine.clean_fast:
+            return _sort_levels(machine, ta, region, key_cols, max(4, base_case))
         return _sort_rec(machine, ta, region, key_cols, max(4, base_case))
+
+
+def _sort_levels(
+    machine: SpatialMachine,
+    ta: TrackedArray,
+    region: Region,
+    key_cols: int,
+    base_case: int,
+) -> TrackedArray:
+    """:func:`_sort_rec` one recursion level at a time.
+
+    Blocks are kept in Z-order (the depth-first visiting order of the
+    quadrants), each block's entries in row-major order of the block.
+    """
+    side = region.width
+    b = side
+    while b * b > base_case and b > 2:
+        b //= 2
+    # entries are row-major over the full region; group them by base block
+    idx = np.arange(len(ta), dtype=np.int64)
+    r, c = idx // side, idx % side
+    order = np.argsort(zorder_encode(r // b, c // b) * (b * b) + (r % b) * b + c % b)
+    nblocks = (side // b) ** 2
+    br, bc = zorder_decode(np.arange(nblocks, dtype=np.int64))
+    rows, cols = region.row + br * b, region.col + bc * b
+    cur = allpairs_sort_many(
+        machine,
+        ta[order],
+        np.full(nblocks, b * b),
+        key_cols,
+        rows,
+        cols,
+        np.full(nblocks, b),
+        rows,
+        cols,
+    )
+    while b < side:
+        # parent p of side 2b: merge its two top quadrants into the top half
+        # and its two bottom quadrants into the bottom half, then the halves
+        nparents = nblocks // 4
+        pr, pc = zorder_decode(np.arange(nparents, dtype=np.int64))
+        rows, cols = region.row + pr * 2 * b, region.col + pc * 2 * b
+        halves = np.column_stack(
+            [np.repeat(rows, 2), np.repeat(cols, 2), np.full(2 * nparents, b),
+             np.full(2 * nparents, 2 * b)]
+        )
+        halves[1::2, 0] += b
+        quarter = np.full(2 * nparents, b * b)
+        cur = merge_sorted_2d_many(machine, cur, quarter, quarter, halves, key_cols, base_case)
+        squares = np.column_stack(
+            [rows, cols, np.full(nparents, 2 * b), np.full(nparents, 2 * b)]
+        )
+        half = np.full(nparents, 2 * b * b)
+        cur = merge_sorted_2d_many(machine, cur, half, half, squares, key_cols, base_case)
+        nblocks, b = nparents, 2 * b
+    return cur
 
 
 def _sort_rec(

@@ -23,6 +23,10 @@ dominated by the All-Pairs Sorts of ``O(sqrt(n))`` elements (Lemma V.5).
 
 Ties are resolved by the strict total order ``(keys, which-array, index)``,
 so every rank is unique and the split sizes are exact.
+
+A clean fast machine runs :func:`select_ranks_two_sorted_many`, which
+selects in many pairs at once with identical counters; every other machine
+runs the per-call body.
 """
 
 from __future__ import annotations
@@ -32,11 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...machine.fastpath import relay_flat
 from ...machine.geometry import Region
-from ...machine.machine import SpatialMachine, TrackedArray, concat_tracked
-from .allpairs import allpairs_sort
+from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ...machine.metrics import META_DTYPE
+from .allpairs import _subgrid_sides, allpairs_sort, allpairs_sort_many
 
-__all__ = ["select_rank_two_sorted", "select_ranks_two_sorted", "TwoArraySplit"]
+__all__ = [
+    "select_rank_two_sorted",
+    "select_ranks_two_sorted",
+    "select_ranks_two_sorted_many",
+    "TwoArraySplit",
+]
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,8 @@ def select_ranks_two_sorted(
     """Split sorted ``A`` and ``B`` at several ranks, sharing one sample sort.
 
     Ranks are 1-based.  Returns one :class:`TwoArraySplit` per requested rank,
-    in order.
+    in order.  A clean fast machine runs the batched body
+    (:func:`select_ranks_two_sorted_many`) on this one pair.
     """
     na, nb = len(A), len(B)
     n = na + nb
@@ -140,15 +152,51 @@ def select_ranks_two_sorted(
             TwoArraySplit(k if nb == 0 else 0, 0 if nb == 0 else k, *meta, where)
             for k in ks
         ]
+    if staging is None:
+        r0 = int(min(A.rows.min(), B.rows.min()))
+        c0 = int(min(A.cols.min(), B.cols.min()))
+        staging = Region(r0, c0, 1, 1)
+    if machine.clean_fast:
+        cut_a, cut_b, depth, dist, where_r, where_c, fallback = select_ranks_two_sorted_many(
+            machine,
+            A,
+            np.array([na]),
+            B,
+            np.array([nb]),
+            np.array([ks], dtype=np.int64).reshape(1, len(ks)),
+            key_cols,
+            np.array([staging.row]),
+            np.array([staging.col]),
+        )
+        return [
+            TwoArraySplit(
+                int(cut_a[0, j]),
+                int(cut_b[0, j]),
+                int(depth[0, j]),
+                int(dist[0, j]),
+                (int(where_r[0, j]), int(where_c[0, j])),
+                used_fallback=bool(fallback[0, j]),
+            )
+            for j in range(len(ks))
+        ]
+    return _select_depth_first(machine, A, B, ks, key_cols, staging)
 
+
+def _select_depth_first(
+    machine: SpatialMachine,
+    A: TrackedArray,
+    B: TrackedArray,
+    ks: list[int],
+    key_cols: int,
+    staging: Region,
+) -> list[TwoArraySplit]:
+    """The per-call body: one sample sort, relay round and window sort per
+    rank (the conformance oracle for the batched body)."""
+    na, nb = len(A), len(B)
+    n = na + nb
     Aa = _augment(A, key_cols, 0.0)
     Bb = _augment(B, key_cols, 1.0)
     kc = key_cols + 2  # strict keys: (user keys, which-array, index)
-
-    if staging is None:
-        r0 = int(min(Aa.rows.min(), Bb.rows.min()))
-        c0 = int(min(Aa.cols.min(), Bb.cols.min()))
-        staging = Region(r0, c0, 1, 1)
 
     with machine.phase("two_sorted_select"):
         step = max(1, math.isqrt(n))
@@ -211,6 +259,235 @@ def select_ranks_two_sorted(
                 )
             )
         return out
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.isqrt`, at least 1."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return np.maximum(1, r)
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, index within group) of each entry of a ragged layout."""
+    group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return group, np.arange(len(group), dtype=np.int64) - starts[group]
+
+
+def _probe_chains(n: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep form of :func:`_probe_plan` over many searches.
+
+    Search ``i`` looks for the first index of an ``n[i]``-long sorted array
+    not below a target with ``count[i]`` entries strictly below it.  Returns
+    the probe indices grouped by search in probe order, plus the number of
+    probes per search.
+    """
+    stride = _isqrt(n)
+    chain: list[np.ndarray] = []
+    probes: list[np.ndarray] = []
+
+    def bisect(base: np.ndarray, hi: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Probe base, base+step, ... to find the first block not below."""
+        lo = np.zeros(len(n), dtype=np.int64)
+        active = lo < hi
+        while active.any():
+            at = np.flatnonzero(active)
+            mid = (lo[at] + hi[at]) // 2
+            idx = np.minimum(base[at] + mid * step[at], n[at] - 1)
+            chain.append(at)
+            probes.append(idx)
+            below = idx < count[at]
+            lo[at] = np.where(below, mid + 1, lo[at])
+            hi[at] = np.where(below, hi[at], mid)
+            active = lo < hi
+        return base + lo * step
+
+    first_block = bisect(np.zeros(len(n), dtype=np.int64), (n + stride - 1) // stride, stride)
+    block_lo = np.maximum(0, first_block - stride)
+    bisect(block_lo, np.minimum(n, block_lo + 2 * stride) - block_lo, np.ones_like(n))
+    if not chain:
+        return np.zeros(0, dtype=np.int64), np.zeros(len(n), dtype=np.int64)
+    chain_id = np.concatenate(chain)
+    order = np.argsort(chain_id, kind="stable")  # probes were appended in probe order
+    return np.concatenate(probes)[order], np.bincount(chain_id, minlength=len(n))
+
+
+def select_ranks_two_sorted_many(
+    machine: SpatialMachine,
+    A: TrackedArray,
+    a_sizes: np.ndarray,
+    B: TrackedArray,
+    b_sizes: np.ndarray,
+    ks: np.ndarray,
+    key_cols: int,
+    staging_rows: np.ndarray,
+    staging_cols: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Select ranks in many independent pairs at once (clean fast machines).
+
+    Pair ``p`` is the next ``a_sizes[p] >= 1`` entries of ``A`` and the next
+    ``b_sizes[p] >= 1`` entries of ``B``, staged at ``(staging_rows[p],
+    staging_cols[p])``; row ``p`` of the ``(pairs, ranks)`` array ``ks``
+    holds its 1-based ranks.  Every counter equals one
+    :func:`select_ranks_two_sorted` call per pair: all sample sorts run as
+    one segmented All-Pairs Sort, all probe chains as one relay charge, all
+    windows as one more segmented sort.  Returns ``(cut_a, cut_b, depth,
+    dist, where_rows, where_cols, used_fallback)``, each shaped like ``ks``.
+    """
+    na = np.asarray(a_sizes, dtype=np.int64)
+    nb = np.asarray(b_sizes, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    npairs, nk = ks.shape
+    n = na + nb
+    a_start = np.zeros(npairs, dtype=np.int64)
+    b_start = np.zeros(npairs, dtype=np.int64)
+    np.cumsum(na[:-1], out=a_start[1:])
+    np.cumsum(nb[:-1], out=b_start[1:])
+    b_start += len(A)  # B entries follow A's in the union layout below
+    kc = key_cols + 2  # strict keys: (user keys, which-array, index)
+
+    # the union U = A || B with its strict keys (user keys, which-array, index)
+    U_rows = np.concatenate([A.rows, B.rows])
+    U_cols = np.concatenate([A.cols, B.cols])
+    U_depth = np.concatenate([A.depth, B.depth])
+    U_dist = np.concatenate([A.dist, B.dist])
+    keys = np.empty((len(U_rows), kc), dtype=np.float64)
+    keys[: len(A), :key_cols] = A.payload[:, :key_cols]
+    keys[len(A) :, :key_cols] = B.payload[:, :key_cols]
+    keys[: len(A), key_cols] = 0.0
+    keys[len(A) :, key_cols] = 1.0
+    keys[: len(A), key_cols + 1] = _ragged(na)[1]
+    keys[len(A) :, key_cols + 1] = _ragged(nb)[1]
+
+    def gather(idx: np.ndarray) -> TrackedArray:
+        return _tracked(machine, keys[idx], U_rows[idx], U_cols[idx], U_depth[idx], U_dist[idx])
+
+    def sort_segments(idx: np.ndarray, sizes: np.ndarray, pair: np.ndarray) -> TrackedArray:
+        """All-Pairs-Sort each segment onto the square at its own corner."""
+        part = gather(idx)
+        starts = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        return allpairs_sort_many(
+            machine,
+            part,
+            sizes,
+            kc,
+            np.minimum.reduceat(part.rows, starts),
+            np.minimum.reduceat(part.cols, starts),
+            _subgrid_sides(sizes),
+            staging_rows[pair],
+            staging_cols[pair],
+        )
+
+    step = _isqrt(n)
+    big = (n > 16) & (step > 1)
+    pair_k = np.repeat(np.arange(npairs, dtype=np.int64), nk)
+    k = ks.ravel()
+    a = np.zeros(len(k), dtype=np.int64)
+    b = np.zeros(len(k), dtype=np.int64)
+    depth = np.zeros(len(k), dtype=META_DTYPE)
+    dist = np.zeros(len(k), dtype=META_DTYPE)
+    where_r = np.zeros(len(k), dtype=np.int64)
+    where_c = np.zeros(len(k), dtype=np.int64)
+    if not npairs:
+        return a, b, depth, dist, where_r, where_c, np.zeros(0, dtype=bool)
+
+    with machine.phase("two_sorted_select"):
+        if big.any():
+            # -- 1-2: gather and All-Pairs-Sort every big pair's sample
+            bp = np.flatnonzero(big)
+            st_p = step[bp]
+            counts = np.stack([(na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p], 1)
+            grp, within = _ragged(counts.ravel())
+            side_start = np.stack([a_start[bp], b_start[bp]], 1).ravel()
+            s_sizes = counts.sum(1)
+            sorted_s = sort_segments(side_start[grp] + within * st_p[grp // 2], s_sizes, bp)
+            s_start = np.zeros(len(bp), dtype=np.int64)
+            np.cumsum(s_sizes[:-1], out=s_start[1:])
+
+            # -- 3: the l-th ranked sample of each requested rank
+            slot = np.full(npairs, -1, dtype=np.int64)
+            slot[bp] = np.arange(len(bp))
+            kb = np.flatnonzero(big[pair_k])
+            sp = slot[pair_k[kb]]
+            l = np.minimum((k[kb] - 1) // step[pair_k[kb]], s_sizes[sp])
+            none = l == 0
+            if none.any():
+                # no sample below the rank: the windows start at 0 and wait
+                # for the whole sample sort
+                depth[kb[none]] = np.maximum.reduceat(sorted_s.depth, s_start)[sp[none]]
+                dist[kb[none]] = np.maximum.reduceat(sorted_s.dist, s_start)[sp[none]]
+            kt = kb[~none]
+            if len(kt):
+                t = s_start[sp[~none]] + l[~none] - 1
+                pt = pair_k[kt]
+                # strictly-below counts of the target in A and in B, from its
+                # position in its pair's merged (strict) order
+                u_pair = np.concatenate([np.repeat(np.arange(npairs), na),
+                                         np.repeat(np.arange(npairs), nb)])
+                ue = np.flatnonzero(big[u_pair])
+                order = ue[np.lexsort((*(keys[ue, c] for c in range(kc - 1, -1, -1)),
+                                       u_pair[ue]))]
+                group_start = np.cumsum(np.where(big, n, 0)) - np.where(big, n, 0)
+                mrank = np.empty(len(keys), dtype=np.int64)
+                mrank[order] = np.arange(len(order)) - group_start[u_pair[order]]
+                from_b = sorted_s.payload[t, key_cols] == 1.0
+                own = np.rint(sorted_s.payload[t, key_cols + 1]).astype(np.int64)
+                u_idx = np.where(from_b, b_start[pt], a_start[pt]) + own
+                other = mrank[u_idx] - own
+                a[kt] = np.where(from_b, other, own)
+                b[kt] = np.where(from_b, own, other)
+
+                # -- 4: two-level probe chains, A then B (carrying A's end)
+                probes, hops = _probe_chains(
+                    np.stack([na[pt], nb[pt]], 1).ravel(), np.stack([a[kt], b[kt]], 1).ravel()
+                )
+                first = np.stack([a_start[pt], b_start[pt]], 1).ravel()
+                probe_at = probes + np.repeat(first, hops)
+                src_r = np.repeat(sorted_s.rows[t], 2)
+                src_c = np.repeat(sorted_s.cols[t], 2)
+                d0 = np.stack([sorted_s.depth[t], np.zeros_like(t)], 1).ravel()
+                s0 = np.stack([sorted_s.dist[t], np.zeros_like(t)], 1).ravel()
+                end_d, end_s = relay_flat(
+                    machine, src_r, src_c, U_rows[probe_at], U_cols[probe_at],
+                    hops, d0, s0, np.tile([False, True], len(kt)),
+                )
+                depth[kt] = end_d[1::2]
+                dist[kt] = end_s[1::2]
+
+        # -- 5-6: solve inside the windows (the sampling guarantee bounds
+        #    them; a violation, impossible under the strict total order, falls
+        #    back to the full arrays)
+        kp = k - a - b
+        limit = 3 * step[pair_k] + 2
+        fallback = big[pair_k] & ((kp < 1) | (kp > limit))
+        a[fallback] = 0
+        b[fallback] = 0
+        kp[fallback] = k[fallback]
+        cut_a = np.zeros(len(k), dtype=np.int64)
+        if len(k):
+            wa = np.minimum(na[pair_k], a + kp) - a
+            wb = np.minimum(nb[pair_k], b + kp) - b
+            grp, within = _ragged(np.stack([wa, wb], 1).ravel())
+            side_start = np.stack([a_start[pair_k] + a, b_start[pair_k] + b], 1).ravel()
+            w_sizes = wa + wb
+            sorted_u = sort_segments(side_start[grp] + within, w_sizes, pair_k)
+            # the kp-th smallest of each window decides its rank
+            e = np.cumsum(w_sizes) - w_sizes + kp - 1
+            depth = np.maximum(depth, sorted_u.depth[e])
+            dist = np.maximum(dist, sorted_u.dist[e])
+            where_r, where_c = sorted_u.rows[e], sorted_u.cols[e]
+            from_a = sorted_u.payload[e, key_cols] == 0.0
+            idx = np.rint(sorted_u.payload[e, key_cols + 1]).astype(np.int64)
+            cut_a = np.where(from_a, idx + 1, k - (idx + 1))
+        shape = ks.shape
+        return tuple(
+            v.reshape(shape)
+            for v in (cut_a, k - cut_a, depth, dist, where_r, where_c, fallback)
+        )
 
 
 def select_rank_two_sorted(

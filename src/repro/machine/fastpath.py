@@ -33,6 +33,7 @@ __all__ = [
     "quad_reduce_offsets",
     "quadrant_broadcast_fast",
     "quadrant_reduce_fast",
+    "relay_flat",
     "relay_many_fast",
     "segment_sums",
 ]
@@ -279,79 +280,92 @@ def quadrant_reduce_fast(machine, payload, depth, dist, side, combine):
 
 
 def relay_many_fast(machine, chains, carry=None):
-    """Batched :meth:`SpatialMachine.relay` over a flattened hop layout.
+    """Batched :meth:`SpatialMachine.relay` over a list of chains.
 
-    See :meth:`SpatialMachine.relay_many` for the API.  ``machine`` must be
-    a fast-mode :class:`SpatialMachine`; this function performs all of the
-    call's charging (stats, cost tree, recovery, tracer, profiler).
+    See :meth:`SpatialMachine.relay_many` for the API.  Flattens the chains
+    and charges them through :func:`relay_flat`.
     """
     K = len(chains)
-    results: list[tuple[int, int]] = [(0, 0)] * K
+    src_r = np.zeros(K, dtype=np.int64)
+    src_c = np.zeros(K, dtype=np.int64)
+    depth0 = np.zeros(K, dtype=META_DTYPE)
+    dist0 = np.zeros(K, dtype=META_DTYPE)
+    hops = np.zeros(K, dtype=np.int64)
+    stops_r: list[np.ndarray] = []
+    stops_c: list[np.ndarray] = []
+    for i, (src, stop_rows, stop_cols, d0, s0) in enumerate(chains):
+        stop_rows, stop_cols = machine._coerce_coords(stop_rows, stop_cols, "relay")
+        src_r[i], src_c[i] = src
+        depth0[i], dist0[i] = d0, s0
+        hops[i] = len(stop_rows)
+        stops_r.append(stop_rows)
+        stops_c.append(stop_cols)
+    empty = np.zeros(0, dtype=np.int64)
+    depth, dist = relay_flat(
+        machine,
+        src_r,
+        src_c,
+        np.concatenate(stops_r) if K else empty,
+        np.concatenate(stops_c) if K else empty,
+        hops,
+        depth0,
+        dist0,
+        None if carry is None else np.asarray(carry, dtype=bool),
+    )
+    return list(zip(depth.tolist(), dist.tolist()))
+
+
+def relay_flat(machine, src_r, src_c, stop_r, stop_c, hops, depth0, dist0, carry=None):
+    """The relay kernel: charge ``len(hops)`` chains from one flat hop layout.
+
+    Chain ``i`` starts at ``(src_r[i], src_c[i])`` with metadata
+    ``(depth0[i], dist0[i])`` and visits the next ``hops[i]`` entries of
+    ``stop_r``/``stop_c`` in order; ``carry`` links chains as in
+    :meth:`SpatialMachine.relay_many`.  Performs all of the charging
+    (stats, cost tree, recovery, tracer, profiler) and returns the chains'
+    end ``(depth, dist)`` arrays.
+    """
     st = machine.stats
     node = machine._phase_node
-
-    # ---- flatten: each non-empty chain contributes a [src, stops...] run
-    node_parts_r: list[np.ndarray] = []
-    node_parts_c: list[np.ndarray] = []
-    meta0: list[tuple[int, int]] = []
-    flat_of: list[int] = []  # chain index -> flat segment index (-1: no stops)
-    hops_per: list[int] = []
-    for src, stop_rows, stop_cols, depth0, dist0 in chains:
-        stop_rows, stop_cols = machine._coerce_coords(stop_rows, stop_cols, "relay")
-        meta0.append((int(depth0), int(dist0)))
-        if len(stop_rows) == 0:
-            flat_of.append(-1)
-            continue
-        flat_of.append(len(hops_per))
-        hops_per.append(len(stop_rows))
-        node_parts_r.append(np.concatenate([[src[0]], stop_rows]))
-        node_parts_c.append(np.concatenate([[src[1]], stop_cols]))
-
-    nseg = len(hops_per)
-    hops = np.asarray(hops_per, dtype=np.int64)
-    hop_start = np.zeros(nseg, dtype=np.int64)
-    if nseg:
+    K = len(hops)
+    hop_start = np.zeros(K, dtype=np.int64)
+    if K:
         np.cumsum(hops[:-1], out=hop_start[1:])
-        node_r = np.concatenate(node_parts_r)
-        node_c = np.concatenate(node_parts_c)
-        # hop endpoints: consecutive node pairs within each chain's run
-        node_start = hop_start + np.arange(nseg, dtype=np.int64)
-        keep = np.ones(len(node_r), dtype=bool)
-        keep[node_start] = False
-        to_idx = np.nonzero(keep)[0]
-        from_idx = to_idx - 1
-        fr_r, fr_c = node_r[from_idx], node_c[from_idx]
-        to_r, to_c = node_r[to_idx], node_c[to_idx]
-        d = np.abs(to_r - fr_r) + np.abs(to_c - fr_c)
-        nz = d > 0
-    else:
-        d = np.zeros(0, dtype=np.int64)
-        nz = np.zeros(0, dtype=bool)
-        fr_r = fr_c = to_r = to_c = d
+    has_hops = hops > 0
+    # hop endpoints: the previous stop, or the chain's source for its first hop
+    to_r, to_c = stop_r, stop_c
+    fr_r = np.empty_like(stop_r)
+    fr_c = np.empty_like(stop_c)
+    fr_r[1:], fr_c[1:] = stop_r[:-1], stop_c[:-1]
+    first = hop_start[has_hops]
+    fr_r[first], fr_c[first] = src_r[has_hops], src_c[has_hops]
+    d = np.abs(to_r - fr_r) + np.abs(to_c - fr_c)
+    nz = d > 0
 
     messages_per = segment_sums(nz, hop_start)
     total_messages = int(messages_per.sum())
 
     # ---- fault recovery, flat (rng-free parts) + per-chain rng sampling
     plan = machine.faults
-    spare_per = np.zeros(nseg, dtype=np.int64)
-    detour_per = np.zeros(nseg, dtype=np.int64)
-    retries_per = np.zeros(nseg, dtype=np.int64)
-    retry_e_per = np.zeros(nseg, dtype=np.int64)
+    spare_per = np.zeros(K, dtype=np.int64)
+    detour_per = np.zeros(K, dtype=np.int64)
+    retries_per = np.zeros(K, dtype=np.int64)
+    retry_e_per = np.zeros(K, dtype=np.int64)
     hop_failures = None
     d_eff = d
     if plan is not None and plan.injects_faults and total_messages:
         rec = machine.recovery
         if plan.dead_regions:
-            node_extra, node_spared = spare_extras(plan, node_r, node_c)
+            from_extra, _ = spare_extras(plan, fr_r, fr_c)
+            to_extra, to_spared = spare_extras(plan, to_r, to_c)
             # each hop pays for both of its endpoints' spares
-            sp = node_extra[from_idx] + node_extra[to_idx]
+            sp = from_extra + to_extra
             sp[~nz] = 0
             spare_per = segment_sums(sp, hop_start)
             spare_total = int(spare_per.sum())
             if spare_total:
                 d_eff = d_eff + sp
-                rec.spared += int((node_spared[to_idx] & nz).sum())
+                rec.spared += int((to_spared & nz).sum())
                 rec.spare_energy += spare_total
             extra = detour_extras(plan.dead_regions, fr_r, fr_c, to_r, to_c)
             extra[~nz] = 0
@@ -366,11 +380,8 @@ def relay_many_fast(machine, chains, carry=None):
             # order: the rng stream must match the sequential relay loop
             fail_flat = np.zeros(len(d), dtype=META_DTYPE)
             any_fail = False
-            for j in range(nseg):
-                mj = int(messages_per[j])
-                if not mj:
-                    continue
-                f, dropped, corrupted = sample_failures(plan, mj)
+            for j in np.flatnonzero(messages_per).tolist():
+                f, dropped, corrupted = sample_failures(plan, int(messages_per[j]))
                 if not f.any():
                     continue
                 any_fail = True
@@ -409,63 +420,60 @@ def relay_many_fast(machine, chains, carry=None):
         node.messages += total_messages
         node.sends += ncomm
 
+    # ---- carry resolution: chain i ends at start_i + inc_i, and a carrying
+    #      chain starts where the previous one ended ((0, 0) before chain 0)
+    inc_d = messages_per + retries_per
+    inc_s = deff_per + retry_e_per
+    own_d = np.asarray(depth0, dtype=META_DTYPE)
+    own_s = np.asarray(dist0, dtype=META_DTYPE)
+    if carry is not None and K:
+        own_d = np.where(carry, 0, own_d)
+        own_s = np.where(carry, 0, own_s)
+        head = np.maximum.accumulate(np.where(carry, 0, np.arange(K)))
+        end_d = _run_cumsum(own_d + inc_d, head)
+        end_s = _run_cumsum(own_s + inc_s, head)
+    else:
+        end_d = own_d + inc_d
+        end_s = own_s + inc_s
+    if has_hops.any():
+        machine.observe_maxima(int(end_d[has_hops].max()), int(end_s[has_hops].max()))
+
     tracer = machine.tracer
     profiler = machine.profiler
-    round_ids = None
-    if (tracer is not None or profiler is not None) and nseg:
+    if tracer is not None or profiler is not None:
         # chain j's round id as the sequential loop would have assigned it
         round_ids = (st.rounds - ncomm) + np.cumsum(comm)
-        if tracer is not None:
-            phase = machine.current_phase
-            for j in range(nseg):
-                seg = slice(int(hop_start[j]), int(hop_start[j] + hops[j]))
+        phase = machine.current_phase
+        start_d, start_s = end_d - inc_d, end_s - inc_s
+        for j in np.flatnonzero(has_hops).tolist():
+            seg = slice(int(hop_start[j]), int(hop_start[j] + hops[j]))
+            if tracer is not None:
                 tracer.record(
                     fr_r[seg], fr_c[seg], to_r[seg], to_c[seg],
                     int(round_ids[j]), phase=phase, kind="relay",
                 )
+            if profiler is not None and messages_per[j]:
+                att = nz[seg].astype(META_DTYPE)
+                per_hop_dist = d_eff[seg]
+                hf = None
+                if hop_failures is not None and retries_per[j]:
+                    hf = hop_failures[seg]
+                    att = att + hf
+                    per_hop_dist = d_eff[seg] * (1 + hf)
+                profiler.record_send(
+                    fr_r[seg], fr_c[seg], to_r[seg], to_c[seg],
+                    d_eff[seg], hf, nz[seg],
+                    int(start_d[j]) + np.cumsum(att), int(start_s[j]) + np.cumsum(per_hop_dist),
+                    phase, "relay", int(round_ids[j]),
+                )
+    rec_energy = spare_per + detour_per + retry_e_per
+    for j in np.flatnonzero(rec_energy | retries_per).tolist():
+        machine._charge_recovery(int(rec_energy[j]), int(retries_per[j]), None)
+    return end_d, end_s
 
-    # ---- per-chain outputs: carry resolution, maxima, recovery, profiler
-    phase = machine.current_phase
-    prev = (0, 0)
-    for i in range(K):
-        d0, s0 = meta0[i]
-        if carry is not None and carry[i]:
-            d0, s0 = prev
-        j = flat_of[i]
-        if j < 0:
-            prev = (d0, s0)
-            results[i] = prev
-            continue
-        depth = d0 + int(messages_per[j]) + int(retries_per[j])
-        dist = s0 + int(deff_per[j]) + int(retry_e_per[j])
-        if depth > st.max_depth:
-            st.max_depth = depth
-        if dist > st.max_distance:
-            st.max_distance = dist
-        if node is not None:
-            if depth > node.max_depth:
-                node.max_depth = depth
-            if dist > node.max_distance:
-                node.max_distance = dist
-        if profiler is not None and messages_per[j]:
-            seg = slice(int(hop_start[j]), int(hop_start[j] + hops[j]))
-            att = nz[seg].astype(META_DTYPE)
-            per_hop_dist = d_eff[seg]
-            hf = None
-            if hop_failures is not None and retries_per[j]:
-                hf = hop_failures[seg]
-                att = att + hf
-                per_hop_dist = d_eff[seg] * (1 + hf)
-            profiler.record_send(
-                fr_r[seg], fr_c[seg], to_r[seg], to_c[seg],
-                d_eff[seg], hf, nz[seg],
-                d0 + np.cumsum(att), s0 + np.cumsum(per_hop_dist),
-                phase, "relay", int(round_ids[j]),
-            )
-        rec_energy = int(spare_per[j]) + int(detour_per[j]) + int(retry_e_per[j])
-        rj = int(retries_per[j])
-        if rec_energy or rj:
-            machine._charge_recovery(rec_energy, rj, None)
-        prev = (depth, dist)
-        results[i] = prev
-    return results
+
+def _run_cumsum(values: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Cumulative sum of ``values`` restarting at each run head."""
+    cs = np.cumsum(values)
+    before = np.concatenate([[0], cs[:-1]])
+    return cs - before[head]

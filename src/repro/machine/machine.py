@@ -56,7 +56,12 @@ from .faults import (
     spare_extras,
     sample_failures,
 )
-from .fastpath import quadrant_broadcast_fast, quadrant_reduce_fast, relay_many_fast
+from .fastpath import (
+    quadrant_broadcast_fast,
+    quadrant_reduce_fast,
+    relay_many_fast,
+    segment_sums,
+)
 from .geometry import Region, manhattan_arrays
 from .metrics import META_DTYPE, CostReport, CostTree, MachineStats, combine_meta
 from .profiler import SpatialProfiler
@@ -856,8 +861,11 @@ class SpatialMachine:
         return outs
 
     def send_many(
-        self, batches: Sequence[tuple[TrackedArray, np.ndarray, np.ndarray]]
-    ) -> list[TrackedArray]:
+        self,
+        batches: Sequence[tuple[TrackedArray, np.ndarray, np.ndarray]]
+        | tuple[TrackedArray, np.ndarray, np.ndarray],
+        starts: np.ndarray | None = None,
+    ) -> list[TrackedArray] | TrackedArray:
         """Issue several independent ``send`` batches, each its own round.
 
         Defined as — and on the reference path literally executed as — the
@@ -865,24 +873,72 @@ class SpatialMachine:
         batches]``.  The quadrant reduce uses this to charge one recursion
         level (three child-to-parent sends) per call; the fast path fuses
         the distance arithmetic over one concatenated layout.
+
+        With ``starts``, ``batches`` is one flat ``(ta, rows, cols)`` triple
+        cut into segments: segment ``i`` holds entries ``starts[i]`` up to
+        ``starts[i + 1]`` (the last runs to the end), and the result is one
+        array in the same flat order.  Each segment is one ``send``; an empty
+        or all-self-send segment adds no round.  The level-synchronous merge
+        tree charges a whole recursion level per call this way.
         """
+        if starts is not None:
+            ta, rows, cols = batches
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
+            starts = np.asarray(starts, dtype=np.int64)
+            if self.clean_fast:
+                depth, dist = self._send_segments_fast(
+                    ta.rows, ta.cols, rows, cols, ta.depth, ta.dist, starts
+                )
+                return _tracked(self, ta.payload, rows, cols, depth, dist)
+            ends = np.append(starts[1:], len(ta))
+            parts = [
+                self.send(ta[a:b], rows[a:b], cols[a:b])
+                for a, b in zip(starts.tolist(), ends.tolist())
+                if b > a
+            ]
+            return concat_tracked(parts) if parts else ta[0:0]
         batches = list(batches)
         if not batches:
             return []
-        if not self.clean_fast or any(len(b[0]) == 0 for b in batches):
+        if not self.clean_fast:
             return [self.send(ta, rows, cols) for ta, rows, cols in batches]
-        return self._send_many_fast(batches)
-
-    def _send_many_fast(
-        self, batches: list[tuple[TrackedArray, np.ndarray, np.ndarray]]
-    ) -> list[TrackedArray]:
-        starts = np.zeros(len(batches), dtype=np.int64)
         sizes = [len(b[0]) for b in batches]
+        starts = np.zeros(len(batches), dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
-        src_r = np.concatenate([b[0].rows for b in batches])
-        src_c = np.concatenate([b[0].cols for b in batches])
-        dst_r = np.concatenate([np.asarray(b[1], dtype=np.int64) for b in batches])
-        dst_c = np.concatenate([np.asarray(b[2], dtype=np.int64) for b in batches])
+        dst_r = [np.asarray(b[1], dtype=np.int64) for b in batches]
+        dst_c = [np.asarray(b[2], dtype=np.int64) for b in batches]
+        depth, dist = self._send_segments_fast(
+            np.concatenate([b[0].rows for b in batches]),
+            np.concatenate([b[0].cols for b in batches]),
+            np.concatenate(dst_r),
+            np.concatenate(dst_c),
+            np.concatenate([b[0].depth for b in batches]),
+            np.concatenate([b[0].dist for b in batches]),
+            starts,
+        )
+        bounds = np.append(starts, len(depth)).tolist()
+        return [
+            _tracked(self, ta.payload, dst_r[i], dst_c[i], depth[a:b], dist[a:b])
+            for i, ((ta, _, _), a, b) in enumerate(zip(batches, bounds, bounds[1:]))
+        ]
+
+    def _send_segments_fast(
+        self,
+        src_r: np.ndarray,
+        src_c: np.ndarray,
+        dst_r: np.ndarray,
+        dst_c: np.ndarray,
+        depth: np.ndarray,
+        dist: np.ndarray,
+        starts: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batched-send kernel: charge every segment of a flat layout.
+
+        Sums and maxima distribute over segments; rounds/``sends`` count
+        the segments that actually communicate.  Returns the delivered
+        values' ``(depth, dist)``.
+        """
         d = np.subtract(dst_r, src_r)
         np.abs(d, out=d)
         t = np.subtract(dst_c, src_c)
@@ -890,53 +946,21 @@ class SpatialMachine:
         d += t
         moved = d > 0
         messages = int(np.count_nonzero(moved))
+        energy = int(np.add.reduce(d))
         st = self.stats
         node = self._phase_node
-        energy = int(np.add.reduce(d))
         st.energy += energy
         st.messages += messages
-        depth = np.concatenate([b[0].depth for b in batches]) + moved
-        dist = np.concatenate([b[0].dist for b in batches]) + d
-        if messages:
-            # rounds/sends count the batches that actually communicate;
-            # maxima distribute (max of per-batch maxima == global max)
-            cs = np.zeros(len(moved) + 1, dtype=np.int64)
-            np.cumsum(moved, out=cs[1:])
-            per = np.diff(np.append(cs[starts], messages))
-            ncomm = int(np.count_nonzero(per))
-            st.rounds += ncomm
-            dmax = int(depth.max())
-            smax = int(dist.max())
-            if dmax > st.max_depth:
-                st.max_depth = dmax
-            if smax > st.max_distance:
-                st.max_distance = smax
-            if node is not None:
-                node.sends += ncomm
-                if dmax > node.max_depth:
-                    node.max_depth = dmax
-                if smax > node.max_distance:
-                    node.max_distance = smax
-        elif len(moved):
-            self.observe(depth, dist)
+        depth = depth + moved
+        dist = dist + d
+        ncomm = int(np.count_nonzero(segment_sums(moved, starts))) if messages else 0
+        st.rounds += ncomm
         if node is not None:
             node.energy += energy
             node.messages += messages
-        outs = []
-        for i, (ta, rows, cols) in enumerate(batches):
-            a = int(starts[i])
-            b = a + sizes[i]
-            outs.append(
-                _tracked(
-                    self,
-                    ta.payload,
-                    np.asarray(rows, dtype=np.int64),
-                    np.asarray(cols, dtype=np.int64),
-                    depth[a:b],
-                    dist[a:b],
-                )
-            )
-        return outs
+            node.sends += ncomm
+        self.observe(depth, dist)
+        return depth, dist
 
     def quadrant_broadcast(
         self, ta: TrackedArray, side: int, scale: int = 1

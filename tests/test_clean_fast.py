@@ -3,15 +3,17 @@
 ``SpatialMachine.clean_fast`` is true only for a fast, non-strict machine
 with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_shifts``, ``send_many``, the quadrant pair,
-``broadcast_1d`` and the all-pairs rank) must take it on a clean machine and
-fall back to its reference loop when any single clause is turned off.
+``broadcast_1d``, the all-pairs rank, and the level-synchronous merge tree:
+mergesort levels, merge levels and batched selection) must take it on a
+clean machine and fall back to its reference loop or depth-first body when
+any single clause is turned off.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import collectives
-from repro.core.sorting import allpairs
+from repro.core.sorting import allpairs, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
 from repro.machine import FaultPlan, Region, SpatialMachine
 from repro.machine import machine as machine_mod
@@ -58,14 +60,45 @@ def _allpairs_rank(m):
     allpairs.allpairs_rank(m, ta, key_cols)
 
 
+def _sorted_halves(m):
+    """Two sorted 16-element runs on the halves of a 4 x 8 region."""
+    rows, cols = Region(0, 0, 4, 8).rowmajor_coords()
+    keys = np.concatenate([np.arange(0.0, 32.0, 2.0), np.arange(1.0, 33.0, 2.0)])
+    ta = m.place(as_sort_payload(keys), rows, cols)
+    return ta[:16], ta[16:]
+
+
+def _mergesort_levels(m):
+    region = Region(0, 0, 8, 8)
+    ta = m.place_rowmajor(as_sort_payload(np.arange(64.0)[::-1]), region)
+    mergesort2d.mergesort_2d(m, ta, region, base_case=4)
+
+
+def _merge_levels(m):
+    A, B = _sorted_halves(m)
+    merge2d.merge_sorted_2d(m, A, B, Region(0, 0, 4, 8), base_case=4)
+
+
+def _batched_selection(m):
+    A, B = _sorted_halves(m)
+    two_sorted_select.select_ranks_two_sorted(m, A, B, [8, 16, 24])
+
+
 #: site -> (owner of the fast body, its attribute name, a call exercising it)
 SITES = {
     "send_shifts": (machine_mod.SpatialMachine, "_send_shifts_fast", _send_shifts),
-    "send_many": (machine_mod.SpatialMachine, "_send_many_fast", _send_many),
+    "send_many": (machine_mod.SpatialMachine, "_send_segments_fast", _send_many),
     "quadrant_broadcast": (machine_mod, "quadrant_broadcast_fast", _quadrant_broadcast),
     "quadrant_reduce": (machine_mod, "quadrant_reduce_fast", _quadrant_reduce),
     "broadcast_1d": (collectives, "_broadcast_1d_fast", _broadcast_1d),
-    "allpairs_rank": (allpairs, "_allpairs_rank_fast", _allpairs_rank),
+    "allpairs_rank": (allpairs, "_rank_segments", _allpairs_rank),
+    "mergesort_levels": (mergesort2d, "_sort_levels", _mergesort_levels),
+    "merge_levels": (merge2d, "_merge_level", _merge_levels),
+    "batched_selection": (
+        two_sorted_select,
+        "select_ranks_two_sorted_many",
+        _batched_selection,
+    ),
 }
 
 

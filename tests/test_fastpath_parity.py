@@ -78,6 +78,26 @@ class TestSendManyParity:
             assert_tracked_equal(a, b)
         assert_machines_equal(mr, mf)
 
+    @settings(max_examples=60, deadline=None)
+    @given(send_batches())
+    def test_flat_layout_matches_sequential_sends(self, batches):
+        """The segmented form: one flat layout, one send per segment."""
+        sizes = [len(b[0]) for b in batches]
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        r0, c0, r1, c1 = (
+            np.concatenate([b[i] for b in batches] + [np.zeros(0, dtype=np.int64)])
+            for i in range(4)
+        )
+
+        def run(m):
+            ta = m.place(np.arange(float(len(r0))), r0, c0)
+            return m.send_many((ta, r1, c1), starts=starts)
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        ref, fast = run(mr), run(mf)
+        assert_tracked_equal(ref, fast)
+        assert_machines_equal(mr, mf)
+
     def test_each_batch_is_its_own_round(self):
         m = fast_machine()
         tas = [

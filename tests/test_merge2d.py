@@ -113,6 +113,22 @@ class TestMergeCorrectness:
         with pytest.raises(ValueError):
             merge_sorted_2d(m, A, B, Region(0, 0, 4, 8))
 
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize(
+        "b_region",
+        [Region(0, 0, 4, 4), Region(0, 12, 2, 8), Region(20, 40, 4, 4)],
+        ids=["left", "right", "far"],
+    )
+    def test_input_outside_region_rejected(self, rng, b_region, fast):
+        """B off the output region: left of it (negative row-major indices),
+        past its right edge (indices run into the next row) or far away."""
+        m = SpatialMachine(fast=fast, strict=False)
+        A = m.place_rowmajor(as_sort_payload(np.sort(rng.random(16))), Region(0, 4, 4, 4))
+        B = m.place_rowmajor(as_sort_payload(np.sort(rng.random(16))), b_region)
+        with pytest.raises(ValueError, match=r"B\[0\] at .* lies outside"):
+            merge_sorted_2d(m, A, B, Region(0, 4, 4, 8))
+        assert m.stats.energy == 0  # rejected before either body runs
+
     def test_small_base_case_rejected(self, rng):
         m = SpatialMachine()
         A = m.place_rowmajor(as_sort_payload(np.sort(rng.random(16))), Region(0, 0, 4, 4))
