@@ -127,10 +127,12 @@ _BCAST_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int, int, int,
 def _broadcast_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray, int, int, int, int, int]:
     """Closed form of :func:`broadcast` on an ``h x w`` region.
 
-    Returns ``(depth_off, dist_off, energy, messages, sends, dmax, smax)``:
-    the metadata increments per row-major cell, the summed counters, and the
-    largest increments observed on the way (the 1D stage of a 2:1 region
-    reaches cells whose values the square stage then overwrites).
+    Both sides must be powers of two, unless one of them is 1: a line of any
+    length is the closed form of :func:`broadcast_1d`.  Returns
+    ``(depth_off, dist_off, energy, messages, sends, dmax, smax)``: the
+    metadata increments per row-major cell, the summed counters, and the
+    largest increments observed on the way (the 1D stage of a non-square
+    region reaches cells whose values the square stage then overwrites).
     """
     cached = _BCAST_CACHE.get((h, w))
     if cached is not None:
@@ -168,24 +170,14 @@ def _broadcast_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray, int, int,
     return tables
 
 
-def broadcast_many(
+def _charge_broadcasts(
     machine: SpatialMachine, h: int, w: int, depth0: np.ndarray, dist0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Charge ``len(depth0)`` independent ``h x w`` broadcasts (clean fast
-    machines only).
-
-    Broadcast ``i`` starts from a root value at its region's corner carrying
-    ``(depth0[i], dist0[i])``; every counter equals that of the same number
-    of :func:`broadcast` calls.  Returns the per row-major cell increments:
-    cell ``c`` of broadcast ``i`` receives ``depth0[i] + depth_off[c]``.
-    """
+    """Charge ``len(depth0)`` closed-form ``h x w`` broadcasts to the active
+    phase; returns the per row-major cell ``(depth, dist)`` increments."""
     depth_off, dist_off, energy, messages, sends, dmax, smax = _broadcast_tables(h, w)
     m = len(depth0)
-    if not m:
-        return depth_off, dist_off
-    with machine.phase("broadcast"):
-        if not sends:  # a 1 x 1 region: the root already holds the value
-            return depth_off, dist_off
+    if m and sends:  # a 1 x 1 region: the root already holds the value
         st = machine.stats
         st.energy += m * energy
         st.messages += m * messages
@@ -199,30 +191,52 @@ def broadcast_many(
     return depth_off, dist_off
 
 
-def _broadcast_1d_fast(
-    machine: SpatialMachine, value: TrackedArray, region: Region, n: int, vertical: bool
+def broadcast_many(
+    machine: SpatialMachine, h: int, w: int, depth0: np.ndarray, dist0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge ``len(depth0)`` independent ``h x w`` broadcasts (clean fast
+    machines only).
+
+    Broadcast ``i`` starts from a root value at its region's corner carrying
+    ``(depth0[i], dist0[i])``; every counter equals that of the same number
+    of reference :func:`broadcast` calls.  Returns the per row-major cell
+    increments: cell ``c`` of broadcast ``i`` receives ``depth0[i] +
+    depth_off[c]``.
+    """
+    if not machine.clean_fast:
+        raise ValueError("broadcast_many charges closed forms: clean fast machines only")
+    if not (is_power_of_two(h) and is_power_of_two(w)):
+        raise ValueError(f"broadcast needs power-of-two sides, got {h} x {w}")
+    if not len(depth0):
+        return _broadcast_tables(h, w)[:2]
+    with machine.phase("broadcast"):
+        return _charge_broadcasts(machine, h, w, depth0, dist0)
+
+
+def _closed_form_ok(machine: SpatialMachine, value: TrackedArray, region: Region) -> bool:
+    """A clean fast machine broadcasting one value that already sits at the
+    region corner, where the closed forms measure their hops from."""
+    return (
+        machine.clean_fast
+        and len(value) == 1
+        and int(value.rows[0]) == region.row
+        and int(value.cols[0]) == region.col
+    )
+
+
+def _corner_copies(
+    machine: SpatialMachine,
+    value: TrackedArray,
+    region: Region,
+    depth_off: np.ndarray,
+    dist_off: np.ndarray,
 ) -> TrackedArray:
-    """Closed form of :func:`broadcast_1d` (clean fast-mode runs only)."""
-    depth_off, dist_off, energy, messages, sends, dmax, smax = _bc1d_tables(n)
-    st = machine.stats
-    st.energy += energy
-    st.messages += messages
-    st.rounds += sends
-    node = machine._phase_node
-    if node is not None:
-        node.energy += energy
-        node.messages += messages
-        node.sends += sends
-    d0, s0 = int(value.depth[0]), int(value.dist[0])
-    machine.observe_maxima(d0 + dmax, s0 + smax)
-    idx = np.arange(n, dtype=np.int64)
-    if vertical:
-        rows, cols = region.row + idx, np.full(n, region.col, dtype=np.int64)
-    else:
-        rows, cols = np.full(n, region.row, dtype=np.int64), region.col + idx
-    p = value.payload
-    payload = np.repeat(p, n, axis=0) if p.ndim > 1 else np.repeat(p, n)
-    return _tracked(machine, payload, rows, cols, depth_off + d0, dist_off + s0)
+    """One copy of ``value`` per cell of ``region``, in row-major order."""
+    rows, cols = region.rowmajor_coords()
+    payload = np.repeat(value.payload, region.size, axis=0)
+    return _tracked(
+        machine, payload, rows, cols, value.depth[0] + depth_off, value.dist[0] + dist_off
+    )
 
 
 def broadcast_1d(machine: SpatialMachine, value: TrackedArray, region: Region) -> TrackedArray:
@@ -237,16 +251,9 @@ def broadcast_1d(machine: SpatialMachine, value: TrackedArray, region: Region) -
         raise ValueError(f"broadcast_1d needs a 1-wide or 1-tall region, got {region}")
     n = region.size
     vertical = region.width == 1
-    if (
-        machine.clean_fast
-        and n > 1
-        and len(value) == 1
-        # the closed-form tables measure hops from the region root, so the
-        # value must already sit there
-        and int(value.rows[0]) == region.row
-        and int(value.cols[0]) == region.col
-    ):
-        return _broadcast_1d_fast(machine, value, region, n, vertical)
+    if n > 1 and _closed_form_ok(machine, value, region):
+        offsets = _charge_broadcasts(machine, region.height, region.width, value.depth, value.dist)
+        return _corner_copies(machine, value, region, *offsets)
 
     def coords(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if vertical:
@@ -297,13 +304,17 @@ def broadcast(machine: SpatialMachine, value: TrackedArray, region: Region) -> T
     """General ``h x w`` broadcast from the region's top-left corner.
 
     Sides must be powers of two.  Returns one value per cell in row-major
-    order of the region.
+    order of the region.  A clean fast machine charges the closed form of
+    :func:`broadcast_many`.
     """
     h, w = region.height, region.width
     if not (is_power_of_two(h) and is_power_of_two(w)):
         raise ValueError(f"broadcast needs power-of-two sides, got {region}")
     if len(value) != 1:
         raise ValueError("broadcast expects a single root value")
+    if _closed_form_ok(machine, value, region):
+        offsets = broadcast_many(machine, h, w, value.depth, value.dist)
+        return _corner_copies(machine, value, region, *offsets)
     with machine.phase("broadcast"):
         if h == w:
             out = broadcast_2d(machine, value, region)

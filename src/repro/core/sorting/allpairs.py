@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine.fastpath import _quad_scaled, quad_offsets, quad_reduce_offsets
+from ...machine.fastpath import _quad_scaled, quad_offsets, quad_reduce_offsets, ragged
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
@@ -163,10 +163,7 @@ def _rank_segments(
     """
     n_total = len(ta)
     nseg = len(sizes)
-    starts = np.zeros(nseg, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    seg = np.repeat(np.arange(nseg, dtype=np.int64), sizes)
-    pos = np.arange(n_total, dtype=np.int64) - starts[seg]
+    starts, seg, pos = ragged(sizes)
     s_seg = _subgrid_sides(sizes)
     s = s_seg[seg]
 
@@ -412,12 +409,12 @@ def allpairs_sort_many(
     each sorted (ties by input position, as the tie-break column orders
     them).
     """
+    if not machine.clean_fast:
+        raise ValueError("allpairs_sort_many charges closed forms: clean fast machines only")
     sizes = np.asarray(sizes, dtype=np.int64)
     with machine.phase("allpairs"):
         n_total = len(ta)
-        starts = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        seg = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        starts, seg, _ = ragged(sizes)
         src = ta
         multi = sizes > 1
         if multi.all():

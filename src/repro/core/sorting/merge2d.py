@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine.metrics import META_DTYPE
+from ...machine.fastpath import ragged, segment_starts
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ...machine.metrics import META_DTYPE
 from ..collectives import broadcast, broadcast_many
 from .two_sorted_select import select_ranks_two_sorted, select_ranks_two_sorted_many
 
@@ -128,6 +129,8 @@ def merge_sorted_2d_many(
     counter equals one :func:`merge_sorted_2d` call per merge.  Returns each
     merge's output in row-major order of its region, merges in order.
     """
+    if not machine.clean_fast:
+        raise ValueError("merge_sorted_2d_many charges closed forms: clean fast machines only")
     a_sizes = np.asarray(a_sizes, dtype=np.int64)
     b_sizes = np.asarray(b_sizes, dtype=np.int64)
     regions = np.asarray(regions, dtype=np.int64)
@@ -149,12 +152,10 @@ def merge_sorted_2d_many(
         del parked
         order = np.lexsort((ranks, merge))
         placed, ranks, merge = placed[order], ranks[order], merge[order]
-        sizes = a_sizes + b_sizes
-        starts = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
         row, col, width = regions[merge, 0], regions[merge, 1], regions[merge, 3]
         return machine.send_many(
-            (placed, row + ranks // width, col + ranks % width), starts=starts
+            (placed, row + ranks // width, col + ranks % width),
+            starts=segment_starts(a_sizes + b_sizes),
         )
 
 
@@ -174,9 +175,7 @@ def _merge_level(
     """
     na, nb, row, col, h, w, off, merge = sub.T
     n = na + nb
-    seg = np.repeat(np.arange(len(sub), dtype=np.int64), n)
-    seg_start = np.cumsum(n) - n
-    pos = np.arange(len(seg), dtype=np.int64) - seg_start[seg]
+    seg_start, seg, pos = ragged(n)
     in_b = pos >= na[seg]
     pos -= np.where(in_b, na[seg], 0)  # index within A or within B
     leaf = (n <= base_case) | (h == 1) | (w == 1) | (n < 4)
@@ -189,32 +188,32 @@ def _merge_level(
         order = np.lexsort(
             (pos[at], in_b[at], *(P[at, c] for c in range(key_cols - 1, -1, -1)), ls)
         )
-        leaf_n = np.where(leaf, n, 0)
-        leaf_start = np.cumsum(leaf_n) - leaf_n
+        leaf_start = segment_starts(np.where(leaf, n, 0))
         inv = np.empty(len(ls), dtype=np.int64)
         inv[order] = np.arange(len(ls)) - leaf_start[ls[order]]
         lw = w[ls]
-        starts = leaf_start[leaf]
         out = machine.send_many(
-            (cur[at], row[ls] + inv // lw, col[ls] + inv % lw), starts=starts
+            (cur[at], row[ls] + inv // lw, col[ls] + inv % lw), starts=leaf_start[leaf]
         )
         parked.append((out, off[ls] + inv, merge[ls]))
         if leaf.all():
             return cur[0:0], sub[0:0]
-        keep = ~leaf
-        cur, sub = cur[~at], sub[keep]
-        seg = np.repeat(np.arange(len(sub), dtype=np.int64), n[keep])
+        cur, sub = cur[~at], sub[~leaf]
         pos, in_b = pos[~at], in_b[~at]
         na, nb, row, col, h, w, off, merge = sub.T
         n = na + nb
+        seg_start, seg, _ = ragged(n)
     S = len(sub)
-    shape_ok = ((h == w) & (h % 2 == 0)) | ((w == 2 * h) & (w % 4 == 0)) | (
-        (h == 2 * w) & (h % 4 == 0)
-    )
+    # a split region is broadcast over, so its sides are powers of two, and
+    # it splits into four congruent parts, so it is a square or 2:1
+    pow2 = ((h & (h - 1)) == 0) & ((w & (w - 1)) == 0)
+    shape_ok = pow2 & ((h == w) | (w == 2 * h) | (h == 2 * w))
     if not shape_ok.all():
         i = int(np.argmin(shape_ok))
         bad = Region(int(row[i]), int(col[i]), int(h[i]), int(w[i]))
-        raise ValueError(f"merge regions must be square or 2:1, got {bad}")
+        raise ValueError(
+            f"merge regions must be power-of-two squares or 2:1 rectangles, got {bad}"
+        )
 
     # ---- find the three rank splitters of every subproblem (Lemma V.6)
     quarter = n // 4
@@ -230,13 +229,12 @@ def _merge_level(
     one = ~two
     if one.any():
         # a one-sided pair splits for free: the whole chunk is its decision
-        first_of = np.cumsum(n) - n
         cut_a[one, 1:4] = np.where(nb[one, None] == 0, ks[one], 0)
         cut_b[one, 1:4] = np.where(nb[one, None] == 0, 0, ks[one])
-        split_d[one] = np.maximum.reduceat(cur.depth, first_of)[one]
-        split_s[one] = np.maximum.reduceat(cur.dist, first_of)[one]
-        where_r[one] = cur.rows[first_of[one]]
-        where_c[one] = cur.cols[first_of[one]]
+        split_d[one] = np.maximum.reduceat(cur.depth, seg_start)[one]
+        split_s[one] = np.maximum.reduceat(cur.dist, seg_start)[one]
+        where_r[one] = cur.rows[seg_start[one]]
+        where_c[one] = cur.cols[seg_start[one]]
         node = machine._phase_node
         if node is not None and one[0] and "two_sorted_select" not in node.children:
             # the depth-first body reaches this one-sided subproblem's
@@ -300,7 +298,7 @@ def _merge_level(
     # level's layout: children in order, each child's A part then B part
     key = (seg * 4 + q) * 2 + in_b
     order = np.argsort(key, kind="stable")
-    counts = np.bincount(key, minlength=8 * S)
+    starts = segment_starts(np.bincount(key, minlength=8 * S))
     moving = _tracked(
         machine,
         cur.payload[order],
@@ -309,9 +307,7 @@ def _merge_level(
         np.maximum(cur.depth, ctl_d)[order],
         np.maximum(cur.dist, ctl_s)[order],
     )
-    moved = machine.send_many(
-        (moving, dest_r[order], dest_c[order]), starts=np.cumsum(counts) - counts
-    )
+    moved = machine.send_many((moving, dest_r[order], dest_c[order]), starts=starts)
     children = np.column_stack(
         [
             chunk_a.ravel(),

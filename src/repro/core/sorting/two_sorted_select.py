@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...machine.fastpath import relay_flat
+from ...machine.fastpath import ragged, relay_flat, segment_starts
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
@@ -269,14 +269,6 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return np.maximum(1, r)
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(group, index within group) of each entry of a ragged layout."""
-    group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return group, np.arange(len(group), dtype=np.int64) - starts[group]
-
-
 def _probe_chains(n: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep form of :func:`_probe_plan` over many searches.
 
@@ -337,15 +329,17 @@ def select_ranks_two_sorted_many(
     windows as one more segmented sort.  Returns ``(cut_a, cut_b, depth,
     dist, where_rows, where_cols, used_fallback)``, each shaped like ``ks``.
     """
+    if not machine.clean_fast:
+        raise ValueError(
+            "select_ranks_two_sorted_many charges closed forms: clean fast machines only"
+        )
     na = np.asarray(a_sizes, dtype=np.int64)
     nb = np.asarray(b_sizes, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
     npairs, nk = ks.shape
     n = na + nb
-    a_start = np.zeros(npairs, dtype=np.int64)
-    b_start = np.zeros(npairs, dtype=np.int64)
-    np.cumsum(na[:-1], out=a_start[1:])
-    np.cumsum(nb[:-1], out=b_start[1:])
+    a_start, a_pair, a_pos = ragged(na)
+    b_start, b_pair, b_pos = ragged(nb)
     b_start += len(A)  # B entries follow A's in the union layout below
     kc = key_cols + 2  # strict keys: (user keys, which-array, index)
 
@@ -359,8 +353,8 @@ def select_ranks_two_sorted_many(
     keys[len(A) :, :key_cols] = B.payload[:, :key_cols]
     keys[: len(A), key_cols] = 0.0
     keys[len(A) :, key_cols] = 1.0
-    keys[: len(A), key_cols + 1] = _ragged(na)[1]
-    keys[len(A) :, key_cols + 1] = _ragged(nb)[1]
+    keys[: len(A), key_cols + 1] = a_pos
+    keys[len(A) :, key_cols + 1] = b_pos
 
     def gather(idx: np.ndarray) -> TrackedArray:
         return _tracked(machine, keys[idx], U_rows[idx], U_cols[idx], U_depth[idx], U_dist[idx])
@@ -368,8 +362,7 @@ def select_ranks_two_sorted_many(
     def sort_segments(idx: np.ndarray, sizes: np.ndarray, pair: np.ndarray) -> TrackedArray:
         """All-Pairs-Sort each segment onto the square at its own corner."""
         part = gather(idx)
-        starts = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
+        starts = segment_starts(sizes)
         return allpairs_sort_many(
             machine,
             part,
@@ -401,12 +394,11 @@ def select_ranks_two_sorted_many(
             bp = np.flatnonzero(big)
             st_p = step[bp]
             counts = np.stack([(na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p], 1)
-            grp, within = _ragged(counts.ravel())
+            _, grp, within = ragged(counts.ravel())
             side_start = np.stack([a_start[bp], b_start[bp]], 1).ravel()
             s_sizes = counts.sum(1)
             sorted_s = sort_segments(side_start[grp] + within * st_p[grp // 2], s_sizes, bp)
-            s_start = np.zeros(len(bp), dtype=np.int64)
-            np.cumsum(s_sizes[:-1], out=s_start[1:])
+            s_start = segment_starts(s_sizes)
 
             # -- 3: the l-th ranked sample of each requested rank
             slot = np.full(npairs, -1, dtype=np.int64)
@@ -426,12 +418,11 @@ def select_ranks_two_sorted_many(
                 pt = pair_k[kt]
                 # strictly-below counts of the target in A and in B, from its
                 # position in its pair's merged (strict) order
-                u_pair = np.concatenate([np.repeat(np.arange(npairs), na),
-                                         np.repeat(np.arange(npairs), nb)])
+                u_pair = np.concatenate([a_pair, b_pair])
                 ue = np.flatnonzero(big[u_pair])
                 order = ue[np.lexsort((*(keys[ue, c] for c in range(kc - 1, -1, -1)),
                                        u_pair[ue]))]
-                group_start = np.cumsum(np.where(big, n, 0)) - np.where(big, n, 0)
+                group_start = segment_starts(np.where(big, n, 0))
                 mrank = np.empty(len(keys), dtype=np.int64)
                 mrank[order] = np.arange(len(order)) - group_start[u_pair[order]]
                 from_b = sorted_s.payload[t, key_cols] == 1.0
@@ -471,12 +462,12 @@ def select_ranks_two_sorted_many(
         if len(k):
             wa = np.minimum(na[pair_k], a + kp) - a
             wb = np.minimum(nb[pair_k], b + kp) - b
-            grp, within = _ragged(np.stack([wa, wb], 1).ravel())
+            _, grp, within = ragged(np.stack([wa, wb], 1).ravel())
             side_start = np.stack([a_start[pair_k] + a, b_start[pair_k] + b], 1).ravel()
             w_sizes = wa + wb
             sorted_u = sort_segments(side_start[grp] + within, w_sizes, pair_k)
             # the kp-th smallest of each window decides its rank
-            e = np.cumsum(w_sizes) - w_sizes + kp - 1
+            e = segment_starts(w_sizes) + kp - 1
             depth = np.maximum(depth, sorted_u.depth[e])
             dist = np.maximum(dist, sorted_u.dist[e])
             where_r, where_c = sorted_u.rows[e], sorted_u.cols[e]

@@ -33,10 +33,32 @@ __all__ = [
     "quad_reduce_offsets",
     "quadrant_broadcast_fast",
     "quadrant_reduce_fast",
+    "ragged",
     "relay_flat",
     "relay_many_fast",
+    "segment_starts",
     "segment_sums",
 ]
+
+
+def segment_starts(sizes: np.ndarray) -> np.ndarray:
+    """First entry of each of consecutive segments of ``sizes[i]`` entries."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts
+
+
+def ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layout of consecutive segments of ``sizes[i]`` entries each.
+
+    Returns ``(starts, seg, pos)``: the first entry of every segment
+    (:func:`segment_starts`), and for every entry its segment and its index
+    within that segment.
+    """
+    starts = segment_starts(sizes)
+    seg = np.repeat(np.arange(len(starts), dtype=np.int64), sizes)
+    return starts, seg, np.arange(len(seg), dtype=np.int64) - starts[seg]
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -328,9 +350,7 @@ def relay_flat(machine, src_r, src_c, stop_r, stop_c, hops, depth0, dist0, carry
     st = machine.stats
     node = machine._phase_node
     K = len(hops)
-    hop_start = np.zeros(K, dtype=np.int64)
-    if K:
-        np.cumsum(hops[:-1], out=hop_start[1:])
+    hop_start = segment_starts(hops)
     has_hops = hops > 0
     # hop endpoints: the previous stop, or the chain's source for its first hop
     to_r, to_c = stop_r, stop_c

@@ -60,6 +60,7 @@ from .fastpath import (
     quadrant_broadcast_fast,
     quadrant_reduce_fast,
     relay_many_fast,
+    segment_starts,
     segment_sums,
 )
 from .geometry import Region, manhattan_arrays
@@ -903,9 +904,7 @@ class SpatialMachine:
             return []
         if not self.clean_fast:
             return [self.send(ta, rows, cols) for ta, rows, cols in batches]
-        sizes = [len(b[0]) for b in batches]
-        starts = np.zeros(len(batches), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
+        starts = segment_starts([len(b[0]) for b in batches])
         dst_r = [np.asarray(b[1], dtype=np.int64) for b in batches]
         dst_c = [np.asarray(b[2], dtype=np.int64) for b in batches]
         depth, dist = self._send_segments_fast(

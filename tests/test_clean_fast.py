@@ -3,10 +3,11 @@
 ``SpatialMachine.clean_fast`` is true only for a fast, non-strict machine
 with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_shifts``, ``send_many``, the quadrant pair,
-``broadcast_1d``, the all-pairs rank, and the level-synchronous merge tree:
-mergesort levels, merge levels and batched selection) must take it on a
-clean machine and fall back to its reference loop or depth-first body when
-any single clause is turned off.
+``broadcast_1d``, ``broadcast``, the all-pairs rank, and the
+level-synchronous merge tree: mergesort levels, merge levels and batched
+selection) must take it on a clean machine and fall back to its reference
+loop or depth-first body when any single clause is turned off.  The public
+batched entry points have no reference loop and refuse such machines.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.sorting import allpairs, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
 from repro.machine import FaultPlan, Region, SpatialMachine
 from repro.machine import machine as machine_mod
+from repro.machine.machine import concat_tracked
 
 #: one machine per clause turned off (the rest stay clean)
 CLAUSES = {
@@ -52,6 +54,11 @@ def _quadrant_reduce(m):
 def _broadcast_1d(m):
     value = m.place(np.array([1.0]), np.array([0]), np.array([0]))
     collectives.broadcast_1d(m, value, Region(0, 0, 1, 8))
+
+
+def _broadcast(m):
+    value = m.place(np.array([1.0]), np.array([0]), np.array([0]))
+    collectives.broadcast(m, value, Region(0, 0, 4, 8))
 
 
 def _allpairs_rank(m):
@@ -90,7 +97,8 @@ SITES = {
     "send_many": (machine_mod.SpatialMachine, "_send_segments_fast", _send_many),
     "quadrant_broadcast": (machine_mod, "quadrant_broadcast_fast", _quadrant_broadcast),
     "quadrant_reduce": (machine_mod, "quadrant_reduce_fast", _quadrant_reduce),
-    "broadcast_1d": (collectives, "_broadcast_1d_fast", _broadcast_1d),
+    "broadcast_1d": (collectives, "_charge_broadcasts", _broadcast_1d),
+    "broadcast": (collectives, "_charge_broadcasts", _broadcast),
     "allpairs_rank": (allpairs, "_rank_segments", _allpairs_rank),
     "mergesort_levels": (mergesort2d, "_sort_levels", _mergesort_levels),
     "merge_levels": (merge2d, "_merge_level", _merge_levels),
@@ -133,3 +141,54 @@ def test_clean_machine_takes_the_fast_body(monkeypatch, site):
 def test_any_clause_off_takes_the_reference_loop(monkeypatch, site, clause):
     kw = {"fast": True, "strict": False, **CLAUSES[clause]}
     assert _fast_calls(monkeypatch, site, **kw) == 0
+
+
+def _sort_many(m):
+    ta = m.place_rowmajor(as_sort_payload(np.arange(4.0)[::-1]), Region(0, 0, 2, 2))
+    zero = np.zeros(1, dtype=np.int64)
+    allpairs.allpairs_sort_many(m, ta, np.array([4]), 1, zero, zero, np.array([2]), zero, zero)
+
+
+def _select_many(m):
+    A, B = _sorted_halves(m)
+    zero = np.zeros(1, dtype=np.int64)
+    two_sorted_select.select_ranks_two_sorted_many(
+        m, A, np.array([16]), B, np.array([16]), np.array([[8, 16, 24]]), 1, zero, zero
+    )
+
+
+def _merge_many(m):
+    A, B = _sorted_halves(m)
+    merge2d.merge_sorted_2d_many(
+        m, concat_tracked([A, B]), np.array([16]), np.array([16]), np.array([[0, 0, 4, 8]])
+    )
+
+
+def _broadcast_many(m):
+    zero = np.zeros(1, dtype=np.int64)
+    collectives.broadcast_many(m, 4, 8, zero, zero)
+
+
+#: public batched entry points, which charge closed forms only
+BATCHED = {
+    "allpairs_sort_many": _sort_many,
+    "select_ranks_two_sorted_many": _select_many,
+    "merge_sorted_2d_many": _merge_many,
+    "broadcast_many": _broadcast_many,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BATCHED))
+def test_batched_entry_point_runs_on_a_clean_machine(entry):
+    m = SpatialMachine(fast=True, strict=False)
+    BATCHED[entry](m)
+    assert m.stats.energy > 0
+
+
+@pytest.mark.parametrize("clause", sorted(CLAUSES))
+@pytest.mark.parametrize("entry", sorted(BATCHED))
+def test_batched_entry_point_refuses_other_machines(entry, clause):
+    m = SpatialMachine(**{"fast": True, "strict": False, **CLAUSES[clause]})
+    with pytest.raises(ValueError, match="clean fast machines only"):
+        BATCHED[entry](m)
+    assert m.stats.energy == 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.collectives import broadcast_1d, broadcast_2d, reduce_2d
+from repro.core.collectives import broadcast, broadcast_1d, broadcast_2d, reduce_2d
 from repro.core.ops import ADD, MAX
 from repro.machine import Region, ReferenceMachine, SpatialMachine
 
@@ -243,6 +243,30 @@ class TestBroadcastParity:
         def run(m):
             v = m.place(payload, [0], [0])
             return broadcast_2d(m, v, region)
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        ref, fast = run(mr), run(mf)
+        assert_tracked_equal(ref, fast)
+        assert_machines_equal(mr, mf)
+
+
+    @pytest.mark.parametrize(
+        "h, w",
+        [(s, s) for s in (1, 2, 4, 8, 16, 32, 64)]
+        + [(s, 2 * s) for s in (1, 2, 4, 8, 16, 32, 64)]
+        + [(2 * s, s) for s in (1, 2, 4, 8, 16, 32, 64)]
+        + [(1, 8), (8, 1), (4, 16), (16, 4)],
+    )
+    def test_broadcast_closed_form(self, h, w):
+        """The per-shape closed form that ``broadcast`` charges on a clean
+        machine (and the merge tree charges through ``broadcast_many``)
+        against the reference composition of 1D and quadrant broadcasts."""
+        region = Region(3, 5, h, w)
+
+        def run(m):
+            # a root value with nonzero metadata, moved onto the corner
+            v = m.send(m.place(np.array([[7.0, 2.0]]), [0], [0]), [3], [5])
+            return broadcast(m, v, region)
 
         mr, mf = ReferenceMachine(), fast_machine()
         ref, fast = run(mr), run(mf)

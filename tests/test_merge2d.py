@@ -129,6 +129,30 @@ class TestMergeCorrectness:
             merge_sorted_2d(m, A, B, Region(0, 4, 4, 8))
         assert m.stats.energy == 0  # rejected before either body runs
 
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("h, w", [(12, 12), (6, 6), (6, 12)])
+    def test_non_power_of_two_split_region_rejected(self, rng, h, w, fast):
+        """A region that splits broadcasts its decision over itself, so its
+        sides must be powers of two; the batched body must refuse these
+        shapes as the depth-first body's broadcast does."""
+        m = SpatialMachine(fast=fast, strict=False)
+        a, b = (as_sort_payload(np.sort(rng.random(h * w // 2))) for _ in range(2))
+        A = m.place_rowmajor(a, Region(0, 0, h // 2, w))
+        B = m.place_rowmajor(b, Region(h // 2, 0, h // 2, w))
+        with pytest.raises(ValueError, match="power-of-two"):
+            merge_sorted_2d(m, A, B, Region(0, 0, h, w))
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_leaf_region_of_any_shape_merges(self, rng, fast):
+        """A region small enough to park in one step never splits, so it may
+        have any shape."""
+        m = SpatialMachine(fast=fast, strict=False)
+        a, b = np.sort(rng.random(6)), np.sort(rng.random(6))
+        A = m.place_rowmajor(as_sort_payload(a), Region(0, 0, 1, 6))
+        B = m.place_rowmajor(as_sort_payload(b), Region(1, 0, 1, 6))
+        out = merge_sorted_2d(m, A, B, Region(0, 0, 2, 6))
+        assert np.array_equal(out.payload[:, 0], np.sort(np.concatenate([a, b])))
+
     def test_small_base_case_rejected(self, rng):
         m = SpatialMachine()
         A = m.place_rowmajor(as_sort_payload(np.sort(rng.random(16))), Region(0, 0, 4, 4))
