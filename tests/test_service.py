@@ -26,6 +26,8 @@ from repro.runner.cachekey import PROFILE_SALT, point_key
 from repro.runner.spec import PointSpec
 from repro.service import (
     Batcher,
+    FleetConfig,
+    FleetGateway,
     RequestError,
     ServiceCache,
     ServiceConfig,
@@ -33,8 +35,8 @@ from repro.service import (
     ServiceRequest,
     SpatialService,
 )
-from repro.service.httpio import read_http_request, write_json_response
-from repro.service.loadgen import _http, build_requests, fetch_metrics, run_load
+from repro.service.httpio import http_call, read_http_request, write_json_response
+from repro.service.loadgen import build_requests, fetch_metrics, run_load
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -377,16 +379,48 @@ def _with_service(config, scenario):
     return asyncio.run(go())
 
 
+def _with_front(role, scenario):
+    """Run ``await scenario(port)`` against one live HTTP front.
+
+    ``role`` is ``"server"`` (an inline :class:`SpatialService`) or
+    ``"gateway"`` (a :class:`FleetGateway` in front of one inline server)."""
+    if role == "server":
+        return _with_service(_service_config(), lambda service: scenario(service.port))
+
+    async def go():
+        service = SpatialService(_service_config())
+        await service.start()
+        gateway = FleetGateway(
+            FleetConfig(port=0, disk_cache=False, drain_timeout=5.0),
+            [[("127.0.0.1", service.port)]],
+        )
+        await gateway.start()
+        try:
+            return await scenario(gateway.port)
+        finally:
+            await gateway.drain(5.0)
+            await gateway.stop()
+            await service.drain(10.0)
+            await service.stop()
+
+    return asyncio.run(go())
+
+
 async def _call(port, method, path, payload=None, timeout=30.0):
+    """One request on a fresh connection -> (status, doc, server_closed)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        return await _http(reader, writer, method, path, payload, timeout=timeout)
+        status, _headers, doc, closed = await http_call(
+            reader, writer, method, path, payload, timeout=timeout
+        )
+        return status, doc, closed
     finally:
         writer.close()
 
 
 async def _call_raw(port, body: bytes, timeout=10.0):
-    """Send raw bytes; return (status, headers, doc)."""
+    """Send raw bytes; return (status, headers, doc) — doc is the body text
+    when the response is not JSON."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(body)
@@ -401,43 +435,66 @@ async def _call_raw(port, body: bytes, timeout=10.0):
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0"))
         raw = await reader.readexactly(length) if length else b""
+        if headers.get("content-type") != "application/json":
+            return status, headers, raw.decode()
         return status, headers, json.loads(raw) if raw else {}
     finally:
         writer.close()
 
 
+#: /healthz answer of each role behind the shared HTTP front
+_HEALTH = {
+    "server": {"status": "ok", "draining": False},
+    "gateway": {"status": "ok", "role": "gateway", "draining": False},
+}
+
+
 class TestServerRoutes:
-    def test_basic_routes(self):
-        async def scenario(service):
-            port = service.port
+    @pytest.mark.parametrize("role", ["server", "gateway"])
+    def test_basic_routes(self, role):
+        async def scenario(port):
             status, doc, _ = await _call(port, "GET", "/healthz")
-            assert (status, doc) == (200, {"status": "ok", "draining": False})
+            assert (status, doc) == (200, _HEALTH[role])
             status, doc, _ = await _call(port, "GET", "/algos")
             assert status == 200 and doc["algos"]["scan"]["suite"] == "table1_scan"
+            status, doc, _ = await _call(port, "GET", "/")
+            assert status == 200 and "/run" in doc["endpoints"]
             status, doc, _ = await _call(port, "GET", "/nope")
-            assert status == 404
-            status, doc, _ = await _call(port, "GET", "/run")
-            assert status == 405
+            assert status == 404 and doc["error"] == "no route for /nope"
+            for path in ("/run", "/plan"):
+                raw = f"GET {path} HTTP/1.1\r\n\r\n".encode()
+                status, headers, doc = await _call_raw(port, raw)
+                assert status == 405 and headers["allow"] == "POST"
+                assert doc["error"] == f"use POST {path}"
+            status, headers, doc = await _call_raw(port, b"DELETE /metrics HTTP/1.1\r\n\r\n")
+            assert status == 405 and headers["allow"] == "GET"
             status, doc, _ = await _call(port, "POST", "/run", {"algo": "fft", "n": 64})
             assert status == 400 and "unknown algo" in doc["error"]
-            status, _, _ = await _call(port, "GET", "/metrics")
+            status, doc, _ = await _call(port, "GET", "/metrics")
+            assert status == 200 and doc["responses"]["by_status"]["404"] == 1
+            raw = b"GET /metrics?format=prometheus HTTP/1.1\r\n\r\n"
+            status, headers, text = await _call_raw(port, raw)
             assert status == 200
+            assert headers["content-type"] == "text/plain; version=0.0.4; charset=utf-8"
+            assert "# TYPE repro_requests_total gauge" in text
 
-        _with_service(_service_config(), scenario)
+        _with_front(role, scenario)
 
-    def test_malformed_json_and_http(self):
-        async def scenario(service):
-            port = service.port
+    @pytest.mark.parametrize("role", ["server", "gateway"])
+    def test_malformed_json_and_http(self, role):
+        async def scenario(port):
             raw = b"POST /run HTTP/1.1\r\nContent-Length: 9\r\n\r\nnot json!"
-            status, _, doc = await _call_raw(port, raw)
+            status, headers, doc = await _call_raw(port, raw)
             assert status == 400 and "invalid JSON" in doc["error"]
-            status, _, doc = await _call_raw(port, b"garbage\r\n\r\n")
-            assert status == 400
+            assert headers["connection"] == "keep-alive"
+            status, headers, doc = await _call_raw(port, b"garbage\r\n\r\n")
+            assert status == 400 and "malformed request line" in doc["error"]
+            assert headers["connection"] == "close"
             raw = b"POST /run HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n"
             status, _, doc = await _call_raw(port, raw)
             assert status == 400 and "exceeds" in doc["error"]
 
-        _with_service(_service_config(), scenario)
+        _with_front(role, scenario)
 
     def test_run_executes_and_caches(self):
         async def scenario(service):
@@ -715,12 +772,12 @@ class TestServeSubprocess:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 task = asyncio.ensure_future(
-                    _http(reader, writer, "POST", "/run",
-                          {"algo": "select", "n": 1024}, timeout=60.0)
+                    http_call(reader, writer, "POST", "/run",
+                              {"algo": "select", "n": 1024}, timeout=60.0)
                 )
                 await asyncio.sleep(0.05)  # request is in flight
                 proc.send_signal(signal.SIGTERM)
-                status, doc, _ = await task
+                status, _headers, doc, _ = await task
                 assert status == 200 and doc["ok"]
             finally:
                 writer.close()
@@ -746,15 +803,15 @@ class TestServeSubprocess:
             r2, w2 = await asyncio.open_connection("127.0.0.1", port)
             try:
                 leader = asyncio.ensure_future(
-                    _http(r1, w1, "POST", "/run", body, timeout=60.0)
+                    http_call(r1, w1, "POST", "/run", body, timeout=60.0)
                 )
                 await asyncio.sleep(0.05)  # leader is inside the 0.25s window
                 follower = asyncio.ensure_future(
-                    _http(r2, w2, "POST", "/run", body, timeout=60.0)
+                    http_call(r2, w2, "POST", "/run", body, timeout=60.0)
                 )
                 await asyncio.sleep(0.05)  # both attached, execution pending
                 proc.send_signal(signal.SIGTERM)
-                (s1, d1, _), (s2, d2, _) = await asyncio.gather(leader, follower)
+                (s1, _, d1, _), (s2, _, d2, _) = await asyncio.gather(leader, follower)
                 for status, doc in ((s1, d1), (s2, d2)):
                     assert status == 200 and doc["ok"], (status, doc)
                 assert d1["metrics"] == d2["metrics"]

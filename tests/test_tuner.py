@@ -322,12 +322,12 @@ class TestServicePlanEndpoint:
 
     def _run(self, tmp_path, scenario):
         from repro.service import SpatialService
-        from repro.service.loadgen import _http
+        from repro.service.httpio import http_call
 
         async def call(port, method, path, payload=None):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
-                status, doc, _ = await _http(
+                status, _headers, doc, _ = await http_call(
                     reader, writer, method, path, payload, timeout=90.0
                 )
                 return status, doc
