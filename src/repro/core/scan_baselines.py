@@ -37,9 +37,9 @@ def sequential_scan(
     exactly ``i`` messages and its chain distance the curve length up to cell
     ``i``; total energy is the full curve length (Observation 1: ``O(n)``).
 
-    The n-message chain is accounted for in closed form rather than as n
-    Python-level ``send`` calls; the tracer (if any) does not see this
-    baseline's individual hops.
+    The chain is charged as one :meth:`SpatialMachine.relay` along the
+    curve rather than as n Python-level ``send`` calls, so the flat
+    counters, the active phase, the tracer and the profiler all see it.
     """
     n = len(ta)
     if n != region.size:
@@ -60,14 +60,11 @@ def sequential_scan(
         for i in range(1, n):
             payload[i] = monoid(payload[i - 1 : i], ta.payload[i : i + 1])[0]
 
-    depth = np.arange(n, dtype=META_DTYPE) + ta.depth.max()
-    dist = np.concatenate([[0], np.cumsum(hop)]).astype(META_DTYPE) + ta.dist.max()
-    machine.stats.energy += int(hop.sum())
-    machine.stats.messages += int((hop > 0).sum())
-    machine.stats.rounds += 1
-    out = TrackedArray(machine, payload, ta.rows, ta.cols, depth, dist)
-    machine.stats.observe(out.depth, out.dist)
-    return out
+    depth0, dist0 = int(ta.depth.max()), int(ta.dist.max())
+    machine.relay((zrows[0], zcols[0]), zrows[1:], zcols[1:], depth0, dist0)
+    depth = np.arange(n, dtype=META_DTYPE) + depth0
+    dist = np.concatenate([[0], np.cumsum(hop)]).astype(META_DTYPE) + dist0
+    return TrackedArray(machine, payload, ta.rows, ta.cols, depth, dist)
 
 
 def tree_scan_1d(

@@ -513,11 +513,21 @@ class SpatialMachine:
         """Strict mode: one round may deliver at most ``word_budget`` words per cell."""
         if not moved.any():
             return
-        dests = np.stack([rows[moved], cols[moved]], axis=1)
-        cells, counts = np.unique(dests, axis=0, return_counts=True)
-        worst = int(counts.max())
+        # run lengths over the destinations sorted by (row, col): the first
+        # longest run names the lowest over-budget cell
+        r, c = rows[moved], cols[moved]
+        order = np.lexsort((c, r))
+        r, c = r[order], c[order]
+        new_cell = np.empty(len(r), dtype=bool)
+        new_cell[0] = True
+        np.not_equal(r[1:], r[:-1], out=new_cell[1:])
+        new_cell[1:] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(new_cell)
+        counts = np.diff(starts, append=len(r))
+        i = int(np.argmax(counts))
+        worst = int(counts[i])
         if worst > self.word_budget:
-            r, c = cells[int(np.argmax(counts))]
+            r, c = r[starts[i]], c[starts[i]]
             raise ModelViolation(
                 f"processor ({int(r)}, {int(c)}) receives {worst} messages in one "
                 f"round, exceeding the O(1) word budget of {self.word_budget}; "

@@ -123,6 +123,16 @@ class TestStrictMode:
         with pytest.raises(ModelViolation):
             self._fan_in(m, 3)
 
+    def test_tied_fan_in_names_the_lowest_cell(self):
+        # cells (3, 1) and (2, 7) each receive three words against a budget
+        # of two; the message names the lower (row, col)
+        m = SpatialMachine(strict=True, word_budget=2)
+        ta = m.place(np.arange(7.0), np.arange(7, dtype=np.int64), np.full(7, 9))
+        rows = np.array([3, 2, 3, 2, 0, 3, 2], dtype=np.int64)
+        cols = np.array([1, 7, 1, 7, 0, 1, 7], dtype=np.int64)
+        with pytest.raises(ModelViolation, match=r"processor \(2, 7\) receives 3 messages"):
+            m.send(ta, rows, cols)
+
     def test_non_strict_does_not_audit(self):
         # explicit strict=False so the test also holds under REPRO_STRICT=1
         m = SpatialMachine(strict=False)

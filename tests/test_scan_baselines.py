@@ -1,5 +1,7 @@
 """Tests for the Section IV.C scan baselines and the three-way trade-off."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,48 @@ class TestSequentialScan:
         region = Region(0, 0, 16, 16)
         out = sequential_scan(m, m.place_zorder(np.ones(n), region), region)
         assert out.max_depth() == n - 1
+
+
+class TestBaselineCostTree:
+    """Both baselines charge through the machine: the cost tree, the phase
+    and the flat counters agree."""
+
+    @pytest.mark.parametrize("in_phase", (False, True))
+    @pytest.mark.parametrize(
+        "baseline, place",
+        ((sequential_scan, "place_zorder"), (tree_scan_1d, "place_rowmajor")),
+    )
+    def test_cost_tree_equals_flat_counters(self, baseline, place, in_phase):
+        m = SpatialMachine()
+        region = Region(0, 0, 8, 8)
+        ta = getattr(m, place)(np.ones(64), region)
+        with m.phase("baseline") if in_phase else contextlib.nullcontext():
+            baseline(m, ta, region)
+        total = m.cost_tree.total()
+        flat = m.stats
+        assert flat.energy > 0
+        assert (total.energy, total.messages, total.depth, total.distance) == (
+            flat.energy, flat.messages, flat.max_depth, flat.max_distance
+        )
+        if in_phase:
+            assert m.cost_tree.node("baseline").sends == flat.rounds
+
+    def test_sequential_side_8_counters(self):
+        m = SpatialMachine()
+        region = Region(0, 0, 8, 8)
+        sequential_scan(m, m.place_zorder(np.ones(64), region), region)
+        flat = m.stats
+        assert (flat.energy, flat.messages, flat.max_depth, flat.max_distance) == (
+            112, 63, 63, 112
+        )
+        assert flat.rounds == 1
+
+    def test_single_cell_sequential_scan_is_free(self):
+        m = SpatialMachine()
+        region = Region(0, 0, 1, 1)
+        out = sequential_scan(m, m.place_zorder(np.array([5.0]), region), region)
+        assert out.payload.tolist() == [5.0]
+        assert (m.stats.energy, m.stats.messages, m.stats.rounds) == (0, 0, 0)
 
 
 class TestTreeScan1D:
