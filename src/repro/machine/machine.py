@@ -511,23 +511,22 @@ class SpatialMachine:
 
     def _check_fan_in(self, rows: np.ndarray, cols: np.ndarray, moved: np.ndarray) -> None:
         """Strict mode: one round may deliver at most ``word_budget`` words per cell."""
-        if not moved.any():
+        r, c = rows[moved], cols[moved]
+        if len(r) <= self.word_budget:
             return
         # run lengths over the destinations sorted by (row, col): the first
         # longest run names the lowest over-budget cell
-        r, c = rows[moved], cols[moved]
         order = np.lexsort((c, r))
         r, c = r[order], c[order]
-        new_cell = np.empty(len(r), dtype=bool)
-        new_cell[0] = True
-        np.not_equal(r[1:], r[:-1], out=new_cell[1:])
-        new_cell[1:] |= c[1:] != c[:-1]
-        starts = np.flatnonzero(new_cell)
-        counts = np.diff(starts, append=len(r))
-        i = int(np.argmax(counts))
+        edge = np.ones(len(r) + 1, dtype=bool)
+        np.not_equal(r[1:], r[:-1], out=edge[1:-1])
+        edge[1:-1] |= c[1:] != c[:-1]
+        bounds = np.flatnonzero(edge)
+        counts = bounds[1:] - bounds[:-1]
+        i = int(counts.argmax())
         worst = int(counts[i])
         if worst > self.word_budget:
-            r, c = r[starts[i]], c[starts[i]]
+            r, c = r[bounds[i]], c[bounds[i]]
             raise ModelViolation(
                 f"processor ({int(r)}, {int(c)}) receives {worst} messages in one "
                 f"round, exceeding the O(1) word budget of {self.word_budget}; "

@@ -5,9 +5,10 @@ minimal HTTP/1.1 interface (stdlib asyncio only, no new dependencies):
 
 * :mod:`repro.service.protocol` — request validation against the runner
   registry (``{"algo": "scan", "n": 4096, "seed": 7, "profile": false}``);
-* :mod:`repro.service.httpio` — the shared byte-level HTTP/1.1 plumbing
-  (request parsing, JSON responses, client calls) used by the server, the
-  fleet gateway, and the load generator;
+* :mod:`repro.service.httpio` — the one HTTP/1.1 front end the server and
+  the fleet gateway share (listener, keep-alive loop, endpoint table,
+  signal-and-drain main) plus the client calls the gateway, the health
+  prober and the load generator make;
 * :mod:`repro.service.executor` — execution backends: a persistent
   :class:`~repro.runner.pool.WorkerPool` of forked workers, or inline
   threads for contexts that cannot fork (benchmarks inside sweep workers);

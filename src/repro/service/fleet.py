@@ -36,7 +36,6 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
-import json
 import math
 import os
 import re
@@ -48,7 +47,7 @@ import time
 from dataclasses import dataclass
 
 from .. import workloads
-from ..obs.context import TRACE_HEADER, TRACE_HEADER_LOWER, TraceContext
+from ..obs.context import TRACE_HEADER
 from ..obs.tracer import ENV_TRACE_DIR, tracer_from_env
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..runner.cachekey import suite_code_version
@@ -56,15 +55,9 @@ from ..runner.registry import load_suites
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import ServiceCache
 from .health import BackendState, HealthMonitor
-from .httpio import (
-    BadRequest,
-    http_call,
-    read_http_request,
-    write_json_response,
-    write_text_response,
-)
+from .httpio import BadRequest, HttpFront, json_body, request_once
 from .metrics import FleetMetrics
-from .protocol import RequestError, ServiceRequest, algos_doc
+from .protocol import ServiceRequest
 
 __all__ = [
     "FleetConfig",
@@ -167,8 +160,10 @@ class _AttemptFailed(Exception):
         self.retry_after = retry_after
 
 
-class FleetGateway:
+class FleetGateway(HttpFront):
     """The front-tier HTTP server: route, probe, break, hedge, degrade."""
+
+    name = "repro-fleet"
 
     def __init__(
         self,
@@ -178,11 +173,7 @@ class FleetGateway:
     ) -> None:
         if not backends or any(not group for group in backends):
             raise ValueError("every shard needs at least one replica")
-        self.config = config
-        self._trace_env_set = False
-        if config.trace_dir and os.environ.get(ENV_TRACE_DIR, "") != config.trace_dir:
-            os.environ[ENV_TRACE_DIR] = config.trace_dir
-            self._trace_env_set = True
+        super().__init__(config)
         self.obs = tracer if tracer is not None else tracer_from_env("gateway")
         self.shards: list[list[BackendState]] = []
         flat: list[BackendState] = []
@@ -230,43 +221,22 @@ class FleetGateway:
             for algo, w in workloads.served().items()
             if w.suite in suites
         }
-        self.draining = False
-        self.port = config.port
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self.monitor.start()
 
-    async def drain(self, timeout: float | None = None) -> bool:
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-        budget = self.config.drain_timeout if timeout is None else timeout
-        deadline = time.monotonic() + budget
-        while self.metrics.inflight > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        return self.metrics.inflight == 0
-
     async def stop(self) -> None:
-        self.draining = True
         await self.monitor.stop()
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(Exception, asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 2.0)
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        self.obs.close()
-        if self._trace_env_set:
-            os.environ.pop(ENV_TRACE_DIR, None)
-            self._trace_env_set = False
+        await super().stop()
+
+    def banner(self) -> str:
+        replicas = sum(len(g) for g in self.shards)
+        return (
+            f"shards={len(self.shards)}, replicas={replicas}, "
+            f"hedge_rate={self.config.hedge_rate}"
+        )
 
     # -- tracing hooks ----------------------------------------------------
     def _breaker_event(self, name: str, record: dict) -> None:
@@ -309,20 +279,11 @@ class FleetGateway:
         if span is not None:
             req_headers = [(TRACE_HEADER, span.ctx.header_value())]
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(st.host, st.port), timeout
+            status, headers, doc = await request_once(
+                st.host, st.port, "POST", path, payload,
+                timeout=timeout, headers=req_headers,
             )
-            try:
-                status, headers, doc, _closed = await http_call(
-                    reader, writer, "POST", path, payload,
-                    timeout=timeout, keep_alive=False, headers=req_headers,
-                )
-            finally:
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-        except (OSError, asyncio.TimeoutError, ConnectionError, ValueError,
-                json.JSONDecodeError) as exc:
+        except (OSError, asyncio.TimeoutError, ConnectionError, ValueError) as exc:
             reason = type(exc).__name__
             br.record_failure(reason)
             self.metrics.attempt_failed(st.name, reason)
@@ -405,20 +366,24 @@ class FleetGateway:
             attrs={"backend": st.name, "shard": st.shard, "hedge": hedge},
         )
 
-    async def _try_backends(
+    async def _forward(
         self,
         path: str,
         payload: dict,
-        order: list[BackendState],
-        deadline: float,
+        shard: int,
+        key: str,
         *,
         hedge: bool = False,
         parent=None,
     ) -> tuple[int, dict, BackendState] | None:
-        """Failover walk over ``order`` (two passes) within ``deadline``."""
+        """Failover walk over the shard's replicas for ``key`` (two passes)
+        within the request deadline; the answer that wins is counted and
+        annotated with ``"fleet"``."""
         cfg = self.config
         m = self.metrics
-        queue = list(order) + list(order)
+        deadline = time.monotonic() + cfg.request_timeout
+        order = self._candidates(shard, key)
+        queue = order + order
         first = True
         while queue:
             st = queue.pop(0)
@@ -463,6 +428,10 @@ class FleetGateway:
             first = False
             outcome = await self._settle(tasks, primary=task)
             if outcome is not None:
+                _status, out, winner = outcome
+                m.forwarded_by_backend[winner.name] += 1
+                if isinstance(out, dict):
+                    out["fleet"] = {"shard": shard, "replica": winner.name}
                 return outcome
             m.failovers += 1
             if self.obs.enabled:
@@ -513,71 +482,37 @@ class FleetGateway:
         )
 
     # -- request handlers ------------------------------------------------
-    async def _serve_run(
-        self, body: bytes, headers: dict | None = None
-    ) -> tuple[int, dict, list]:
+    async def serve_run(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
         m = self.metrics
         m.request_received()
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            m.response_only(400)
-            return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, []
-        try:
-            request = ServiceRequest.from_payload(doc)
-        except RequestError as exc:
-            m.response_only(400)
-            return 400, {"ok": False, "error": str(exc), "field": exc.field}, []
-        span = None
-        if self.obs.enabled:
-            incoming = TraceContext.parse((headers or {}).get(TRACE_HEADER_LOWER, ""))
-            span = self.obs.start_span(
-                "gateway.request",
-                parent=incoming,
-                attrs={"algo": request.algo, "n": request.n, "seed": request.seed},
-            )
+        doc = json_body(body)
+        request = ServiceRequest.from_payload(doc)
+        span = self.request_span(
+            "gateway.request",
+            headers,
+            {"algo": request.algo, "n": request.n, "seed": request.seed},
+        )
         if self.draining:
-            m.response_only(503)
-            if span is not None:
-                span.set(outcome="draining", status_code=503)
-                span.end("error")
-            return (
-                503,
-                {"ok": False, "error": "gateway is draining"},
-                [("Retry-After", "1")],
-            )
+            return self.refuse(span, 503, "gateway is draining", outcome="draining")
         if m.inflight >= self.config.max_inflight:
-            m.rejected += 1
-            m.response_only(429)
-            if span is not None:
-                span.set(outcome="rejected", status_code=429)
-                span.end("error")
-            return (
-                429,
-                {"ok": False, "error": "gateway at capacity"},
-                [("Retry-After", "1")],
-            )
+            return self.refuse(span, 429, "gateway at capacity", outcome="rejected")
         key = routing_key(request)
         shard = self.ring.shard_for(key)
         m.routed_by_shard[shard] += 1
         m.request_admitted()
+        parent = None
         if span is not None:
             span.set(shard=shard)
+            parent = span.ctx
         started = time.monotonic()
         status = 502
         try:
-            deadline = time.monotonic() + self.config.request_timeout
-            outcome = await self._try_backends(
-                "/run", doc, self._candidates(shard, key), deadline, hedge=True,
-                parent=span.ctx if span is not None else None,
-            )
+            outcome = await self._forward("/run", doc, shard, key, hedge=True, parent=parent)
             if outcome is not None:
                 status, out, st = outcome
-                m.forwarded_by_backend[st.name] += 1
-                if isinstance(out, dict):
-                    out["fleet"] = {"shard": shard, "replica": st.name}
-                    if span is not None:
-                        span.set(outcome="forwarded", backend=st.name)
+                if span is not None:
+                    span.set(outcome="forwarded", backend=st.name)
+                    if isinstance(out, dict):
                         # annotate the response with this hop's trace identity
                         # and add the gateway stage to the per-stage breakdown
                         trace = out.setdefault(
@@ -588,12 +523,8 @@ class FleetGateway:
                         stages["gateway"] = round(
                             (time.monotonic() - started) * 1000.0, 3
                         )
-                elif span is not None:
-                    span.set(outcome="forwarded", backend=st.name)
                 return status, out, []
-            status, out, extra = self._degrade(
-                request, shard, parent=span.ctx if span is not None else None
-            )
+            status, out, extra = self._degrade(request, shard, parent=parent)
             if span is not None:
                 span.set(outcome="degraded" if status == 200 else "shed")
             return status, out, extra
@@ -603,59 +534,34 @@ class FleetGateway:
                 span.set(outcome="error", error=repr(exc)[:200])
             return 502, {"ok": False, "error": f"gateway error: {exc!r}"}, []
         finally:
-            m.request_finished(status, time.monotonic() - started)
-            if span is not None:
-                span.set(status_code=status)
-                span.end("ok" if status == 200 else "error")
+            self.finish(span, status, started)
 
-    async def _serve_plan(
-        self, body: bytes, headers: dict | None = None
-    ) -> tuple[int, dict, list]:
+    async def serve_plan(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
         """Forward a plan request, routed by its tuning identity (no hedge —
         a cold plan can trigger an expensive tuning run on the shard)."""
         m = self.metrics
         m.request_received()
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            m.response_only(400)
-            return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, []
+        doc = json_body(body)
         if not isinstance(doc, dict):
-            m.response_only(400)
-            return 400, {"ok": False, "error": "body must be a JSON object"}, []
+            raise BadRequest("body must be a JSON object")
         if self.draining:
-            m.response_only(503)
-            return (
-                503,
-                {"ok": False, "error": "gateway is draining"},
-                [("Retry-After", "1")],
-            )
+            return self.refuse(None, 503, "gateway is draining")
         cls = str(doc.get("algo_class") or doc.get("algo") or "")
         key = f"plan|{cls}|{doc.get('n')}|{doc.get('metric', 'edp')}"
         shard = self.ring.shard_for(key)
         m.routed_by_shard[shard] += 1
         m.request_admitted()
-        span = None
-        if self.obs.enabled:
-            incoming = TraceContext.parse((headers or {}).get(TRACE_HEADER_LOWER, ""))
-            # named gateway.plan, not gateway.request: plan forwards have no
-            # server.request chain for the collector to demand
-            span = self.obs.start_span(
-                "gateway.plan", parent=incoming, attrs={"shard": shard}
-            )
+        # named gateway.plan, not gateway.request: plan forwards have no
+        # server.request chain for the collector to demand
+        span = self.request_span("gateway.plan", headers, {"shard": shard})
         started = time.monotonic()
         status = 502
         try:
-            deadline = time.monotonic() + self.config.request_timeout
-            outcome = await self._try_backends(
-                "/plan", doc, self._candidates(shard, key), deadline,
-                parent=span.ctx if span is not None else None,
+            outcome = await self._forward(
+                "/plan", doc, shard, key, parent=span.ctx if span is not None else None
             )
             if outcome is not None:
-                status, out, st = outcome
-                m.forwarded_by_backend[st.name] += 1
-                if isinstance(out, dict):
-                    out["fleet"] = {"shard": shard, "replica": st.name}
+                status, out, _st = outcome
                 return status, out, []
             m.shed += 1
             status = 503
@@ -668,12 +574,22 @@ class FleetGateway:
             status = 502
             return 502, {"ok": False, "error": f"gateway error: {exc!r}"}, []
         finally:
-            m.request_finished(status, time.monotonic() - started)
-            if span is not None:
-                span.set(status_code=status)
-                span.end("ok" if status == 200 else "error")
+            self.finish(span, status, started)
 
     # -- observability ---------------------------------------------------
+    def health_doc(self) -> dict:
+        return {"status": "ok", "role": "gateway", "draining": self.draining}
+
+    def ready_doc(self) -> dict:
+        """Ready when every shard has a ready replica and not draining."""
+        per_shard = [sum(1 for st in group if st.ready) for group in self.shards]
+        return {
+            "ready": not self.draining and all(c > 0 for c in per_shard),
+            "draining": self.draining,
+            "shards_ready": per_shard,
+            "all_ready": all(st.ready for group in self.shards for st in group),
+        }
+
     def metrics_doc(self) -> dict:
         shards = [
             {
@@ -700,109 +616,6 @@ class FleetGateway:
                 },
             },
         )
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        query: str = "",
-        headers: dict | None = None,
-        body: bytes = b"",
-    ) -> tuple[int, dict | str, list]:
-        if path == "/run":
-            if method != "POST":
-                self.metrics.response_only(405)
-                return 405, {"ok": False, "error": "use POST /run"}, [("Allow", "POST")]
-            return await self._serve_run(body, headers)
-        if path == "/plan":
-            if method != "POST":
-                self.metrics.response_only(405)
-                return 405, {"ok": False, "error": "use POST /plan"}, [("Allow", "POST")]
-            return await self._serve_plan(body, headers)
-        if method != "GET":
-            self.metrics.response_only(405)
-            return 405, {"ok": False, "error": f"{method} not allowed here"}, [("Allow", "GET")]
-        if path == "/healthz":
-            return 200, {"status": "ok", "role": "gateway", "draining": self.draining}, []
-        if path == "/readyz":
-            per_shard = [sum(1 for st in group if st.ready) for group in self.shards]
-            all_ready = all(st.ready for group in self.shards for st in group)
-            ok = not self.draining and all(c > 0 for c in per_shard)
-            doc = {
-                "ready": ok,
-                "draining": self.draining,
-                "shards_ready": per_shard,
-                "all_ready": all_ready,
-            }
-            if ok:
-                return 200, doc, []
-            return 503, doc, [("Retry-After", "1")]
-        if path == "/metrics":
-            if "format=prometheus" in (query or ""):
-                from .promexport import render_prometheus
-
-                return 200, render_prometheus(self.metrics_doc()), []
-            return 200, self.metrics_doc(), []
-        if path == "/algos":
-            return 200, algos_doc(), []
-        if path == "/":
-            return (
-                200,
-                {"endpoints": ["/run", "/plan", "/healthz", "/readyz", "/metrics", "/algos"]},
-                [],
-            )
-        self.metrics.response_only(404)
-        return 404, {"ok": False, "error": f"no route for {path}"}, []
-
-    async def _handle_conn(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    parsed = await read_http_request(reader)
-                except BadRequest as exc:
-                    self.metrics.response_only(400)
-                    await write_json_response(
-                        writer, 400, {"ok": False, "error": str(exc)}, [], False
-                    )
-                    break
-                if parsed is None:
-                    break
-                method, target, headers, body = parsed
-                path, _, query = target.partition("?")
-                keep_alive = (
-                    not self.draining and headers.get("connection", "").lower() != "close"
-                )
-                status, doc, extra = await self._route(
-                    method.upper(), path, query, headers, body
-                )
-                if isinstance(doc, str):
-                    from .promexport import PROM_CONTENT_TYPE
-
-                    await write_text_response(
-                        writer, status, doc, extra, keep_alive,
-                        content_type=PROM_CONTENT_TYPE,
-                    )
-                else:
-                    await write_json_response(writer, status, doc, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass
-        finally:
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
 
 
 # -- shard process management -------------------------------------------
@@ -939,40 +752,6 @@ def group_backends(flat: list[tuple[str, int]], shards: int) -> list[list[tuple[
     return [flat[i::shards] for i in range(shards)]
 
 
-async def _fleet_amain(
-    config: FleetConfig, backends: list[list[tuple[str, int]]]
-) -> int:
-    gateway = FleetGateway(config, backends)
-    await gateway.start()
-    print(
-        f"repro-fleet: listening on http://{config.host}:{gateway.port} "
-        f"(shards={len(backends)}, replicas={sum(len(g) for g in backends)}, "
-        f"hedge_rate={config.hedge_rate})",
-        flush=True,
-    )
-    stop_event = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop_event.set)
-        except NotImplementedError:  # pragma: no cover - non-posix loops
-            signal.signal(sig, lambda *_: stop_event.set())
-    await stop_event.wait()
-    print("repro-fleet: draining...", flush=True)
-    clean = await gateway.drain()
-    await gateway.stop()
-    total = gateway.metrics.requests_total
-    if clean:
-        print(f"repro-fleet: drained cleanly after {total} request(s)", flush=True)
-        return 0
-    print(
-        f"repro-fleet: drain timed out with {gateway.metrics.inflight} request(s) "
-        "still in flight",
-        flush=True,
-    )
-    return 1
-
-
 def fleet_main(args) -> int:
     """Entry point for the ``repro fleet`` CLI verb."""
     procs: list[ShardProcess] = []
@@ -1019,7 +798,7 @@ def fleet_main(args) -> int:
             bench_dir=args.bench_dir,
             trace_dir=trace_dir,
         )
-        return asyncio.run(_fleet_amain(config, groups))
+        return FleetGateway.main(config, groups)
     finally:
         for proc in procs:
             proc.terminate()

@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .httpio import http_call
+from .httpio import request_once
 
 __all__ = ["BackendState", "HealthMonitor"]
 
@@ -116,19 +116,11 @@ class HealthMonitor:
         self.rounds = 0
 
     # -- probing ---------------------------------------------------------
-    async def _get(self, backend: BackendState, path: str):
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(backend.host, backend.port), self.timeout
+    async def _get(self, backend: BackendState, path: str) -> tuple[int, dict]:
+        status, _headers, doc = await request_once(
+            backend.host, backend.port, "GET", path, timeout=self.timeout
         )
-        try:
-            status, _headers, doc, _closed = await http_call(
-                reader, writer, "GET", path, timeout=self.timeout, keep_alive=False
-            )
-            return status, doc
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        return status, doc
 
     async def probe(self, backend: BackendState) -> bool:
         """One readiness probe; returns True when the backend answered ready."""

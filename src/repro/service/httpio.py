@@ -1,27 +1,43 @@
-"""Minimal shared HTTP/1.1 plumbing for the serving tier.
+"""The serving tier's one HTTP/1.1 front end and its client calls.
 
 Three parties speak the same deliberately small HTTP dialect — request line,
 headers, ``Content-Length`` bodies, keep-alive: the single-process server
 (:mod:`repro.service.server`), the fleet gateway (:mod:`repro.service.fleet`,
 which is a server on one side and a client on the other), and the load
-generator (:mod:`repro.service.loadgen`).  Factoring the byte-level pieces
-here keeps them in lockstep; none of them is a general web server and none
-should grow into one.
+generator (:mod:`repro.service.loadgen`).  None of them is a general web
+server and none should grow into one.
+
+:class:`HttpFront` is everything the server and the gateway share: the
+listener's start/drain/stop, the keep-alive connection loop, the endpoint
+table, and the signal-and-drain :meth:`~HttpFront.main`.  A role subclass
+supplies only what differs — its ``/run`` and ``/plan`` handlers, its
+health, readiness and metrics documents, and when it counts as idle.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import os
+import signal
+import time
+
+from ..obs.context import TRACE_HEADER_LOWER, TraceContext
+from ..obs.tracer import ENV_TRACE_DIR
+from .promexport import PROM_CONTENT_TYPE, render_prometheus
+from .protocol import RequestError, algos_doc
 
 __all__ = [
     "MAX_BODY",
     "REASONS",
     "BadRequest",
+    "HttpFront",
     "http_call",
+    "json_body",
     "read_http_request",
-    "write_json_response",
-    "write_text_response",
+    "request_once",
+    "write_response",
 ]
 
 REASONS = {
@@ -41,7 +57,7 @@ MAX_BODY = 1 << 20
 
 
 class BadRequest(Exception):
-    """Unparseable HTTP: answer 400 and close the connection."""
+    """Unparseable HTTP or request body: answer 400."""
 
 
 async def read_http_request(reader: asyncio.StreamReader):
@@ -76,37 +92,27 @@ async def read_http_request(reader: asyncio.StreamReader):
     return method, target, headers, body
 
 
-async def write_json_response(
+def json_body(body: bytes):
+    """Decode a request's JSON body; :class:`BadRequest` when it is not JSON."""
+    try:
+        return json.loads(body.decode("utf-8") or "null")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadRequest(f"invalid JSON body: {exc}") from None
+
+
+async def write_response(
     writer: asyncio.StreamWriter,
     status: int,
-    doc: dict,
+    doc: dict | str,
     extra_headers: list,
     keep_alive: bool,
 ) -> None:
-    """Serialize ``doc`` as the JSON body of one HTTP/1.1 response."""
-    body = json.dumps(doc).encode("utf-8")
-    lines = [
-        f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in extra_headers)
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-    await writer.drain()
-
-
-async def write_text_response(
-    writer: asyncio.StreamWriter,
-    status: int,
-    text: str,
-    extra_headers: list,
-    keep_alive: bool,
-    content_type: str = "text/plain; charset=utf-8",
-) -> None:
-    """Serialize ``text`` as the body of one HTTP/1.1 response (e.g. the
-    Prometheus exposition of ``/metrics?format=prometheus``)."""
-    body = text.encode("utf-8")
+    """Write one HTTP/1.1 response: a dict as JSON, a str as the Prometheus
+    text of ``/metrics?format=prometheus``."""
+    if isinstance(doc, str):
+        body, content_type = doc.encode("utf-8"), PROM_CONTENT_TYPE
+    else:
+        body, content_type = json.dumps(doc).encode("utf-8"), "application/json"
     lines = [
         f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
@@ -164,3 +170,272 @@ async def http_call(
     raw = await asyncio.wait_for(reader.readexactly(length), timeout) if length else b""
     doc = json.loads(raw) if raw else {}
     return status, headers, doc, headers.get("connection", "").lower() == "close"
+
+
+async def request_once(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    payload: dict | None = None,
+    timeout: float = 30.0,
+    *,
+    headers: list | None = None,
+) -> tuple[int, dict, dict]:
+    """One request on a connection of its own -> (status, headers, doc).
+
+    ``timeout`` bounds the connect and each read; the connection is closed
+    afterwards whatever happens (a gateway attempt, a health probe, a
+    ``/metrics`` scrape)."""
+    reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
+    try:
+        status, resp_headers, doc, _closed = await http_call(
+            reader, writer, method, path, payload,
+            timeout=timeout, keep_alive=False, headers=headers,
+        )
+        return status, resp_headers, doc
+    finally:
+        writer.close()
+        with contextlib.suppress(Exception):
+            await writer.wait_closed()
+
+
+class HttpFront:
+    """The HTTP surface of ``repro serve`` and ``repro fleet``.
+
+    A role subclass passes its ``config`` (with ``host``, ``port``,
+    ``drain_timeout`` and ``trace_dir``) up, sets ``metrics`` (a
+    :class:`~repro.service.metrics.RequestMetrics`) and ``obs`` (a tracer),
+    and supplies :meth:`serve_run`, :meth:`serve_plan`, :meth:`health_doc`,
+    :meth:`ready_doc`, :meth:`metrics_doc` and :meth:`banner`; :meth:`idle`
+    may add to the in-flight test.  A handler may raise :class:`BadRequest`
+    (see :func:`json_body`) or :class:`~repro.service.protocol.RequestError`
+    before it admits the request: the front answers 400 and keeps the
+    connection.
+    """
+
+    #: the prefix of every line :meth:`main` prints ("repro-serve", ...)
+    name: str
+
+    def __init__(self, config) -> None:
+        self.config = config
+        # set before the role forks workers or spawns children so they
+        # inherit it and trace their side of each request
+        self._trace_env_set = False
+        if config.trace_dir and os.environ.get(ENV_TRACE_DIR, "") != config.trace_dir:
+            os.environ[ENV_TRACE_DIR] = config.trace_dir
+            self._trace_env_set = True
+        self.draining = False
+        self.port = config.port
+        self._server: asyncio.AbstractServer | None = None
+        self._writers: set[asyncio.StreamWriter] = set()
+
+    # -- what a role supplies ----------------------------------------------
+    async def serve_run(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
+        raise NotImplementedError
+
+    async def serve_plan(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
+        raise NotImplementedError
+
+    def health_doc(self) -> dict:
+        raise NotImplementedError
+
+    def ready_doc(self) -> dict:
+        """The ``/readyz`` document; its ``"ready"`` flag picks 200 or 503."""
+        raise NotImplementedError
+
+    def metrics_doc(self) -> dict:
+        raise NotImplementedError
+
+    def banner(self) -> str:
+        """The parenthesised detail of the ``listening on`` line."""
+        raise NotImplementedError
+
+    def idle(self) -> bool:
+        """Nothing left for a drain to wait for."""
+        return self.metrics.inflight == 0
+
+    # -- the request lifecycle, for the role's handlers ----------------------
+    def request_span(self, name: str, headers: dict, attrs: dict):
+        """This hop's span for one request, a child of the trace context
+        the caller sent (None when tracing is off)."""
+        if not self.obs.enabled:
+            return None
+        incoming = TraceContext.parse(headers.get(TRACE_HEADER_LOWER, ""))
+        return self.obs.start_span(name, parent=incoming, attrs=attrs)
+
+    def refuse(self, span, status: int, error: str, **attrs) -> tuple[int, dict, list]:
+        """Turn a request away before admission with ``Retry-After: 1``:
+        503 while draining, 429 (counted as rejected) at capacity."""
+        if status == 429:
+            self.metrics.rejected += 1
+        self.metrics.response_only(status)
+        if span is not None:
+            span.set(status_code=status, **attrs)
+            span.end("error")
+        return status, {"ok": False, "error": error}, [("Retry-After", "1")]
+
+    def finish(self, span, status: int, started: float) -> None:
+        """Count an admitted request's answer and end its span."""
+        self.metrics.request_finished(status, time.monotonic() - started)
+        if span is not None:
+            span.set(status_code=status)
+            span.end("ok" if status == 200 else "error")
+
+    # -- lifecycle ---------------------------------------------------------
+    async def start(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_conn, self.config.host, self.config.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def drain(self, timeout: float | None = None) -> bool:
+        """Stop accepting work; wait until idle. True if it got there."""
+        self.draining = True
+        if self._server is not None:
+            self._server.close()
+        self.obs.event("drain_started", attrs={"inflight": self.metrics.inflight})
+        budget = self.config.drain_timeout if timeout is None else timeout
+        deadline = time.monotonic() + budget
+        while not self.idle() and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
+        clean = self.idle()
+        self.obs.event(
+            "drain_finished",
+            attrs={"clean": clean, "inflight": self.metrics.inflight},
+        )
+        return clean
+
+    async def stop(self) -> None:
+        self.draining = True
+        if self._server is not None:
+            self._server.close()
+            with contextlib.suppress(Exception, asyncio.TimeoutError):
+                await asyncio.wait_for(self._server.wait_closed(), 2.0)
+        for writer in list(self._writers):
+            with contextlib.suppress(Exception):
+                writer.close()
+        self.obs.close()
+        if self._trace_env_set:
+            os.environ.pop(ENV_TRACE_DIR, None)
+            self._trace_env_set = False
+
+    @classmethod
+    def main(cls, *args) -> int:
+        """Build ``cls(*args)``, serve until SIGTERM/SIGINT, then drain.
+
+        Prints the ``listening on http://…`` and ``drained cleanly`` lines
+        that shard supervisors, CI and the benchmarks parse; returns the
+        process exit code (1 when the drain timed out)."""
+
+        async def run() -> int:
+            front = cls(*args)
+            await front.start()
+            print(
+                f"{front.name}: listening on http://{front.config.host}:{front.port} "
+                f"({front.banner()})",
+                flush=True,
+            )
+            stop_event = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(sig, stop_event.set)
+                except NotImplementedError:  # pragma: no cover - non-posix loops
+                    signal.signal(sig, lambda *_: stop_event.set())
+            await stop_event.wait()
+            print(f"{front.name}: draining...", flush=True)
+            clean = await front.drain()
+            await front.stop()
+            if clean:
+                total = front.metrics.requests_total
+                print(f"{front.name}: drained cleanly after {total} request(s)", flush=True)
+                return 0
+            print(
+                f"{front.name}: drain timed out with {front.metrics.inflight} "
+                "request(s) still in flight",
+                flush=True,
+            )
+            return 1
+
+        return asyncio.run(run())
+
+    # -- the endpoint table ------------------------------------------------
+    async def _route(
+        self, method: str, path: str, query: str, headers: dict, body: bytes
+    ) -> tuple[int, dict | str, list]:
+        if path in ("/run", "/plan"):
+            if method != "POST":
+                self.metrics.response_only(405)
+                return 405, {"ok": False, "error": f"use POST {path}"}, [("Allow", "POST")]
+            serve = self.serve_run if path == "/run" else self.serve_plan
+            try:
+                return await serve(body, headers)
+            except BadRequest as exc:
+                self.metrics.response_only(400)
+                return 400, {"ok": False, "error": str(exc)}, []
+            except RequestError as exc:
+                self.metrics.response_only(400)
+                return 400, {"ok": False, "error": str(exc), "field": exc.field}, []
+        if method != "GET":
+            self.metrics.response_only(405)
+            return 405, {"ok": False, "error": f"{method} not allowed here"}, [("Allow", "GET")]
+        if path == "/healthz":
+            return 200, self.health_doc(), []
+        if path == "/readyz":
+            doc = self.ready_doc()
+            if doc["ready"]:
+                return 200, doc, []
+            return 503, doc, [("Retry-After", "1")]
+        if path == "/metrics":
+            if "format=prometheus" in query:
+                return 200, render_prometheus(self.metrics_doc()), []
+            return 200, self.metrics_doc(), []
+        if path == "/algos":
+            return 200, algos_doc(), []
+        if path == "/":
+            return (
+                200,
+                {"endpoints": ["/run", "/plan", "/healthz", "/readyz", "/metrics", "/algos"]},
+                [],
+            )
+        self.metrics.response_only(404)
+        return 404, {"ok": False, "error": f"no route for {path}"}, []
+
+    async def _handle_conn(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    parsed = await read_http_request(reader)
+                except BadRequest as exc:
+                    self.metrics.response_only(400)
+                    await write_response(writer, 400, {"ok": False, "error": str(exc)}, [], False)
+                    break
+                if parsed is None:
+                    break
+                method, target, headers, body = parsed
+                path, _, query = target.partition("?")
+                keep_alive = (
+                    not self.draining and headers.get("connection", "").lower() != "close"
+                )
+                status, doc, extra = await self._route(
+                    method.upper(), path, query, headers, body
+                )
+                await write_response(writer, status, doc, extra, keep_alive)
+                if not keep_alive:
+                    break
+        except (
+            ConnectionResetError,
+            BrokenPipeError,
+            asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
+        ):
+            pass  # client went away mid-request; nothing to answer
+        finally:
+            self._writers.discard(writer)
+            with contextlib.suppress(Exception):
+                writer.close()
+                await writer.wait_closed()

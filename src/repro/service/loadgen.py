@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import random
 import sys
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from ..obs.collect import quantile
 from ..obs.context import TRACE_HEADER, deterministic_span_id, deterministic_trace_id
 from ..obs.tracer import make_tracer, tracer_from_env
-from .httpio import http_call
+from .httpio import http_call, request_once
 
 __all__ = ["DEFAULT_MIX", "LoadReport", "build_requests", "fetch_metrics", "run_load", "wait_ready"]
 
@@ -219,52 +220,20 @@ class LoadReport:
         }
 
 
-async def _http(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    method: str,
-    path: str,
-    payload: dict | None = None,
-    timeout: float = 30.0,
-) -> tuple[int, dict, bool]:
-    """One request on an open connection -> (status, doc, server_closed).
-
-    Thin compatibility wrapper over :func:`repro.service.httpio.http_call`
-    for callers that do not need the response headers."""
-    status, _headers, doc, closed = await http_call(
-        reader, writer, method, path, payload, timeout=timeout
-    )
-    return status, doc, closed
-
-
 async def fetch_metrics(host: str, port: int, timeout: float = 10.0) -> dict:
     """One-shot ``GET /metrics``."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        _status, doc, _closed = await _http(reader, writer, "GET", "/metrics", timeout=timeout)
-        return doc
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except Exception:
-            pass
+    _status, _headers, doc = await request_once(host, port, "GET", "/metrics", timeout=timeout)
+    return doc
 
 
 async def wait_ready(host: str, port: int, timeout: float = 10.0) -> bool:
     """Poll ``/healthz`` until the server answers or the timeout lapses."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                status, _doc, _closed = await _http(reader, writer, "GET", "/healthz", timeout=2.0)
-            finally:
-                writer.close()
+        with contextlib.suppress(OSError, asyncio.TimeoutError, ConnectionError, ValueError):
+            status, _headers, _doc = await request_once(host, port, "GET", "/healthz", timeout=2.0)
             if status == 200:
                 return True
-        except (OSError, asyncio.TimeoutError, ConnectionError, ValueError):
-            pass
         await asyncio.sleep(0.05)
     return False
 
@@ -306,11 +275,24 @@ async def run_load(
         nonlocal ready
         t_host, t_port = targets[windex % len(targets)] if targets else (host, port)
         rng = random.Random((backoff_seed << 16) ^ windex)
-        reader, writer = await asyncio.open_connection(t_host, t_port)
+        reader = writer = None
+
+        async def connect() -> None:
+            """(Re)open this worker's connection, closing the previous one."""
+            nonlocal reader, writer
+            if writer is not None:
+                writer.close()
+                with contextlib.suppress(Exception):
+                    await writer.wait_closed()
+            reader, writer = await asyncio.open_connection(t_host, t_port)
+
+        await connect()
         ready += 1
         if ready == workers:
             start_gate.set()
         await start_gate.wait()
+        # the server closed the connection: reopen it before the next send
+        closed = False
         try:
             while True:
                 try:
@@ -330,9 +312,10 @@ async def run_load(
                 t0 = time.monotonic()
                 retries = 0
                 while True:
-                    status = None
                     for attempt in (1, 2):
                         try:
+                            if closed:
+                                await connect()
                             status, headers, doc, closed = await http_call(
                                 reader, writer, "POST", "/run", payload,
                                 timeout=timeout, headers=trace_headers,
@@ -351,13 +334,7 @@ async def run_load(
                                     span.set(error=repr(exc)[:200])
                                     span.end("error")
                                 return
-                            # stale connection: reconnect once and resend
-                            writer.close()
-                            reader, writer = await asyncio.open_connection(t_host, t_port)
-                    if status is None:
-                        if span is not None:
-                            span.end("error")
-                        return
+                            closed = True  # stale connection: reconnect once and resend
                     if status in (429, 503) and retries < max_retries:
                         retries += 1
                         report.backoff_retries += 1
@@ -368,22 +345,16 @@ async def run_load(
                         base = min(max(base, 0.05), 5.0)
                         # seeded jitter: sleep 0.5x..1.5x of the server hint
                         await asyncio.sleep(base * (0.5 + rng.random()))
-                        if closed:
-                            reader, writer = await asyncio.open_connection(t_host, t_port)
                         continue
                     break
                 report.record(status, doc, time.monotonic() - t0)
                 if span is not None:
                     span.set(status_code=status, retries=retries)
                     span.end("ok" if status == 200 else "error")
-                if closed:
-                    reader, writer = await asyncio.open_connection(t_host, t_port)
         finally:
             writer.close()
-            try:
+            with contextlib.suppress(Exception):
                 await writer.wait_closed()
-            except Exception:
-                pass
 
     t_start = time.monotonic()
     outcomes = await asyncio.gather(

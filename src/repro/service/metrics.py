@@ -13,7 +13,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-__all__ = ["LATENCY_BUCKETS_MS", "FleetMetrics", "LatencyHistogram", "ServiceMetrics"]
+__all__ = [
+    "LATENCY_BUCKETS_MS",
+    "FleetMetrics",
+    "LatencyHistogram",
+    "RequestMetrics",
+    "ServiceMetrics",
+]
 
 #: upper bucket bounds in milliseconds; requests above the last bound land
 #: in a +Inf overflow bucket.  The sub-millisecond bounds exist for cache
@@ -83,14 +89,72 @@ class LatencyHistogram:
         }
 
 
-class ServiceMetrics:
-    """All counters behind ``/metrics``; single-threaded by construction."""
+class RequestMetrics:
+    """The request lifecycle both HTTP fronts count: uptime, requests,
+    responses by status, in-flight/peak, rejections and end-to-end latency.
+
+    Everything mutates on the front's single event-loop thread, so plain
+    ints suffice — no locks."""
 
     def __init__(self) -> None:
         self.started_monotonic = time.monotonic()
         self.started_at = time.time()
         self.requests_total = 0
         self.responses_by_status: Counter[int] = Counter()
+        self.inflight = 0
+        self.peak_inflight = 0
+        #: requests refused with 429 by admission control
+        self.rejected = 0
+        self.latency = LatencyHistogram()
+
+    # -- request lifecycle ----------------------------------------------
+    def request_received(self) -> None:
+        """Any request the role counts, valid or not."""
+        self.requests_total += 1
+
+    def request_admitted(self) -> None:
+        self.inflight += 1
+        self.peak_inflight = max(self.peak_inflight, self.inflight)
+
+    def request_finished(self, status: int, latency_s: float) -> None:
+        self.inflight -= 1
+        self.responses_by_status[status] += 1
+        self.latency.observe(latency_s)
+
+    def response_only(self, status: int) -> None:
+        """A response that never entered the request lifecycle (404, 429...)."""
+        self.responses_by_status[status] += 1
+
+    def _snapshot(self, requests: dict, sections: dict, extra: dict | None) -> dict:
+        """The shared sections, then the role's ``requests`` keys and
+        ``sections``, then ``extra``."""
+        doc = {
+            "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
+            "started_at_unix": round(self.started_at, 3),
+            "requests": {
+                "total": self.requests_total,
+                "inflight": self.inflight,
+                "peak_inflight": self.peak_inflight,
+                "rejected": self.rejected,
+                **requests,
+            },
+            "responses": {
+                "by_status": {str(k): v for k, v in sorted(self.responses_by_status.items())},
+            },
+            "latency": self.latency.as_dict(),
+            **sections,
+        }
+        if extra:
+            doc.update(extra)
+        return doc
+
+
+class ServiceMetrics(RequestMetrics):
+    """All counters behind a server's ``/metrics``: the request lifecycle
+    (``requests_total`` counts ``POST /run``) plus cache and batching."""
+
+    def __init__(self) -> None:
+        super().__init__()
         self.requests_by_algo: Counter[str] = Counter()
         self.cache_hits_memory = 0
         self.cache_hits_disk = 0
@@ -99,36 +163,14 @@ class ServiceMetrics:
         self.execution_failures = 0
         self.batched_executions = 0
         self.coalesced_requests = 0
-        self.rejected = 0
         self.timeouts = 0
         #: requests answered 504 because the executing worker died mid-task
         self.crashed = 0
-        self.inflight = 0
-        self.peak_inflight = 0
-        self.drained = 0
-        self.latency = LatencyHistogram()
         self.execution_latency = LatencyHistogram()
 
-    # -- request lifecycle ----------------------------------------------
-    def request_received(self) -> None:
-        """Any ``POST /run`` attempt, valid or not."""
-        self.requests_total += 1
-
-    def request_admitted(self, algo: str | None = None) -> None:
-        if algo is not None:
-            self.requests_by_algo[algo] += 1
-        self.inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self.inflight)
-
-    def request_finished(self, status: int, latency_s: float) -> None:
-        self.inflight -= 1
-        self.drained += 1
-        self.responses_by_status[status] += 1
-        self.latency.observe(latency_s)
-
-    def response_only(self, status: int) -> None:
-        """A response that never entered the request lifecycle (404, 429...)."""
-        self.responses_by_status[status] += 1
+    def request_admitted(self, algo: str) -> None:
+        self.requests_by_algo[algo] += 1
+        super().request_admitted()
 
     # -- cache / batch accounting ---------------------------------------
     def cache_hit(self, tier: str) -> None:
@@ -144,61 +186,46 @@ class ServiceMetrics:
     # -- snapshot --------------------------------------------------------
     def snapshot(self, *, queue_depth: int = 0, extra: dict | None = None) -> dict:
         lookups = self.cache_hits + self.cache_misses
-        doc = {
-            "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
-            "started_at_unix": round(self.started_at, 3),
-            "requests": {
-                "total": self.requests_total,
+        return self._snapshot(
+            {
                 "by_algo": dict(self.requests_by_algo),
-                "inflight": self.inflight,
-                "peak_inflight": self.peak_inflight,
                 "queue_depth": queue_depth,
-                "rejected": self.rejected,
                 "timeouts": self.timeouts,
                 "crashed": self.crashed,
             },
-            "responses": {
-                "by_status": {str(k): v for k, v in sorted(self.responses_by_status.items())},
+            {
+                "cache": {
+                    "hits": self.cache_hits,
+                    "hits_memory": self.cache_hits_memory,
+                    "hits_disk": self.cache_hits_disk,
+                    "misses": self.cache_misses,
+                    "hit_rate": round(self.cache_hits / lookups, 4) if lookups else 0.0,
+                },
+                "batching": {
+                    "executions": self.executions,
+                    "execution_failures": self.execution_failures,
+                    "batched_executions": self.batched_executions,
+                    "coalesced_requests": self.coalesced_requests,
+                },
+                "execution_latency": self.execution_latency.as_dict(),
             },
-            "cache": {
-                "hits": self.cache_hits,
-                "hits_memory": self.cache_hits_memory,
-                "hits_disk": self.cache_hits_disk,
-                "misses": self.cache_misses,
-                "hit_rate": round(self.cache_hits / lookups, 4) if lookups else 0.0,
-            },
-            "batching": {
-                "executions": self.executions,
-                "execution_failures": self.execution_failures,
-                "batched_executions": self.batched_executions,
-                "coalesced_requests": self.coalesced_requests,
-            },
-            "latency": self.latency.as_dict(),
-            "execution_latency": self.execution_latency.as_dict(),
-        }
-        if extra:
-            doc.update(extra)
-        return doc
+            extra,
+        )
 
 
-class FleetMetrics:
-    """Gateway-side counters: routing, failover, hedging, degradation.
+class FleetMetrics(RequestMetrics):
+    """Gateway-side counters: the request lifecycle (``requests_total``
+    counts ``POST /run`` and ``POST /plan``) plus routing, failover,
+    hedging and degradation.
 
-    Like :class:`ServiceMetrics`, everything mutates on the gateway's single
-    event-loop thread.  Per-shard and per-backend aggregation lives here so
-    the gateway's ``/metrics`` can answer "which shard is limping" without
-    scraping every replica on the request path; the health monitor's
-    periodic backend scrapes are folded in by the snapshot.
+    Per-shard and per-backend aggregation lives here so the gateway's
+    ``/metrics`` can answer "which shard is limping" without scraping every
+    replica on the request path; the health monitor's periodic backend
+    scrapes are folded in by the snapshot.
     """
 
     def __init__(self) -> None:
-        self.started_monotonic = time.monotonic()
-        self.started_at = time.time()
-        self.requests_total = 0
-        self.responses_by_status: Counter[int] = Counter()
-        self.inflight = 0
-        self.peak_inflight = 0
-        self.rejected = 0
+        super().__init__()
         #: requests routed per shard index, and outcomes per backend name
         self.routed_by_shard: Counter[int] = Counter()
         self.forwarded_by_backend: Counter[str] = Counter()
@@ -209,23 +236,6 @@ class FleetMetrics:
         self.hedges_cancelled = 0
         self.degraded_stale = 0
         self.shed = 0
-        self.latency = LatencyHistogram()
-
-    # -- request lifecycle ----------------------------------------------
-    def request_received(self) -> None:
-        self.requests_total += 1
-
-    def request_admitted(self) -> None:
-        self.inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self.inflight)
-
-    def request_finished(self, status: int, latency_s: float) -> None:
-        self.inflight -= 1
-        self.responses_by_status[status] += 1
-        self.latency.observe(latency_s)
-
-    def response_only(self, status: int) -> None:
-        self.responses_by_status[status] += 1
 
     # -- routing accounting ---------------------------------------------
     def attempt_failed(self, backend: str, reason: str) -> None:
@@ -244,18 +254,7 @@ class FleetMetrics:
         health: list[dict] | None = None,
         extra: dict | None = None,
     ) -> dict:
-        doc = {
-            "uptime_s": round(time.monotonic() - self.started_monotonic, 3),
-            "started_at_unix": round(self.started_at, 3),
-            "requests": {
-                "total": self.requests_total,
-                "inflight": self.inflight,
-                "peak_inflight": self.peak_inflight,
-                "rejected": self.rejected,
-            },
-            "responses": {
-                "by_status": {str(k): v for k, v in sorted(self.responses_by_status.items())},
-            },
+        sections = {
             "routing": {
                 "by_shard": {str(k): v for k, v in sorted(self.routed_by_shard.items())},
                 "forwarded_by_backend": dict(self.forwarded_by_backend),
@@ -273,14 +272,8 @@ class FleetMetrics:
                 "stale_served": self.degraded_stale,
                 "shed": self.shed,
             },
-            "latency": self.latency.as_dict(),
         }
-        if shards is not None:
-            doc["shards"] = shards
-        if breakers is not None:
-            doc["breakers"] = breakers
-        if health is not None:
-            doc["health"] = health
-        if extra:
-            doc.update(extra)
-        return doc
+        for name, value in (("shards", shards), ("breakers", breakers), ("health", health)):
+            if value is not None:
+                sections[name] = value
+        return self._snapshot({}, sections, extra)

@@ -20,25 +20,19 @@ running for the other waiters.  SIGTERM/SIGINT triggers a graceful drain:
 the listener closes, in-flight requests finish, workers shut down, and the
 process exits 0 after printing ``drained cleanly``.
 
-The HTTP handling is deliberately minimal — request line, headers,
-``Content-Length`` bodies, keep-alive — and shared with the fleet gateway
-and the load generator through :mod:`repro.service.httpio`, because the
-protocol surface is a few JSON endpoints, not a general web server.
+The listener, the connection loop, the endpoint table and the drain
+loop are :class:`~repro.service.httpio.HttpFront`, shared with the fleet
+gateway; this module holds what a server answers.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import json
-import os
-import signal
 import time
 from dataclasses import dataclass
 
-from ..obs.context import TRACE_HEADER_LOWER, TraceContext
 from .. import workloads
-from ..obs.tracer import ENV_TRACE_DIR, tracer_from_env
+from ..obs.tracer import tracer_from_env
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..runner.cachekey import suite_code_version
 from ..runner.registry import load_suites
@@ -47,7 +41,7 @@ from ..tuner.tuner import TuneError
 from .batcher import Batcher
 from .cache import ServiceCache
 from .executor import ExecutionCrash, ExecutionError, ExecutionTimeout, ServiceExecutor
-from .httpio import BadRequest, read_http_request, write_json_response, write_text_response
+from .httpio import HttpFront, json_body
 from .metrics import ServiceMetrics
 from .protocol import (
     AUTO_CLASSES,
@@ -55,7 +49,6 @@ from .protocol import (
     TUNER_SUITE_NAME,
     RequestError,
     ServiceRequest,
-    algos_doc,
 )
 
 __all__ = ["ServiceConfig", "SpatialService", "serve_main"]
@@ -92,17 +85,13 @@ class ServiceConfig:
     trace_dir: str = ""
 
 
-class SpatialService:
-    """One serving instance: listener, batcher, cache, executor, metrics."""
+class SpatialService(HttpFront):
+    """One serving instance: batcher, cache, executor, metrics."""
+
+    name = "repro-serve"
 
     def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        # the env flag must be set before the executor forks its pool so the
-        # workers inherit it and can trace their side of each task
-        self._trace_env_set = False
-        if config.trace_dir and os.environ.get(ENV_TRACE_DIR, "") != config.trace_dir:
-            os.environ[ENV_TRACE_DIR] = config.trace_dir
-            self._trace_env_set = True
+        super().__init__(config)
         self.obs = tracer_from_env(f"shard-{config.shard_id}" if config.shard_id else "server")
         suites = load_suites(config.bench_dir or None)
         served = workloads.served()
@@ -136,53 +125,22 @@ class SpatialService:
             timeout=config.timeout,
         )
         self.metrics = ServiceMetrics()
-        self.draining = False
-        self.port = config.port
-        self._server: asyncio.AbstractServer | None = None
         self._executing = 0
-        self._writers: set[asyncio.StreamWriter] = set()
         self._bg: set[asyncio.Task] = set()
 
     # -- lifecycle -------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Stop accepting work; wait for in-flight requests. True if empty."""
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-        self.obs.event("drain_started", attrs={"inflight": self.metrics.inflight})
-        budget = self.config.drain_timeout if timeout is None else timeout
-        deadline = time.monotonic() + budget
-        while (self.metrics.inflight > 0 or self._bg) and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        clean = self.metrics.inflight == 0 and not self._bg
-        self.obs.event(
-            "drain_finished",
-            attrs={"clean": clean, "inflight": self.metrics.inflight},
-        )
-        return clean
+    def idle(self) -> bool:
+        """No request in flight and no abandoned (504) execution running."""
+        return super().idle() and not self._bg
 
     async def stop(self) -> None:
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(Exception, asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 2.0)
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
+        await super().stop()
         self.executor.close()
-        self.obs.close()
-        if self._trace_env_set:
-            os.environ.pop(ENV_TRACE_DIR, None)
-            self._trace_env_set = False
+
+    def banner(self) -> str:
+        backend = "inline" if self.config.inline else f"pool({self.config.workers})"
+        shard = f", shard={self.config.shard_id}" if self.config.shard_id else ""
+        return f"backend={backend}, window={self.config.batch_window}s{shard}"
 
     # -- request processing ---------------------------------------------
     def queue_depth(self) -> int:
@@ -303,59 +261,23 @@ class SpatialService:
 
         task.add_done_callback(_done)
 
-    async def _serve_run(
-        self, body: bytes, headers: dict | None = None
-    ) -> tuple[int, dict, list]:
+    async def serve_run(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
         self.metrics.request_received()
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self.metrics.response_only(400)
-            return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, []
-        try:
-            request = ServiceRequest.from_payload(doc)
-        except RequestError as exc:
-            self.metrics.response_only(400)
-            return 400, {"ok": False, "error": str(exc), "field": exc.field}, []
-        span = None
-        if self.obs.enabled:
-            incoming = TraceContext.parse((headers or {}).get(TRACE_HEADER_LOWER, ""))
-            span = self.obs.start_span(
-                "server.request",
-                parent=incoming,
-                attrs={
-                    "algo": request.algo, "n": request.n, "seed": request.seed,
-                    "shard": self.config.shard_id or None,
-                },
-            )
+        request = ServiceRequest.from_payload(json_body(body))
+        span = self.request_span(
+            "server.request",
+            headers,
+            {
+                "algo": request.algo, "n": request.n, "seed": request.seed,
+                "shard": self.config.shard_id or None,
+            },
+        )
         if self.draining:
-            self.metrics.response_only(503)
-            if span is not None:
-                span.set(status_code=503, rejected="draining")
-                span.end("error")
-            return (
-                503,
-                {"ok": False, "error": "server is draining"},
-                [("Retry-After", "1")],
-            )
+            return self.refuse(span, 503, "server is draining", rejected="draining")
         if self.metrics.inflight >= self.config.max_inflight:
-            self.metrics.rejected += 1
-            self.metrics.response_only(429)
-            if span is not None:
-                span.set(status_code=429, rejected="max_inflight")
-                span.end("error")
-            return (
-                429,
-                {"ok": False, "error": "too many in-flight requests"},
-                [("Retry-After", "1")],
-            )
+            return self.refuse(span, 429, "too many in-flight requests", rejected="max_inflight")
         if self.queue_depth() >= self.config.max_queue:
-            self.metrics.rejected += 1
-            self.metrics.response_only(429)
-            if span is not None:
-                span.set(status_code=429, rejected="queue_full")
-                span.end("error")
-            return 429, {"ok": False, "error": "queue full"}, [("Retry-After", "1")]
+            return self.refuse(span, 429, "queue full", rejected="queue_full")
 
         started = time.monotonic()
         self.metrics.request_admitted(request.algo)
@@ -416,32 +338,20 @@ class SpatialService:
             status = 500
             result = {"ok": False, "error": f"internal error: {exc!r}"}
         finally:
-            self.metrics.request_finished(status, time.monotonic() - started)
-            if span is not None:
-                span.set(status_code=status)
-                span.end("ok" if status == 200 else "error")
+            self.finish(span, status, started)
         return status, result, []
 
-    async def _serve_plan(self, body: bytes) -> tuple[int, dict, list]:
+    async def serve_plan(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
         """Resolve a tuning plan (memo/DB/tune) without executing anything."""
-        try:
-            doc = json.loads(body.decode("utf-8") or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self.metrics.response_only(400)
-            return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, []
+        doc = json_body(body)
         if isinstance(doc, dict) and "algo_class" in doc and "algo" not in doc:
             doc = dict(doc)
             doc["algo"] = f"{AUTO_PREFIX}{doc.pop('algo_class')}"
-        try:
-            request = ServiceRequest.from_payload(doc)
-            if not request.is_auto:
-                raise RequestError(
-                    f"/plan takes an auto: algo or algo_class, got {request.algo!r}",
-                    "algo",
-                )
-        except RequestError as exc:
-            self.metrics.response_only(400)
-            return 400, {"ok": False, "error": str(exc), "field": exc.field}, []
+        request = ServiceRequest.from_payload(doc)
+        if not request.is_auto:
+            raise RequestError(
+                f"/plan takes an auto: algo or algo_class, got {request.algo!r}", "algo"
+            )
         if self.draining:
             self.metrics.response_only(503)
             return 503, {"ok": False, "error": "server is draining"}, []
@@ -475,6 +385,25 @@ class SpatialService:
             [],
         )
 
+    def health_doc(self) -> dict:
+        doc = {"status": "ok", "draining": self.draining}
+        if self.config.shard_id:
+            doc["shard"] = self.config.shard_id
+        return doc
+
+    def ready_doc(self) -> dict:
+        reason = ""
+        if self.draining:
+            reason = "draining"
+        elif not self.executor.ready():
+            reason = "warming"
+        doc = {"ready": not reason, "draining": self.draining}
+        if self.config.shard_id:
+            doc["shard"] = self.config.shard_id
+        if reason:
+            doc["reason"] = reason
+        return doc
+
     def metrics_doc(self) -> dict:
         return self.metrics.snapshot(
             queue_depth=self.queue_depth(),
@@ -492,146 +421,6 @@ class SpatialService:
                 },
             },
         )
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        query: str = "",
-        headers: dict | None = None,
-        body: bytes = b"",
-    ) -> tuple[int, dict | str, list]:
-        if path == "/run":
-            if method != "POST":
-                self.metrics.response_only(405)
-                return 405, {"ok": False, "error": "use POST /run"}, [("Allow", "POST")]
-            return await self._serve_run(body, headers)
-        if path == "/plan":
-            if method != "POST":
-                self.metrics.response_only(405)
-                return 405, {"ok": False, "error": "use POST /plan"}, [("Allow", "POST")]
-            return await self._serve_plan(body)
-        if method != "GET":
-            self.metrics.response_only(405)
-            return 405, {"ok": False, "error": f"{method} not allowed here"}, [("Allow", "GET")]
-        if path == "/healthz":
-            doc = {"status": "ok", "draining": self.draining}
-            if self.config.shard_id:
-                doc["shard"] = self.config.shard_id
-            return 200, doc, []
-        if path == "/readyz":
-            reason = ""
-            if self.draining:
-                reason = "draining"
-            elif not self.executor.ready():
-                reason = "warming"
-            doc = {"ready": not reason, "draining": self.draining}
-            if self.config.shard_id:
-                doc["shard"] = self.config.shard_id
-            if reason:
-                doc["reason"] = reason
-                return 503, doc, [("Retry-After", "1")]
-            return 200, doc, []
-        if path == "/metrics":
-            if "format=prometheus" in (query or ""):
-                from .promexport import render_prometheus
-
-                return 200, render_prometheus(self.metrics_doc()), []
-            return 200, self.metrics_doc(), []
-        if path == "/algos":
-            return 200, algos_doc(), []
-        if path == "/":
-            return (
-                200,
-                {"endpoints": ["/run", "/plan", "/healthz", "/readyz", "/metrics", "/algos"]},
-                [],
-            )
-        self.metrics.response_only(404)
-        return 404, {"ok": False, "error": f"no route for {path}"}, []
-
-    # -- HTTP plumbing (byte-level pieces live in .httpio) ----------------
-    async def _handle_conn(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    parsed = await read_http_request(reader)
-                except BadRequest as exc:
-                    self.metrics.response_only(400)
-                    await write_json_response(
-                        writer, 400, {"ok": False, "error": str(exc)}, [], False
-                    )
-                    break
-                if parsed is None:
-                    break
-                method, target, headers, body = parsed
-                path, _, query = target.partition("?")
-                keep_alive = (
-                    not self.draining and headers.get("connection", "").lower() != "close"
-                )
-                status, doc, extra = await self._route(
-                    method.upper(), path, query, headers, body
-                )
-                if isinstance(doc, str):
-                    from .promexport import PROM_CONTENT_TYPE
-
-                    await write_text_response(
-                        writer, status, doc, extra, keep_alive,
-                        content_type=PROM_CONTENT_TYPE,
-                    )
-                else:
-                    await write_json_response(writer, status, doc, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-
-async def _amain(config: ServiceConfig) -> int:
-    service = SpatialService(config)
-    await service.start()
-    backend = "inline" if config.inline else f"pool({config.workers})"
-    shard = f", shard={config.shard_id}" if config.shard_id else ""
-    print(
-        f"repro-serve: listening on http://{config.host}:{service.port} "
-        f"(backend={backend}, window={config.batch_window}s{shard})",
-        flush=True,
-    )
-    stop_event = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop_event.set)
-        except NotImplementedError:  # pragma: no cover - non-posix loops
-            signal.signal(sig, lambda *_: stop_event.set())
-    await stop_event.wait()
-    print("repro-serve: draining...", flush=True)
-    clean = await service.drain()
-    await service.stop()
-    total = service.metrics.requests_total
-    if clean:
-        print(f"repro-serve: drained cleanly after {total} request(s)", flush=True)
-        return 0
-    print(
-        f"repro-serve: drain timed out with {service.metrics.inflight} request(s) "
-        "still in flight",
-        flush=True,
-    )
-    return 1
 
 
 def serve_main(args) -> int:
@@ -654,4 +443,4 @@ def serve_main(args) -> int:
         shard_id=getattr(args, "shard_id", "") or "",
         trace_dir=getattr(args, "trace_dir", "") or "",
     )
-    return asyncio.run(_amain(config))
+    return SpatialService.main(config)

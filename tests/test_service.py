@@ -11,12 +11,14 @@ Three tiers:
 """
 
 import asyncio
+import gc
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,7 @@ from repro.service import (
     ServiceRequest,
     SpatialService,
 )
-from repro.service.httpio import http_call, read_http_request, write_json_response
+from repro.service.httpio import http_call, read_http_request, write_response
 from repro.service.loadgen import build_requests, fetch_metrics, run_load
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -288,7 +290,7 @@ async def _start_stub(respond):
                     break
                 counter["n"] += 1
                 status, doc, extra = respond(counter["n"])
-                await write_json_response(writer, status, doc, extra, True)
+                await write_response(writer, status, doc, extra, True)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -349,6 +351,47 @@ class TestLoadgenBackoff:
         assert report.ok == 0
         assert dict(report.by_status) == {503: 3}
         assert report.backoff_retries == 6  # 3 requests x max_retries=2
+
+
+class TestLoadgenReconnect:
+    def test_server_close_reopens_once_per_request_and_closes_the_old(self):
+        """A server that answers ``Connection: close`` costs one connection
+        per request: none after the last, and every old one is closed."""
+
+        async def go():
+            connections = 0
+
+            async def handler(reader, writer):
+                nonlocal connections
+                connections += 1
+                try:
+                    if await read_http_request(reader) is not None:
+                        doc = {"ok": True, "metrics": {"energy": 1}}
+                        await write_response(writer, 200, doc, [], False)
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                requests = [{"algo": "scan", "n": 64, "seed": i} for i in range(10)]
+                report = await run_load(
+                    "127.0.0.1", port, requests, concurrency=1, timeout=10.0
+                )
+                await asyncio.sleep(0.2)  # let the server accept any straggler
+            finally:
+                server.close()
+                await server.wait_closed()
+            return report, connections
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report, connections = asyncio.run(go())
+            gc.collect()
+        assert report.ok == 10 and report.dropped == 0
+        assert connections == 10
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 def _service_config(**overrides) -> ServiceConfig:
