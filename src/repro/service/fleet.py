@@ -16,7 +16,10 @@ Resilience is layered, in order of engagement:
    consecutive failures open the breaker and traffic skips the replica
    until a half-open probe succeeds.
 3. **deadline-budgeted failover** — a failed or timed-out attempt moves to
-   the next replica while the request's overall deadline allows.
+   the next replica while the request's overall deadline allows.  An
+   attempt runs on a kept-alive connection to its replica under one
+   deadline; a kept connection the replica hung up on while it sat idle
+   is redialled once within the attempt, uncharged.
 4. **hedged requests** — when the first attempt is slow, a bounded fraction
    of requests start a second attempt on another replica; the first answer
    wins and the loser is cancelled.
@@ -55,7 +58,7 @@ from ..runner.registry import load_suites
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import ServiceCache
 from .health import BackendState, HealthMonitor
-from .httpio import BadRequest, HttpFront, json_body, request_once
+from .httpio import BadRequest, ConnectionPool, HttpFront, json_body, request_once
 from .metrics import FleetMetrics
 from .protocol import ServiceRequest
 
@@ -211,6 +214,8 @@ class FleetGateway(HttpFront):
             on_flip=self._health_event if self.obs.enabled else None,
         )
         self.metrics = FleetMetrics()
+        #: kept-alive attempt connections; probes dial their own
+        self.pool = ConnectionPool()
         disk = ResultCache(config.cache_dir) if config.disk_cache else None
         #: stale-serving tier: the same content-addressed cache the shards
         #: write through, read here only when no replica can answer
@@ -230,6 +235,7 @@ class FleetGateway(HttpFront):
     async def stop(self) -> None:
         await self.monitor.stop()
         await super().stop()
+        await self.pool.close()
 
     def banner(self) -> str:
         replicas = sum(len(g) for g in self.shards)
@@ -281,9 +287,11 @@ class FleetGateway(HttpFront):
         try:
             status, headers, doc = await request_once(
                 st.host, st.port, "POST", path, payload,
-                timeout=timeout, headers=req_headers,
+                timeout=timeout, headers=req_headers, pool=self.pool,
             )
-        except (OSError, asyncio.TimeoutError, ConnectionError, ValueError) as exc:
+        except (
+            OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError
+        ) as exc:
             reason = type(exc).__name__
             br.record_failure(reason)
             self.metrics.attempt_failed(st.name, reason)
@@ -600,9 +608,15 @@ class FleetGateway(HttpFront):
             for i, group in enumerate(self.shards)
         ]
         breakers = {name: br.snapshot() for name, br in sorted(self.breakers.items())}
+        connects = {
+            st.name: self.pool.connects[(st.host, st.port)]
+            for group in self.shards
+            for st in group
+        }
         return self.metrics.snapshot(
             shards=shards,
             breakers=breakers,
+            connects=connects,
             health=self.monitor.snapshot(),
             extra={
                 "gateway": {
@@ -685,13 +699,14 @@ class ShardProcess:
 
     def _pump(self) -> None:
         assert self.proc is not None and self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.log.append(line.rstrip("\n"))
-            if not self._banner.is_set():
-                match = _BANNER_RE.search(line)
-                if match:
-                    self.port = int(match.group(1))
-                    self._banner.set()
+        with self.proc.stdout:  # closed at EOF, not left to the collector
+            for line in self.proc.stdout:
+                self.log.append(line.rstrip("\n"))
+                if not self._banner.is_set():
+                    match = _BANNER_RE.search(line)
+                    if match:
+                        self.port = int(match.group(1))
+                        self._banner.set()
         self._banner.set()  # EOF without a banner unblocks start()
 
     @property

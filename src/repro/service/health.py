@@ -117,6 +117,8 @@ class HealthMonitor:
 
     # -- probing ---------------------------------------------------------
     async def _get(self, backend: BackendState, path: str) -> tuple[int, dict]:
+        # a fresh connection per probe, never a gateway's kept one: the probe
+        # must find out whether the replica's listener still accepts
         status, _headers, doc = await request_once(
             backend.host, backend.port, "GET", path, timeout=self.timeout
         )

@@ -12,6 +12,11 @@ listener's start/drain/stop, the keep-alive connection loop, the endpoint
 table, and the signal-and-drain :meth:`~HttpFront.main`.  A role subclass
 supplies only what differs — its ``/run`` and ``/plan`` handlers, its
 health, readiness and metrics documents, and when it counts as idle.
+
+On the client side, :func:`request_once` is every call the tier makes to
+another process under one deadline; given a :class:`ConnectionPool` it
+reuses kept-alive connections (the gateway's attempts), without one it
+dials a connection of its own (health probes, ``/metrics`` scrapes).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import os
 import signal
 import time
+from collections import Counter
 
 from ..obs.context import TRACE_HEADER_LOWER, TraceContext
 from ..obs.tracer import ENV_TRACE_DIR
@@ -32,7 +38,9 @@ __all__ = [
     "MAX_BODY",
     "REASONS",
     "BadRequest",
+    "ConnectionPool",
     "HttpFront",
+    "NoResponse",
     "http_call",
     "json_body",
     "read_http_request",
@@ -58,6 +66,10 @@ MAX_BODY = 1 << 20
 
 class BadRequest(Exception):
     """Unparseable HTTP or request body: answer 400."""
+
+
+class NoResponse(ConnectionError):
+    """The peer closed or reset the connection before a status line came."""
 
 
 async def read_http_request(reader: asyncio.StreamReader):
@@ -130,18 +142,22 @@ async def http_call(
     method: str,
     path: str,
     payload: dict | None = None,
-    timeout: float = 30.0,
+    timeout: float | None = 30.0,
     *,
     keep_alive: bool = True,
     headers: list | None = None,
 ) -> tuple[int, dict, dict, bool]:
-    """One client request on an open connection.
+    """One client request on an open connection, under one deadline.
 
-    ``headers`` adds extra request headers (name, value) — the trace-context
-    header travels this way so request bodies stay strictly validated.
-    Returns ``(status, headers, doc, server_closed)`` where ``headers`` maps
-    lower-cased names to values and ``server_closed`` is True when the
-    response asked to close the connection.
+    ``timeout`` bounds sending the request and reading its status line,
+    headers and body together; ``None`` sets no deadline here, for a caller
+    that already holds one (:func:`request_once`).  ``headers`` adds extra
+    request headers (name, value) — the trace-context header travels this
+    way so request bodies stay strictly validated.  Returns ``(status,
+    headers, doc, server_closed)`` where ``headers`` maps lower-cased names
+    to values and ``server_closed`` is True when the response asked to close
+    the connection.  Raises :class:`NoResponse` when the peer closes or
+    resets the connection before the status line.
     """
     body = json.dumps(payload).encode("utf-8") if payload is not None else b""
     extra = "".join(f"{name}: {value}\r\n" for name, value in headers) if headers else ""
@@ -153,23 +169,71 @@ async def http_call(
         f"{extra}"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
-    writer.write(head.encode("latin-1") + body)
-    await writer.drain()
-    status_line = await asyncio.wait_for(reader.readline(), timeout)
+    call = _roundtrip(reader, writer, head.encode("latin-1") + body)
+    return await (call if timeout is None else asyncio.wait_for(call, timeout))
+
+
+async def _roundtrip(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, request: bytes
+) -> tuple[int, dict, dict, bool]:
+    try:
+        writer.write(request)
+        await writer.drain()
+        status_line = await reader.readline()
+    except (ConnectionResetError, BrokenPipeError) as exc:
+        raise NoResponse(f"connection reset before the status line: {exc}") from exc
     if not status_line:
-        raise ConnectionError("server closed the connection")
+        raise NoResponse("server closed the connection")
     status = int(status_line.split()[1])
     headers: dict[str, str] = {}
     while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
+        line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _sep, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length = int(headers.get("content-length", "0") or "0")
-    raw = await asyncio.wait_for(reader.readexactly(length), timeout) if length else b""
+    raw = await reader.readexactly(length) if length else b""
     doc = json.loads(raw) if raw else {}
     return status, headers, doc, headers.get("connection", "").lower() == "close"
+
+
+class ConnectionPool:
+    """Idle kept-alive client connections, per ``(host, port)``.
+
+    :func:`request_once` takes from and hands back to it.  A connection is
+    either idle here or in use by exactly one request, so the idle ones per
+    address never outnumber the most requests ever in flight to it at once:
+    the pool needs no cap."""
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, int], list] = {}
+        #: connections opened per address
+        self.connects: Counter[tuple[str, int]] = Counter()
+
+    def take(self, addr: tuple[str, int]):
+        """The most recently used idle connection to ``addr`` that the peer
+        has not closed (closing those it has), else None."""
+        idle = self._idle.get(addr)
+        while idle:
+            reader, writer = idle.pop()
+            if not reader.at_eof() and not writer.is_closing():
+                return reader, writer
+            writer.close()
+        return None
+
+    def put(self, addr: tuple[str, int], conn) -> None:
+        self._idle.setdefault(addr, []).append(conn)
+
+    async def close(self) -> None:
+        """Close every idle connection."""
+        writers = [writer for idle in self._idle.values() for _reader, writer in idle]
+        self._idle.clear()
+        for writer in writers:
+            writer.close()
+        for writer in writers:
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
 
 
 async def request_once(
@@ -181,23 +245,55 @@ async def request_once(
     timeout: float = 30.0,
     *,
     headers: list | None = None,
+    pool: ConnectionPool | None = None,
 ) -> tuple[int, dict, dict]:
-    """One request on a connection of its own -> (status, headers, doc).
+    """One request -> (status, headers, doc), under one deadline.
 
-    ``timeout`` bounds the connect and each read; the connection is closed
-    afterwards whatever happens (a gateway attempt, a health probe, a
-    ``/metrics`` scrape)."""
-    reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
+    ``timeout`` bounds the whole request: connect, send, status line,
+    headers and body.  Without ``pool`` the request gets a connection of its
+    own, closed afterwards — a health probe must find out whether the
+    listener still accepts.  With ``pool`` it takes an idle kept-alive
+    connection to ``host:port``, or opens one, and hands it back after a
+    complete response that did not say ``Connection: close``; a timeout,
+    cancellation, error or partial read closes it instead.  A reused
+    connection that the peer closed or reset before the status line (it
+    hung up while the connection sat idle) is retried once on a new
+    connection, inside the same deadline."""
+    return await asyncio.wait_for(
+        _request((host, port), method, path, payload, headers, pool), timeout
+    )
+
+
+async def _request(addr, method, path, payload, headers, pool):
+    if pool is not None:
+        conn = pool.take(addr)
+        if conn is not None:
+            with contextlib.suppress(NoResponse):  # stale: once more, freshly
+                return await _exchange(addr, conn, method, path, payload, headers, pool)
+    conn = await asyncio.open_connection(*addr)
+    if pool is not None:
+        pool.connects[addr] += 1
+    return await _exchange(addr, conn, method, path, payload, headers, pool)
+
+
+async def _exchange(addr, conn, method, path, payload, headers, pool):
+    """One request on ``conn``, then keep it in ``pool`` or close it."""
+    reader, writer = conn
+    keep = False
     try:
-        status, resp_headers, doc, _closed = await http_call(
+        status, resp_headers, doc, closed = await http_call(
             reader, writer, method, path, payload,
-            timeout=timeout, keep_alive=False, headers=headers,
+            timeout=None, keep_alive=pool is not None, headers=headers,
         )
+        keep = pool is not None and not closed
         return status, resp_headers, doc
     finally:
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()
+        if keep:
+            pool.put(addr, conn)
+        else:
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
 
 
 class HttpFront:
@@ -310,11 +406,14 @@ class HttpFront:
         self.draining = True
         if self._server is not None:
             self._server.close()
-            with contextlib.suppress(Exception, asyncio.TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(), 2.0)
+        # idle keep-alive connections first (a gateway keeps some to every
+        # replica): from 3.12 on, wait_closed waits for every connection
         for writer in list(self._writers):
             with contextlib.suppress(Exception):
                 writer.close()
+        if self._server is not None:
+            with contextlib.suppress(Exception, asyncio.TimeoutError):
+                await asyncio.wait_for(self._server.wait_closed(), 2.0)
         self.obs.close()
         if self._trace_env_set:
             os.environ.pop(ENV_TRACE_DIR, None)
@@ -331,11 +430,6 @@ class HttpFront:
         async def run() -> int:
             front = cls(*args)
             await front.start()
-            print(
-                f"{front.name}: listening on http://{front.config.host}:{front.port} "
-                f"({front.banner()})",
-                flush=True,
-            )
             stop_event = asyncio.Event()
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -343,6 +437,13 @@ class HttpFront:
                     loop.add_signal_handler(sig, stop_event.set)
                 except NotImplementedError:  # pragma: no cover - non-posix loops
                     signal.signal(sig, lambda *_: stop_event.set())
+            # the banner only after the handlers: a supervisor may send
+            # SIGTERM the moment it reads it, and that must drain, not kill
+            print(
+                f"{front.name}: listening on http://{front.config.host}:{front.port} "
+                f"({front.banner()})",
+                flush=True,
+            )
             await stop_event.wait()
             print(f"{front.name}: draining...", flush=True)
             clean = await front.drain()

@@ -251,13 +251,17 @@ class FleetMetrics(RequestMetrics):
         *,
         shards: list[dict] | None = None,
         breakers: dict | None = None,
+        connects: dict | None = None,
         health: list[dict] | None = None,
         extra: dict | None = None,
     ) -> dict:
+        """``connects`` maps each backend to the connections the gateway
+        opened to it for attempts (health probes excluded)."""
         sections = {
             "routing": {
                 "by_shard": {str(k): v for k, v in sorted(self.routed_by_shard.items())},
                 "forwarded_by_backend": dict(self.forwarded_by_backend),
+                "backend_connects": dict(sorted((connects or {}).items())),
                 "attempt_failures": {
                     name: dict(counts) for name, counts in sorted(self.attempt_failures.items())
                 },

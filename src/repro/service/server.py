@@ -14,11 +14,12 @@ Endpoints (all JSON; see ``docs/SERVICE.md``):
 
 The request path is: admission control (in-flight cap and bounded queue →
 429 + Retry-After) → two-tier cache lookup → micro-batcher (identical
-in-flight requests coalesce onto one execution) → worker pool.  Each request
-races a deadline; losing it returns 504 while any shared execution keeps
-running for the other waiters.  SIGTERM/SIGINT triggers a graceful drain:
-the listener closes, in-flight requests finish, workers shut down, and the
-process exits 0 after printing ``drained cleanly``.
+in-flight requests coalesce onto one execution) → worker pool.  A cache hit
+is answered on the spot; a miss races a deadline, and losing it returns 504
+while any shared execution keeps running for the other waiters.
+SIGTERM/SIGINT triggers a graceful drain: the listener closes, in-flight
+requests finish, workers shut down, and the process exits 0 after printing
+``drained cleanly``.
 
 The listener, the connection loop, the endpoint table and the drain
 loop are :class:`~repro.service.httpio.HttpFront`, shared with the fleet
@@ -169,18 +170,14 @@ class SpatialService(HttpFront):
         }
         return resolved, provenance
 
-    async def _process(self, request: ServiceRequest, parent=None) -> dict:
-        """Cache lookup -> batcher -> executor; returns payload + provenance.
+    def _probe(
+        self, request: ServiceRequest, key: str, plan_doc: dict | None, parent, stages: dict
+    ) -> dict | None:
+        """Look ``key`` up in the cache: ``request``'s result on a hit, else None.
 
-        ``parent`` is the request's open ``server.request`` span when tracing
-        is enabled (else None); the cache probe, batch wait, and execution
-        each get a child span, and their durations come back as ``stages``
-        for the response's trace annotation."""
-        plan_doc = None
-        stages: dict[str, float] = {}
-        if request.is_auto:
-            request, plan_doc = await self._resolve_auto(request)
-        key = request.cache_key(self.code_versions[request.algo])
+        Counts the hit or miss; ``parent`` is the request's open
+        ``server.request`` span (None when tracing is off), under which the
+        probe gets its ``server.cache_probe`` span and ``stages`` entry."""
         probe = None
         if parent is not None:
             probe = self.obs.start_span("server.cache_probe", parent=parent.ctx)
@@ -189,13 +186,34 @@ class SpatialService(HttpFront):
             probe.set(tier=tier or "miss")
             probe.end()
             stages["cache_probe"] = round(probe.duration_ms, 3)
-        if tier is not None:
-            self.metrics.cache_hit(tier)
-            return {
-                "payload": payload, "cached": tier, "batched": False, "leader": None,
-                "plan": plan_doc, "request": request, "stages": stages,
-            }
-        self.metrics.cache_misses += 1
+        if tier is None:
+            self.metrics.cache_misses += 1
+            return None
+        self.metrics.cache_hit(tier)
+        return {
+            "payload": payload, "cached": tier, "batched": False, "leader": None,
+            "plan": plan_doc, "request": request, "stages": stages,
+        }
+
+    async def _process(
+        self, request: ServiceRequest, parent=None, key: str | None = None,
+        stages: dict | None = None,
+    ) -> dict:
+        """Batcher -> executor for a cache miss; returns payload + provenance.
+
+        A plain request comes here already probed, with its cache ``key``
+        and its ``stages`` so far.  An ``auto:`` request resolves its plan
+        and is probed here first.  ``parent`` is the request's open
+        ``server.request`` span when tracing is enabled (else None); the
+        batch wait and execution each get a child span, and their durations
+        join ``stages`` for the response's trace annotation."""
+        plan_doc = None
+        if request.is_auto:
+            request, plan_doc = await self._resolve_auto(request)
+            key, stages = request.cache_key(self.code_versions[request.algo]), {}
+            hit = self._probe(request, key, plan_doc, parent, stages)
+            if hit is not None:
+                return hit
 
         async def _execute() -> dict:
             self._executing += 1
@@ -283,11 +301,16 @@ class SpatialService(HttpFront):
         self.metrics.request_admitted(request.algo)
         status = 200
         result: dict = {}
-        task = asyncio.create_task(self._process(request, parent=span))
-        self._track(task)
         deadline = self.config.timeout + self.config.batch_window + 1.0
         try:
-            out = await asyncio.wait_for(asyncio.shield(task), deadline)
+            out = key = stages = None
+            if not request.is_auto:
+                key, stages = request.cache_key(self.code_versions[request.algo]), {}
+                out = self._probe(request, key, None, span, stages)
+            if out is None:
+                task = asyncio.create_task(self._process(request, span, key, stages))
+                self._track(task)
+                out = await asyncio.wait_for(asyncio.shield(task), deadline)
             result = {
                 "ok": True,
                 **out.get("request", request).describe(),

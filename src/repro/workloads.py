@@ -18,7 +18,9 @@ module attributes, such as ``perfbench``'s per-layer timer, see every call.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable
 
 import numpy as np
@@ -414,6 +416,12 @@ def lookup(name: str, what: str = "workload") -> Workload:
     return entry
 
 
-def served() -> dict[str, Workload]:
-    """Served name -> entry, for the service's validation and ``/algos``."""
-    return {w.served: w for w in WORKLOADS.values() if w.served}
+def served() -> Mapping[str, Workload]:
+    """Served name -> entry, for the service's validation and ``/algos``.
+
+    The served entries are fixed at import, so every call returns the same
+    read-only mapping (the service asks on every request)."""
+    return _SERVED
+
+
+_SERVED = MappingProxyType({w.served: w for w in WORKLOADS.values() if w.served})

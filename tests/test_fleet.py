@@ -7,15 +7,18 @@ Mirrors the tiers of ``test_service.py``:
 * in-process integration tests: a real ``FleetGateway`` over real inline
   ``SpatialService`` backends on real sockets (health probing, failover,
   breakers, hedging, stale degradation, readiness);
-* one subprocess test killing a live replica under load through the shipped
-  ``repro serve`` entry point, gating on zero failed client responses.
+* subprocess tests through the shipped ``repro serve`` entry point: a live
+  replica killed under load, gating on zero failed client responses, and a
+  SIGTERM sent the moment the listen banner is read, gating on a clean drain.
 """
 
 import asyncio
 import contextlib
 import os
+import signal
 import socket
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,7 +42,7 @@ from repro.service.fleet import (
 )
 from repro.service.fleetchaos import build_schedule
 from repro.service.health import BackendState
-from repro.service.httpio import http_call
+from repro.service.httpio import http_call, read_http_request, request_once, write_response
 from repro.service.loadgen import build_requests, run_load
 from repro.service.protocol import ServiceRequest
 
@@ -100,6 +103,18 @@ def _fleet_config(**overrides) -> FleetConfig:
     return FleetConfig(**base)
 
 
+def _count_accepted(svc: SpatialService) -> None:
+    """Count the connections ``svc`` accepts in ``svc.accepted`` (before start)."""
+    handle = svc._handle_conn
+    svc.accepted = 0
+
+    async def counting(reader, writer):
+        svc.accepted += 1
+        await handle(reader, writer)
+
+    svc._handle_conn = counting
+
+
 def _freeze_health(gateway: FleetGateway) -> None:
     """Reset every replica to the never-probed rank (monitor must be stopped).
 
@@ -131,6 +146,7 @@ def _run_fleet(groups, scenario, *, config=None, freeze_health=False):
                         g_addrs.append(("127.0.0.1", item))
                     else:
                         svc = SpatialService(item)
+                        _count_accepted(svc)
                         await svc.start()
                         services.append(svc)
                         g_addrs.append(("127.0.0.1", svc.port))
@@ -162,6 +178,29 @@ async def _gcall(port, method, path, payload=None, timeout=10.0):
         return status, headers, doc
     finally:
         writer.close()
+
+
+async def _trickle_stub(port: int = 0):
+    """A replica that sends the status line at once, then one header line
+    every 0.3 s for 6 s before its body: each line lands well inside a
+    0.5 s per-line timeout, the whole response far outside it."""
+
+    async def trickle(reader, writer):
+        try:
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"HTTP/1.1 200 OK\r\n")
+            for i in range(20):
+                await writer.drain()
+                await asyncio.sleep(0.3)
+                writer.write(f"X-Trickle-{i}: 1\r\n".encode())
+            writer.write(b"Content-Length: 2\r\n\r\n{}")
+            await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # the client hung up
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(trickle, "127.0.0.1", port)
 
 
 def _payloads_preferring(gateway, name, count, pool=64):
@@ -326,10 +365,12 @@ class TestFleetMetrics:
         m.failovers += 1
         m.request_finished(200, 0.01)
         snap = m.snapshot(
-            shards=[{"shard": 0}], breakers={"s0r0": {}}, health=[], extra={"x": 1}
+            shards=[{"shard": 0}], breakers={"s0r0": {}}, connects={"s0r0": 3},
+            health=[], extra={"x": 1},
         )
         assert snap["requests"]["total"] == 1
         assert snap["routing"]["attempt_failures"] == {"s0r0": {"boom": 1}}
+        assert snap["routing"]["backend_connects"] == {"s0r0": 3}
         assert snap["routing"]["failovers"] == 1
         assert snap["shards"] == [{"shard": 0}]
         assert "s0r0" in snap["breakers"]
@@ -486,11 +527,15 @@ class TestFleetGateway:
     def test_hedged_request_wins_over_a_stalled_replica(self):
         async def go():
             unblock = asyncio.Event()
+            hung_up = asyncio.Event()
 
             async def hang(reader, writer):
                 with contextlib.suppress(Exception):
-                    await reader.read(1 << 16)  # swallow the request, never answer
+                    while await reader.read(1 << 16):
+                        pass  # swallow the request, never answer
+                    hung_up.set()  # EOF: the gateway closed the losing attempt's connection
                     await unblock.wait()
+                writer.close()
 
             stub = await asyncio.start_server(hang, "127.0.0.1", 0)
             stub_port = stub.sockets[0].getsockname()[1]
@@ -510,6 +555,8 @@ class TestFleetGateway:
                 assert doc["fleet"]["replica"] == "s0r1"  # the hedge answered
                 m = gateway.metrics
                 assert (m.hedges_started, m.hedge_wins, m.hedges_cancelled) == (1, 1, 1)
+                await asyncio.wait_for(hung_up.wait(), 2.0)
+                assert not gateway.pool._idle.get(("127.0.0.1", stub_port))
             finally:
                 unblock.set()
                 stub.close()
@@ -602,8 +649,174 @@ class TestFleetGateway:
         _run_fleet([[_service_config()], [_service_config()]], scenario)
 
 
+class TestAttemptDeadline:
+    """One deadline bounds a whole attempt, however slowly its bytes come."""
+
+    def test_a_trickling_response_times_out_at_the_deadline(self):
+        async def go():
+            stub = await _trickle_stub()
+            port = stub.sockets[0].getsockname()[1]
+            try:
+                t0 = time.monotonic()
+                with pytest.raises(asyncio.TimeoutError):
+                    await request_once("127.0.0.1", port, "GET", "/healthz", timeout=0.5)
+                once_s = time.monotonic() - t0
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                t0 = time.monotonic()
+                try:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await http_call(reader, writer, "GET", "/healthz", timeout=0.5)
+                finally:
+                    writer.close()
+                return once_s, time.monotonic() - t0
+            finally:
+                stub.close()
+
+        once_s, call_s = asyncio.run(go())
+        assert once_s < 0.5 + 0.2
+        assert call_s < 0.5 + 0.2
+
+    def test_the_gateway_answers_a_trickling_replica_within_the_request_deadline(self):
+        port = _dead_port()
+
+        async def scenario(gateway, _services):
+            stub = await _trickle_stub(port)
+            try:
+                t0 = time.monotonic()
+                status, _h, doc = await _gcall(
+                    gateway.port, "POST", "/run", {"algo": "scan", "n": 64}
+                )
+                elapsed = time.monotonic() - t0
+            finally:
+                stub.close()
+            assert elapsed < gateway.config.request_timeout
+            # both passes over the one replica time out: shed, nothing stale
+            assert status == 503 and doc["degraded"] is False
+            assert gateway.metrics.attempt_failures == {"s0r0": {"TimeoutError": 2}}
+
+        _run_fleet(
+            [[port]],
+            scenario,
+            config=_fleet_config(attempt_timeout=0.5, request_timeout=3.0),
+            freeze_health=True,
+        )
+
+
+class TestKeptAliveAttempts:
+    """Gateway attempts reuse one kept-alive connection per replica."""
+
+    def test_sequential_requests_share_one_backend_connection(self):
+        async def scenario(gateway, services):
+            for i in range(20):
+                status, _h, doc = await _gcall(
+                    gateway.port, "POST", "/run", {"algo": "scan", "n": 64, "seed": i % 4}
+                )
+                assert status == 200 and doc["ok"]
+            assert services[0].accepted == 1
+            _s, _h, metrics = await _gcall(gateway.port, "GET", "/metrics")
+            assert metrics["routing"]["backend_connects"] == {"s0r0": 1}
+
+        _run_fleet([[_service_config()]], scenario, freeze_health=True)
+
+    def test_a_replica_restarted_on_its_port_answers_the_next_request(self):
+        async def scenario(gateway, services):
+            body = {"algo": "scan", "n": 64, "seed": 1}
+            status, _h, _doc = await _gcall(gateway.port, "POST", "/run", body)
+            assert status == 200
+            old = services[0]
+            await old.drain(5.0)
+            await old.stop()  # closes the gateway's kept connection
+            services[0] = SpatialService(_service_config(port=old.port))
+            await services[0].start()
+            status, _h, doc = await _gcall(gateway.port, "POST", "/run", body)
+            assert status == 200 and doc["ok"]
+            assert gateway.metrics.attempt_failures == {}
+            assert gateway.breakers["s0r0"].state == CLOSED
+            assert gateway.metrics_doc()["routing"]["backend_connects"] == {"s0r0": 2}
+
+        _run_fleet([[_service_config()]], scenario, freeze_health=True)
+
+    def test_a_kept_connection_hung_up_on_mid_request_is_redialled_uncharged(self):
+        """The replica closes a kept connection as the next request arrives
+        on it, before answering: the attempt redials once, uncharged."""
+        port = _dead_port()
+        accepted = []
+
+        async def one_answer_per_connection(reader, writer):
+            accepted.append(writer)
+            try:
+                if await read_http_request(reader) is not None:
+                    await write_response(writer, 200, {"ok": True}, [], True)
+                    await read_http_request(reader)  # then hang up unanswered
+            finally:
+                writer.close()
+
+        async def scenario(gateway, _services):
+            stub = await asyncio.start_server(one_answer_per_connection, "127.0.0.1", port)
+            try:
+                for _ in range(2):
+                    status, _h, doc = await _gcall(
+                        gateway.port, "POST", "/run", {"algo": "scan", "n": 64}
+                    )
+                    assert status == 200 and doc["ok"]
+            finally:
+                stub.close()
+            m = gateway.metrics
+            assert len(accepted) == 2
+            assert (m.attempt_failures, m.failovers) == ({}, 0)
+            assert gateway.breakers["s0r0"].state == CLOSED
+            assert gateway.metrics_doc()["routing"]["backend_connects"] == {"s0r0": 2}
+
+        _run_fleet([[port]], scenario, freeze_health=True)
+
+    def test_a_partial_body_fails_the_attempt_and_is_not_kept(self):
+        port = _dead_port()
+        accepted = []
+
+        async def short_body(reader, writer):
+            accepted.append(writer)
+            try:
+                if await read_http_request(reader) is not None:
+                    writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+                    await writer.drain()
+            finally:
+                writer.close()
+
+        async def scenario(gateway, _services):
+            stub = await asyncio.start_server(short_body, "127.0.0.1", port)
+            try:
+                status, _h, _doc = await _gcall(
+                    gateway.port, "POST", "/run", {"algo": "scan", "n": 64}
+                )
+            finally:
+                stub.close()
+            # both passes cut short: failed over, then shed — not a 502
+            assert status == 503
+            assert gateway.metrics.attempt_failures == {"s0r0": {"IncompleteReadError": 2}}
+            assert len(accepted) == 2
+            assert not gateway.pool._idle.get(("127.0.0.1", port))
+
+        _run_fleet([[port]], scenario, freeze_health=True)
+
+    def test_a_draining_replicas_close_answer_is_not_kept(self):
+        async def scenario(gateway, services):
+            body = {"algo": "scan", "n": 64, "seed": 1}
+            addr = ("127.0.0.1", services[0].port)
+            status, _h, _doc = await _gcall(gateway.port, "POST", "/run", body)
+            assert status == 200 and len(gateway.pool._idle[addr]) == 1
+            services[0].draining = True  # answers 503 + Connection: close
+            status, _h, _doc = await _gcall(gateway.port, "POST", "/run", body)
+            assert status == 503  # both passes refused: shed
+            assert gateway.pool._idle[addr] == []
+            assert gateway.metrics.attempt_failures == {"s0r0": {"http 503": 2}}
+            assert gateway.metrics_doc()["routing"]["backend_connects"] == {"s0r0": 2}
+
+        _run_fleet([[_service_config()]], scenario, freeze_health=True)
+
+
 class TestFleetSubprocess:
-    """A real replica kill under load through the shipped entry points."""
+    """Real replicas through the shipped entry points: signalled at the
+    banner, killed under load."""
 
     def _spawn_replica(self, name, tmp_path):
         env = dict(os.environ)
@@ -620,6 +833,21 @@ class TestFleetSubprocess:
         )
         proc.start(timeout=60.0)
         return proc
+
+    def test_sigterm_the_moment_the_banner_is_read_drains(self, tmp_path):
+        """A supervisor may signal as soon as it parses the listen banner."""
+        proc = self._spawn_replica("s0r0", tmp_path)
+        proc.terminate()
+        try:
+            assert proc.wait(15.0) == 0
+            deadline = time.monotonic() + 5.0
+            while not any("drained cleanly" in line for line in proc.log):
+                assert time.monotonic() < deadline, proc.log
+                time.sleep(0.02)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.proc.pid, signal.SIGKILL)  # a stray pool worker too
+            proc.wait(5.0)
 
     def test_replica_kill_under_load_zero_failures(self, tmp_path):
         procs = [

@@ -557,6 +557,28 @@ class TestServerRoutes:
 
         _with_service(_service_config(), scenario)
 
+    def test_a_cache_hit_is_answered_without_a_task(self):
+        async def scenario(service):
+            body = {"algo": "scan", "n": 64, "seed": 0}
+            status, _doc, _ = await _call(service.port, "POST", "/run", body)
+            assert status == 200
+            processed = []
+            process = service._process
+
+            def counting(request, *args):
+                processed.append(request.algo)
+                return process(request, *args)
+
+            service._process = counting
+            status, doc, _ = await _call(service.port, "POST", "/run", body)
+            assert status == 200 and doc["cached"] == "memory"
+            assert processed == []  # answered by the handler itself
+            status, doc, _ = await _call(service.port, "POST", "/run", dict(body, seed=1))
+            assert status == 200 and doc["cached"] is False
+            assert processed == ["scan"]  # a miss goes on to the batcher
+
+        _with_service(_service_config(), scenario)
+
     def test_profile_rejected_inline(self):
         async def scenario(service):
             status, doc, _ = await _call(
