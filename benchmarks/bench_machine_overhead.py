@@ -18,6 +18,12 @@ Two guarantees ride along:
   :data:`MIN_SPEEDUP_LARGEST`x (measured ~50x at side 32 on a 2-core x86
   host once the merge tree runs level by level; the gate leaves a wide
   noise margin below the measurement but still fails any real regression).
+
+A second test gates rank selection the same way at ``n =``
+:data:`SELECT_N`: each iteration runs a gather scan, a bitonic sample sort
+and two all-reduces, so a selection that silently fell back to the
+depth-first bodies would lose the win (about 1.5x over the reference when
+only ``send`` was vectorized; the per-shape closed forms measured ~3.7x).
 """
 
 import time
@@ -29,10 +35,13 @@ from repro.core.sorting.bitonic import bitonic_sort
 from repro.core.sorting.mergesort2d import sort_values
 from repro.core.sorting.sortutil import as_sort_payload
 from repro.machine import Region, ReferenceMachine, SpatialMachine
+from repro.workloads import WORKLOADS
 
 SIDES = [8, 16, 32]
 REPEATS = 3
 MIN_SPEEDUP_LARGEST = 10.0
+SELECT_N = 4096
+MIN_SPEEDUP_SELECT = 2.0
 
 
 def _workload(mclass, side: int, seed: int):
@@ -110,6 +119,46 @@ def test_machine_overhead(benchmark, report):
     )
     # the win must grow with n (vectorization amortizes per-call overhead)
     assert rows[-1]["speedup"] > rows[0]["speedup"]
+
+
+def _select(mclass, seed: int = 0):
+    """Rank selection of the median of ``SELECT_N`` normal keys, oracle-checked."""
+    wl = WORKLOADS["select"]
+    m = mclass()
+    out = wl.execute(m, wl.make_input(SELECT_N, np.random.default_rng(seed)))
+    return m, out
+
+
+def _best_select(mclass) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        _select(mclass)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _clean() -> SpatialMachine:
+    return SpatialMachine(fast=True, strict=False)
+
+
+def test_selection_overhead(report):
+    (mr, out_r), (mf, out_f) = _select(ReferenceMachine), _select(_clean)
+    assert out_r.values.tobytes() == out_f.values.tobytes()
+    assert mr.stats == mf.stats
+    assert mr.cost_tree.as_dict() == mf.cost_tree.as_dict()
+    ref, fast = _best_select(ReferenceMachine), _best_select(_clean)
+    report(
+        render_table(
+            ["n", "ref ms", "fast ms", "speedup"],
+            [[SELECT_N, f"{ref * 1e3:.1f}", f"{fast * 1e3:.1f}", f"{ref / fast:.2f}x"]],
+            title="fast machine vs reference oracle (rank selection, in-process)",
+        )
+    )
+    assert ref / fast >= MIN_SPEEDUP_SELECT, (
+        f"selection's fast-path win at n={SELECT_N} fell to {ref / fast:.2f}x "
+        f"(gate: {MIN_SPEEDUP_SELECT}x)"
+    )
 
 
 # -- repro.runner suite ----------------------------------------------------

@@ -22,7 +22,7 @@ from ..machine.fastpath import _quad_scaled, quad_offsets
 from ..machine.geometry import Region
 from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ..machine.metrics import META_DTYPE
-from ..machine.zorder import is_power_of_two, zorder_encode
+from ..machine.zorder import is_power_of_two, zorder_cells, zorder_encode
 from .ops import Monoid
 
 __all__ = [
@@ -178,15 +178,7 @@ def _charge_broadcasts(
     depth_off, dist_off, energy, messages, sends, dmax, smax = _broadcast_tables(h, w)
     m = len(depth0)
     if m and sends:  # a 1 x 1 region: the root already holds the value
-        st = machine.stats
-        st.energy += m * energy
-        st.messages += m * messages
-        st.rounds += m * sends
-        node = machine._phase_node
-        if node is not None:
-            node.energy += m * energy
-            node.messages += m * messages
-            node.sends += m * sends
+        machine._charge(m * energy, m * messages, m * sends)
         machine.observe_maxima(int(depth0.max()) + dmax, int(dist0.max()) + smax)
     return depth_off, dist_off
 
@@ -382,7 +374,9 @@ def reduce(
 
     ``ta`` must hold exactly one value per cell of ``region`` (any entry
     order).  Non-commutative monoids are combined in row-major block order /
-    Z-order within blocks, i.e. a fixed deterministic order.
+    Z-order within blocks, i.e. a fixed deterministic order.  On a clean
+    fast machine, a square region whose entries already sit in Z-order
+    skips the reordering (:func:`_reduce_zorder`).
     """
     h, w = region.height, region.width
     if not (is_power_of_two(h) and is_power_of_two(w)):
@@ -391,6 +385,8 @@ def reduce(
         raise ValueError(f"reduce expects one value per cell ({region.size}), got {len(ta)}")
     with machine.phase("reduce"):
         if h == w:
+            if machine.clean_fast and _in_zorder(ta, region):
+                return _reduce_zorder(machine, ta, w, monoid)
             return reduce_2d(machine, _order_block_rowmajor(ta, region, w), region, monoid)
 
         if h > w:
@@ -404,6 +400,23 @@ def reduce(
         blocks = reduce_2d(machine, ta, Region(region.row, region.col, h, h), monoid)
         row0 = Region(region.row, region.col, 1, w)
         return _tree_reduce_1d(machine, blocks, row0, stride=h, monoid=monoid)
+
+
+def _in_zorder(ta: TrackedArray, region: Region) -> bool:
+    """True when entry ``i`` sits at the i-th Z-order cell of square ``region``."""
+    zr, zc = zorder_cells(region.width)
+    return bool(
+        np.array_equal(ta.rows - region.row, zr) and np.array_equal(ta.cols - region.col, zc)
+    )
+
+
+def _reduce_zorder(
+    machine: SpatialMachine, ta: TrackedArray, side: int, monoid: Monoid
+) -> TrackedArray:
+    """Square reduce of Z-ordered entries (clean fast machines only): the
+    quadrant tree's closed form, with no reordering.  :func:`reduce_2d`
+    would sort the entries into this very order first."""
+    return machine.quadrant_reduce(ta, side, monoid)
 
 
 def _order_block_rowmajor(ta: TrackedArray, region: Region, side: int) -> TrackedArray:

@@ -17,18 +17,26 @@ distance.  Works for any associative monoid; in particular the *segmented*
 monoid (:func:`repro.core.ops.segmented`) turns it into a segmented scan with
 identical costs, which Section VIII's SpMV uses for its row sums and
 segmented broadcasts.
+
+The tree is fixed by the side alone, so a clean fast machine charges a
+per-side plan (:func:`_scan_plan`) and runs the monoid level by level over
+reshaped arrays; every other machine runs the tree one ``send`` per child
+slot, the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..machine.geometry import Region
-from ..machine.machine import SpatialMachine, TrackedArray, concat_tracked
-from ..machine.zorder import zorder_coords
+from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ..machine.metrics import META_DTYPE
+from ..machine.zorder import zorder_cells
 from .ops import ADD, Monoid, pack_segmented, segmented, unpack_segmented
+from .validate import check_cells
 
 __all__ = ["scan", "scan_any", "segmented_scan", "ScanResult", "segmented_broadcast"]
 
@@ -59,6 +67,54 @@ def _levels(n: int) -> int:
     return lvl
 
 
+class _ScanPlan(NamedTuple):
+    """The summation tree of a scan over ``n = 4**L`` Z-ordered values.
+
+    A level-``l`` node of block ``p`` sits at Z cell ``p * 4**l + l``; its
+    child ``q`` at ``p * 4**l + q * 4**(l-1) + l - 1``.  Blocks are aligned
+    squares, so the message from child slot ``q`` to its parent looks the
+    same in every block: ``inc[l-1]`` is a ``(2, 1, 4)`` array of the
+    ``(depth, dist)`` it adds (``(1, hop)``, or ``(0, 0)`` for the one slot
+    already on its parent's cell), broadcast over a level's ``(2, blocks, 4)``
+    metadata.
+    """
+
+    rows: np.ndarray  # Z-order cells, relative to the region corner
+    cols: np.ndarray
+    root: int  # Z index of the root's host cell
+    inc: tuple[np.ndarray, ...]  # per level
+    energy: int  # of one sweep; the down-sweep mirrors the up-sweep
+    messages: int
+    sends: int
+
+
+# one plan per input size; its cells are zorder_cells' own arrays
+_SCAN_PLANS: dict[int, _ScanPlan] = {}
+
+
+def _scan_plan(n: int) -> _ScanPlan:
+    """The cached plan for ``n`` values (a power of 4, else ``ValueError``)."""
+    cached = _SCAN_PLANS.get(n)
+    if cached is not None:
+        return cached
+    nlevels = _levels(n)
+    zr, zc = zorder_cells(1 << nlevels)
+    inc = []
+    energy = messages = sends = 0
+    for lvl in range(1, nlevels + 1):
+        child = np.arange(4, dtype=np.int64) * 4 ** (lvl - 1) + lvl - 1
+        hop = np.abs(zr[child] - zr[lvl]) + np.abs(zc[child] - zc[lvl])
+        moved = int(np.count_nonzero(hop))
+        blocks = n // 4**lvl
+        energy += blocks * int(hop.sum())
+        messages += blocks * moved
+        sends += moved
+        inc.append(np.stack([hop > 0, hop]).astype(META_DTYPE)[:, None, :])
+    plan = _ScanPlan(zr, zc, nlevels, tuple(inc), energy, messages, sends)
+    _SCAN_PLANS[n] = plan
+    return plan
+
+
 def scan(
     machine: SpatialMachine,
     ta: TrackedArray,
@@ -68,9 +124,10 @@ def scan(
     """Prefix-``monoid`` over ``ta`` stored in Z-order on square ``region``.
 
     ``ta`` entry ``i`` must be located at the ``i``-th Z-order cell of
-    ``region`` (use :meth:`SpatialMachine.place_zorder`).  The operator is
-    combined strictly left-to-right, so non-commutative monoids (segmented
-    operators) are safe.
+    ``region`` (use :meth:`SpatialMachine.place_zorder`); any other layout
+    raises ``ValueError``.  The operator is combined strictly
+    left-to-right, so non-commutative monoids (segmented operators) are
+    safe.
 
     Fault-transparent: under a :class:`~repro.machine.FaultPlan` the scan
     outputs are bit-identical to the fault-free run; only costs inflate.
@@ -80,13 +137,19 @@ def scan(
         raise ValueError("scan of empty input")
     if n != region.size:
         raise ValueError(f"scan expects one value per cell ({region.size}), got {n}")
-    nlevels = _levels(n)
-    zrows, zcols = zorder_coords(region)
+    plan = _scan_plan(n)
+    if region.height != region.width:
+        raise ValueError(f"scan needs a square region, got {region}")
+    check_cells(ta, region, plan.rows, plan.cols, "scan expects entry i at the i-th Z-order cell")
 
     if n == 1:
         return ScanResult(inclusive=ta, exclusive=ta.with_payload(
             monoid.identity(1, like=ta.payload)), total=ta)
+    if machine.clean_fast:
+        return _scan_fast(machine, ta, region, monoid, plan)
 
+    nlevels = len(plan.inc)
+    zrows, zcols = region.row + plan.rows, region.col + plan.cols
     with machine.phase("scan"):
         # ---------------- up-sweep ----------------
         # cur: one value per node of the current level, in Z-order of blocks.
@@ -144,6 +207,68 @@ def scan(
         inclusive = exclusive.combined_with(
             ta, payload=monoid(exclusive.payload, ta.payload)
         )
+    return ScanResult(inclusive=inclusive, exclusive=exclusive, total=total)
+
+
+def _scan_fast(
+    machine: SpatialMachine,
+    ta: TrackedArray,
+    region: Region,
+    monoid: Monoid,
+    plan: _ScanPlan,
+) -> ScanResult:
+    """The up/down-sweep from its per-side plan (clean fast machines only).
+
+    Each level is one reshape to ``(blocks, 4)`` child slots: the plan's
+    counters are charged per sweep, the ``(depth, dist)`` pairs take a max
+    over a block (up) or a running max along it (down), and the monoid
+    folds the slots in the reference's exact association.  Metadata only
+    grows along the tree, so the root holds the up-sweep's maxima and the
+    leaves the down-sweep's.
+    """
+    shape = ta.payload.shape[1:]
+    cur = ta.payload
+    meta = np.stack([ta.depth, ta.dist])
+    store = []
+    with machine.phase("scan"):
+        with machine.phase("up_sweep"):
+            for inc in plan.inc:
+                m = meta.shape[1] // 4
+                kids = cur.reshape((m, 4) + shape)
+                got = meta.reshape(2, m, 4) + inc  # as received at the parent
+                store.append((kids, got))
+                cur = monoid(monoid(monoid(kids[:, 0], kids[:, 1]), kids[:, 2]), kids[:, 3])
+                meta = np.maximum(
+                    np.maximum(got[..., 0], got[..., 1]), np.maximum(got[..., 2], got[..., 3])
+                )
+            machine._charge(plan.energy, plan.messages, plan.sends)
+            machine.observe_maxima(int(meta[0, 0]), int(meta[1, 0]))
+        root_r = np.array([region.row + plan.rows[plan.root]])
+        root_c = np.array([region.col + plan.cols[plan.root]])
+        total = _tracked(machine, cur, root_r, root_c, meta[0], meta[1])
+
+        x = monoid.identity(1, like=ta.payload)
+        meta = np.zeros((2, 1), dtype=META_DTYPE)
+        with machine.phase("down_sweep"):
+            for (kids, got), inc in zip(reversed(store), reversed(plan.inc)):
+                # prefix q = x . s_0 . ... . s_{q-1}, forwarded to child slot q
+                prefixes = [x]
+                sent = np.empty_like(got)
+                np.add(meta, inc[..., 0], out=sent[..., 0])
+                for q in range(1, 4):
+                    prefixes.append(monoid(prefixes[-1], kids[:, q - 1]))
+                    meta = np.maximum(meta, got[..., q - 1])
+                    np.add(meta, inc[..., q], out=sent[..., q])
+                x = np.stack(prefixes, axis=1).reshape((-1,) + shape)
+                meta = sent.reshape(2, -1)
+            machine._charge(plan.energy, plan.messages, plan.sends)
+            dmax, smax = meta.max(axis=1).tolist()
+            machine.observe_maxima(dmax, smax)
+        exclusive = _tracked(machine, x, ta.rows, ta.cols, meta[0], meta[1])
+        depth = np.maximum(meta[0], ta.depth)
+        dist = np.maximum(meta[1], ta.dist)
+        machine.observe(depth, dist)
+        inclusive = _tracked(machine, monoid(x, ta.payload), ta.rows, ta.cols, depth, dist)
     return ScanResult(inclusive=inclusive, exclusive=exclusive, total=total)
 
 

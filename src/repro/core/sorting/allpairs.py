@@ -201,18 +201,9 @@ def _rank_segments(
     #         per-block reduce: closed-form counters; every compare at cell
     #         j of Γ_i sees max(pivot[i] + off[j], copy[j] + off[i])
     k = g["k"]
-    energy = int(np.dot(sizes, g["energy"]))
-    messages = int(np.dot(sizes, g["messages"]))
-    rounds = 9 * int(k.sum())
-    st = machine.stats
-    st.energy += energy
-    st.messages += messages
-    st.rounds += rounds
-    node = machine._phase_node
-    if node is not None:
-        node.energy += energy
-        node.messages += messages
-        node.sends += rounds
+    machine._charge(
+        int(np.dot(sizes, g["energy"])), int(np.dot(sizes, g["messages"])), 9 * int(k.sum())
+    )
     dmax = np.maximum(np.maximum(pd_max, cd_max) + k, np.maximum(pd_max, cd_max) + g["doff_max"])
     smax = np.maximum.reduce([
         ps_max + 2 * (s_seg - 1),

@@ -8,9 +8,18 @@ on dataflow hardware — but the network "eventually turns into a 1D algorithm",
 which costs energy:
 
 * Bitonic Merge (Lemma V.3): ``Θ(h²w + w²h)`` energy, ``Θ(log n)`` depth.
+  Exactly: ``hw(h + w - 2)`` energy and ``log₂(hw)`` stages.
 * Bitonic Sort (Lemma V.4): ``Θ(h²w + w²h log h)`` energy, ``Θ(log² n)``
   depth, ``Θ(h + w log h)`` distance — a ``Θ(log n)`` energy factor worse
   than the optimal 2D Mergesort on square grids (``Θ(n³ᐟ² log n)`` total).
+
+On a clean fast machine the network runs from a per-shape table
+(:func:`_network_table`): every stage of stride ``j`` sends all wires over
+the same wire length, so the counters are per-shape constants, and the
+per-wire metadata follows the max-plus schedule ``max(own, partner + hop)``
+in one integer loop.  The payload is one lexsort whenever that provably
+equals the network's output.  Every other machine runs the stage-by-stage
+body, the oracle.
 
 ``benchmarks/bench_fig2_bitonic_vs_mergesort.py`` regenerates the Fig. 2
 comparison.
@@ -18,14 +27,37 @@ comparison.
 
 from __future__ import annotations
 
+from typing import Iterator, NamedTuple
+
 import numpy as np
 
 from ...machine.geometry import Region
-from ...machine.machine import SpatialMachine, TrackedArray
+from ...machine.machine import SpatialMachine, TrackedArray, _tracked
+from ...machine.metrics import META_DTYPE
 from ...machine.zorder import is_power_of_two
+from ..validate import check_cells
 from .sortutil import lex_less, strip_tiebreak, with_tiebreak
 
-__all__ = ["bitonic_sort", "bitonic_merge", "compare_exchange_stage"]
+__all__ = ["bitonic_sort", "bitonic_merge", "compare_exchange_stage", "network_cost"]
+
+
+def _exchange(
+    own: np.ndarray,
+    recv: np.ndarray,
+    take_min: np.ndarray,
+    key_cols: int,
+    descending: bool,
+) -> np.ndarray:
+    """The comparator rule: each wire keeps the lexicographic min (where
+    ``take_min``) or max of its own and its partner's payload rows."""
+    own_less = lex_less(own, recv, key_cols)
+    recv_less = lex_less(recv, own, key_cols)
+    if descending:
+        own_less, recv_less = recv_less, own_less
+    # equal keys never swap (both sides keep their own value), so padded
+    # sentinels and duplicate keys stay consistent across the pair
+    keep_own = np.where(take_min, ~recv_less, ~own_less)
+    return np.where(keep_own[:, None], own, recv)
 
 
 def compare_exchange_stage(
@@ -44,44 +76,156 @@ def compare_exchange_stage(
     per stage of Lemma V.3's analysis).
     """
     recv = machine.send(cur[partner], cur.rows, cur.cols)
-    own_less = lex_less(cur.payload, recv.payload, key_cols)
-    recv_less = lex_less(recv.payload, cur.payload, key_cols)
-    if descending:
-        own_less, recv_less = recv_less, own_less
-    # equal keys never swap (both sides keep their own value), so padded
-    # sentinels and duplicate keys stay consistent across the pair
-    keep_own = np.where(take_min, ~recv_less, ~own_less)
-    payload = np.where(keep_own[:, None], cur.payload, recv.payload)
+    payload = _exchange(cur.payload, recv.payload, take_min, key_cols, descending)
     return cur.combined_with(recv, payload=payload)
 
 
-def _merge_stages(
-    machine: SpatialMachine,
-    cur: TrackedArray,
-    k: int,
-    key_cols: int,
-    descending: bool,
-    alternate: bool,
-) -> TrackedArray:
-    """The ``j = k/2 .. 1`` halving stages of a bitonic merge of blocks of
-    size ``k``.  With ``alternate`` set, blocks alternate direction according
-    to bit ``k`` of the wire index (the full sort's schedule); otherwise all
-    blocks merge in the same direction (a standalone merge)."""
-    n = len(cur)
+def _stages(n: int, k: int, alternate: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(j, partner, take_min)`` of the ``j = k/2 .. 1`` halving stages of a
+    bitonic merge of blocks of size ``k``.  With ``alternate`` set, blocks
+    alternate direction according to bit ``k`` of the wire index (the full
+    sort's schedule); otherwise all blocks merge in the same direction (a
+    standalone merge)."""
     idx = np.arange(n, dtype=np.int64)
+    ascending_block = (idx & k) == 0 if alternate else np.ones(n, dtype=bool)
     j = k // 2
     while j >= 1:
-        partner = idx ^ j
-        lower = (idx & j) == 0
-        if alternate:
-            ascending_block = (idx & k) == 0
-        else:
-            ascending_block = np.ones(n, dtype=bool)
-        take_min = lower == ascending_block
-        cur = compare_exchange_stage(
-            machine, cur, partner, take_min, key_cols, descending=descending
-        )
+        yield j, idx ^ j, ((idx & j) == 0) == ascending_block
         j //= 2
+
+
+def _schedule(n: int, merge: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every stage of the sort network on ``n`` wires, or with ``merge`` of
+    its final merge alone (the last ``log2(n)`` stages)."""
+    k = n if merge else 2
+    while k <= n:
+        yield from _stages(n, k, alternate=k < n)
+        k *= 2
+
+
+class _Network(NamedTuple):
+    """The bitonic sort network on ``n`` row-major wires of a region ``w``
+    wide.  A standalone merge is its last ``log2(n)`` stages."""
+
+    rows: np.ndarray  # wire i's cell, relative to the region corner
+    cols: np.ndarray
+    partner: tuple[np.ndarray, ...]  # per stage
+    inc: tuple[np.ndarray, ...]  # per stage, (2, 1): (1, hop) added by a message
+    sort_energy: int
+    merge_energy: int
+
+
+# one network per (wires, width); ~100 KB at 1024 wires
+_NETWORKS: dict[tuple[int, int], _Network] = {}
+
+
+def _network_table(n: int, w: int) -> _Network:
+    """The cached network on ``n`` wires ``w`` to a row.
+
+    Wire ``i ^ j`` differs from wire ``i`` in one bit of the row-major
+    index, so every message of the stride-``j`` stage crosses ``j`` columns
+    (``j < w``) or ``j / w`` rows: the hop is one number per stage.
+    """
+    cached = _NETWORKS.get((n, w))
+    if cached is not None:
+        return cached
+    idx = np.arange(n, dtype=np.int64)
+    partners: dict[int, np.ndarray] = {}
+    partner, hops = [], []
+    for j, p, _ in _schedule(n, merge=False):
+        partner.append(partners.setdefault(j, p))
+        hops.append(j if j < w else j // w)
+    merge_stages = n.bit_length() - 1
+    table = _Network(
+        rows=idx // w,
+        cols=idx % w,
+        partner=tuple(partner),
+        inc=tuple(np.array([[1], [hop]], dtype=META_DTYPE) for hop in hops),
+        sort_energy=n * sum(hops),
+        merge_energy=n * sum(hops[len(hops) - merge_stages :]),
+    )
+    _NETWORKS[(n, w)] = table
+    return table
+
+
+def network_cost(n: int, width: int) -> tuple[int, int]:
+    """``(energy, stages)`` of the bitonic sort of ``n`` row-major wires on a
+    region ``width`` wide; the stage count is also the output depth of an
+    input with zero metadata."""
+    table = _network_table(n, width)
+    return table.sort_energy, len(table.partner)
+
+
+def _lexsorted(payload: np.ndarray, key_cols: int, descending: bool) -> np.ndarray | None:
+    """The network's output payload as one lexsort, or ``None`` if the
+    network could place rows differently: a NaN key breaks the order, and
+    equal keys on rows that differ (``0.0`` and ``-0.0``, or satellite
+    columns) land wherever the comparators leave them."""
+    keys = payload[:, :key_cols]
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        return None
+    out = payload[np.lexsort(keys.T[::-1])]
+    sk = out[:, :key_cols]
+    tied = (sk[1:] == sk[:-1]).all(axis=1)
+    if tied.any():
+        raw = np.ascontiguousarray(out).view(np.uint8).reshape(len(out), -1)
+        if not (raw[1:][tied] == raw[:-1][tied]).all():
+            return None
+    return out[::-1].copy() if descending else out
+
+
+def _network_fast(
+    machine: SpatialMachine,
+    cur: TrackedArray,
+    region: Region,
+    key_cols: int,
+    descending: bool,
+    merge: bool,
+) -> TrackedArray:
+    """The network from its per-shape table (clean fast machines only).
+
+    Counters are the table's totals; the per-wire metadata runs the stages
+    as integer array steps; the payload of a full sort is one lexsort when
+    :func:`_lexsorted` allows it (a merge only sorts bitonic inputs), and
+    otherwise runs the comparator rule stage by stage.
+    """
+    n = len(cur)
+    table = _network_table(n, region.width)
+    first = len(table.partner) - (n.bit_length() - 1) if merge else 0
+    stages = range(first, len(table.partner))
+    payload = None if merge else _lexsorted(cur.payload, key_cols, descending)
+    if payload is None:
+        payload = cur.payload
+        for _, partner, take_min in _schedule(n, merge):
+            payload = _exchange(payload, payload[partner], take_min, key_cols, descending)
+    meta = np.stack([cur.depth, cur.dist])
+    recv = np.empty_like(meta)
+    for s in stages:
+        np.take(meta, table.partner[s], axis=1, out=recv)
+        recv += table.inc[s]
+        np.maximum(meta, recv, out=meta)
+    if len(stages):
+        energy = table.merge_energy if merge else table.sort_energy
+        machine._charge(energy, n * len(stages), len(stages))
+        # a wire's metadata never decreases, so the last stage holds the maxima
+        dmax, smax = meta.max(axis=1).tolist()
+        machine.observe_maxima(dmax, smax)
+    return _tracked(machine, payload, cur.rows, cur.cols, meta[0], meta[1])
+
+
+def _network(
+    machine: SpatialMachine,
+    cur: TrackedArray,
+    region: Region,
+    key_cols: int,
+    descending: bool,
+    merge: bool,
+) -> TrackedArray:
+    """The sort network, or with ``merge`` its final merge alone."""
+    if machine.clean_fast:
+        return _network_fast(machine, cur, region, key_cols, descending, merge)
+    for _, partner, take_min in _schedule(len(cur), merge):
+        cur = compare_exchange_stage(machine, cur, partner, take_min, key_cols, descending)
     return cur
 
 
@@ -93,12 +237,13 @@ def bitonic_merge(
     descending: bool = False,
 ) -> TrackedArray:
     """Merge a bitonic sequence (e.g. sorted-ascending ++ sorted-descending)
-    laid out row-major on ``region`` into sorted row-major order."""
-    n = len(ta)
+    laid out row-major on ``region`` into sorted row-major order.
+
+    Entry ``i`` must sit at the i-th row-major cell (``ValueError``
+    otherwise)."""
     _check(ta, region)
     with machine.phase("bitonic_merge"):
-        cur = _merge_stages(machine, ta, n, key_cols, descending, alternate=False)
-    return cur
+        return _network(machine, ta, region, key_cols, descending, merge=True)
 
 
 def bitonic_sort(
@@ -111,25 +256,21 @@ def bitonic_sort(
 ) -> TrackedArray:
     """Batcher's bitonic sort of ``ta`` laid out row-major on ``region``.
 
-    Entry ``i`` must sit at the i-th row-major cell; the sorted output is
-    returned in the same layout.  ``key_cols`` leading payload columns form
-    the lexicographic key; with ``tiebreak`` (default) a unique input-position
-    column is appended so duplicate keys still yield a deterministic
-    permutation.
+    Entry ``i`` must sit at the i-th row-major cell (``ValueError``
+    otherwise); the sorted output is returned in the same layout.
+    ``key_cols`` leading payload columns form the lexicographic key; with
+    ``tiebreak`` (default) a unique input-position column is appended so
+    duplicate keys still yield a deterministic permutation.
     """
-    n = len(ta)
     _check(ta, region)
-    if n == 1:
+    if len(ta) == 1:
         return ta
     if tiebreak:
         cur, kc = with_tiebreak(ta, key_cols)
     else:
         cur, kc = ta, key_cols
     with machine.phase("bitonic"):
-        k = 2
-        while k <= n:
-            cur = _merge_stages(machine, cur, k, kc, descending, alternate=(k < n))
-            k *= 2
+        cur = _network(machine, cur, region, kc, descending, merge=False)
     if tiebreak:
         cur = strip_tiebreak(cur, kc)
     return cur
@@ -143,3 +284,8 @@ def _check(ta: TrackedArray, region: Region) -> None:
         raise ValueError(f"bitonic network needs power-of-two size, got {n}")
     if ta.payload.ndim != 2:
         raise ValueError("sort payloads are (n, k) arrays; see sortutil.as_sort_payload")
+    table = _network_table(n, region.width)
+    check_cells(
+        ta, region, table.rows, table.cols,
+        "bitonic network expects entry i at the i-th row-major cell",
+    )

@@ -1,4 +1,8 @@
-"""Strict-mode input guards shared by the core entry points.
+"""Input guards shared by the core entry points.
+
+:func:`check_cells` enforces a primitive's documented layout on every
+machine: the closed forms charge hops between the cells the layout names,
+so an entry elsewhere would be charged for a wire it never crosses.
 
 The fault/recovery layer (see ``docs/FAULTS.md``) keeps every primitive
 *result-transparent*: retries, detours, and dead-cell sparing change the
@@ -16,7 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_finite_values", "check_symmetric_adjacency"]
+__all__ = ["check_cells", "check_finite_values", "check_symmetric_adjacency"]
+
+
+def check_cells(ta, region, rows: np.ndarray, cols: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless entry ``i`` of ``ta`` sits at cell
+    ``(rows[i], cols[i])`` of ``region`` (coordinates local to its corner).
+
+    ``what`` names the primitive and its layout, e.g. ``"scan expects entry
+    i at the i-th Z-order cell"``; the error names the first misplaced entry.
+    """
+    bad = (ta.rows - region.row != rows) | (ta.cols - region.col != cols)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"{what} of {region}: entry {i} sits at ({int(ta.rows[i])}, "
+            f"{int(ta.cols[i])}), not ({region.row + int(rows[i])}, "
+            f"{region.col + int(cols[i])})"
+        )
 
 
 def check_finite_values(machine, values: np.ndarray, what: str) -> None:

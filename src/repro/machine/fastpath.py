@@ -165,19 +165,8 @@ def quad_reduce_charge(machine, nblocks, side):
     metadata themselves.
     """
     _, _, block_energy = _quad_reduce_tables(side)
-    per = side * side
     k = side.bit_length() - 1
-    st = machine.stats
-    node = machine._phase_node
-    energy = nblocks * block_energy
-    messages = nblocks * (per - 1)
-    st.energy += energy
-    st.messages += messages
-    st.rounds += 3 * k
-    if node is not None:
-        node.energy += energy
-        node.messages += messages
-        node.sends += 3 * k
+    machine._charge(nblocks * block_energy, nblocks * (side * side - 1), 3 * k)
 
 
 # scaled variants plus the per-element counter units, keyed (side, scale)
@@ -225,27 +214,8 @@ def quad_broadcast_charge(machine, m, side, scale, depth_in_max, dist_in_max):
     """
     _, _, _, _, energy_unit, messages_unit = _quad_scaled(side, scale)
     k = side.bit_length() - 1
-    st = machine.stats
-    node = machine._phase_node
-    energy = m * energy_unit
-    messages = m * messages_unit
-    st.energy += energy
-    st.messages += messages
-    st.rounds += 3 * k
-    dmax = depth_in_max + k
-    smax = dist_in_max + 2 * (side - 1) * scale
-    if dmax > st.max_depth:
-        st.max_depth = dmax
-    if smax > st.max_distance:
-        st.max_distance = smax
-    if node is not None:
-        node.energy += energy
-        node.messages += messages
-        node.sends += 3 * k
-        if dmax > node.max_depth:
-            node.max_depth = dmax
-        if smax > node.max_distance:
-            node.max_distance = smax
+    machine._charge(m * energy_unit, m * messages_unit, 3 * k)
+    machine.observe_maxima(depth_in_max + k, dist_in_max + 2 * (side - 1) * scale)
 
 
 def quadrant_broadcast_fast(machine, ta, side, scale):

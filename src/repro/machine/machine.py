@@ -451,6 +451,19 @@ class SpatialMachine:
             if smax > node.max_distance:
                 node.max_distance = smax
 
+    def _charge(self, energy: int, messages: int, sends: int) -> None:
+        """Add the summed counters of ``sends`` communicating rounds to the
+        stats and the active phase (the closed forms' charge)."""
+        st = self.stats
+        st.energy += energy
+        st.messages += messages
+        st.rounds += sends
+        node = self._phase_node
+        if node is not None:
+            node.energy += energy
+            node.messages += messages
+            node.sends += sends
+
     def observe_maxima(self, dmax: int, smax: int) -> None:
         """Scalar form of :meth:`observe` for precomputed metadata maxima."""
         st = self.stats
@@ -954,19 +967,10 @@ class SpatialMachine:
         d += t
         moved = d > 0
         messages = int(np.count_nonzero(moved))
-        energy = int(np.add.reduce(d))
-        st = self.stats
-        node = self._phase_node
-        st.energy += energy
-        st.messages += messages
+        ncomm = int(np.count_nonzero(segment_sums(moved, starts))) if messages else 0
+        self._charge(int(np.add.reduce(d)), messages, ncomm)
         depth = depth + moved
         dist = dist + d
-        ncomm = int(np.count_nonzero(segment_sums(moved, starts))) if messages else 0
-        st.rounds += ncomm
-        if node is not None:
-            node.energy += energy
-            node.messages += messages
-            node.sends += ncomm
         self.observe(depth, dist)
         return depth, dist
 

@@ -30,6 +30,7 @@ __all__ = [
     "deinterleave_bits",
     "zorder_encode",
     "zorder_decode",
+    "zorder_cells",
     "zorder_coords",
     "zorder_curve_energy",
     "is_power_of_two",
@@ -96,6 +97,24 @@ def zorder_decode(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r.astype(np.int64), c.astype(np.int64)
 
 
+# local Z-order cells of a square, keyed by side; 16 bytes per cell
+_ZCELLS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def zorder_cells(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local ``(rows, cols)`` of every cell of a ``side x side`` square in
+    Z-order (cached; read-only)."""
+    cached = _ZCELLS.get(side)
+    if cached is None:
+        if not is_power_of_two(side):
+            raise ValueError(f"Z-order needs a power-of-two square side, got {side}")
+        cached = zorder_decode(np.arange(side * side, dtype=np.int64))
+        for cells in cached:
+            cells.setflags(write=False)
+        _ZCELLS[side] = cached
+    return cached
+
+
 def zorder_coords(region: Region, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Absolute coordinates of the first ``n`` cells of ``region`` in Z-order.
 
@@ -111,9 +130,8 @@ def zorder_coords(region: Region, n: int | None = None) -> tuple[np.ndarray, np.
     if h == w:
         if not is_power_of_two(h):
             raise ValueError(f"Z-order needs power-of-two square side, got {region}")
-        z = np.arange(n, dtype=np.int64)
-        r, c = zorder_decode(z)
-        return region.row + r, region.col + c
+        r, c = zorder_cells(h)
+        return region.row + r[:n], region.col + c[:n]
     if w == 2 * h:
         left, right = region.halves(axis=1)
         return _concat_halves(left, right, n)

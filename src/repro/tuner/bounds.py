@@ -21,7 +21,8 @@ The bound families:
 * **oblivious network wiring** (bitonic, odd-even) — the comparator
   networks send every wire on every stage regardless of data, so their
   stage-distance sums are closed-form and *exact*; depth is the stage
-  count.
+  count.  The bitonic figures are the sorter's own per-shape table
+  (:func:`repro.core.sorting.bitonic.network_cost`).
 * **combining floors** (scan, all-pairs) — combining ``k`` values takes at
   least ``k - 1`` unit-energy messages; a broadcast reaching ``k`` distinct
   cells costs at least ``k - 1``; a constant fan-in combine tree over ``n``
@@ -34,6 +35,7 @@ import math
 
 import numpy as np
 
+from ..core.sorting.bitonic import network_cost
 from ..machine.geometry import Region, manhattan_arrays
 from .space import TuneConfig
 from .variants import SPMV_ITERS, get_variant, layout_coords, sort_workload
@@ -43,8 +45,6 @@ __all__ = [
     "metric_value",
     "relayout_energy",
     "displacement_to_sorted",
-    "bitonic_network_energy",
-    "bitonic_stage_count",
     "oddeven_network_energy",
     "oddeven_stage_count",
     "allpairs_scatter_energy",
@@ -99,27 +99,6 @@ def _log4_ceil(n: int) -> int:
     return (max(_log2(n), 0) + 1) // 2
 
 
-def bitonic_network_energy(n: int, region: Region) -> int:
-    """Exact wire energy of the bitonic network: every stage sends all wires."""
-    rows, cols = region.rowmajor_coords(n)
-    idx = np.arange(n, dtype=np.int64)
-    total = 0
-    k = 2
-    while k <= n:
-        j = k >> 1
-        while j >= 1:
-            partner = idx ^ j
-            total += int(manhattan_arrays(rows, cols, rows[partner], cols[partner]).sum())
-            j >>= 1
-        k <<= 1
-    return total
-
-
-def bitonic_stage_count(n: int) -> int:
-    log = _log2(n)
-    return log * (log + 1) // 2
-
-
 def oddeven_network_energy(n: int, region: Region) -> int:
     """Exact wire energy of the odd-even merge network (paired exchanges)."""
     from ..core.sorting.odd_even import odd_even_stages
@@ -170,8 +149,8 @@ def config_bounds(config: TuneConfig, n: int, seed: int = 0) -> dict:
         x = sort_workload(n, np.random.default_rng(seed))
         disp = displacement_to_sorted(x, region)
         if config.variant == "bitonic":
-            energy = relayout + max(disp, bitonic_network_energy(n, region))
-            depth = bitonic_stage_count(n)
+            network_energy, depth = network_cost(n, region.width)
+            energy = relayout + max(disp, network_energy)
         elif config.variant == "oddeven":
             energy = relayout + max(disp, oddeven_network_energy(n, region))
             depth = oddeven_stage_count(n)

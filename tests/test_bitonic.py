@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import fit_power_law, make_workload
 from repro.core.sorting.bitonic import bitonic_merge, bitonic_sort
 from repro.core.sorting.sortutil import as_sort_payload
-from repro.machine import Region, SpatialMachine
+from repro.machine import Region, ReferenceMachine, SpatialMachine
 
 
 def _sorted_on(m, x, region, **kw):
@@ -143,3 +143,32 @@ class TestBitonicCosts:
         e1 = merge_energy(16, 16)
         e2 = merge_energy(32, 16)
         assert 2.5 < e2 / e1 < 5.0
+
+
+#: Lemma V.3's shapes: squares, rectangles both ways, and lines
+LEMMA_V3_SHAPES = (
+    (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (8, 4), (4, 8), (32, 8), (4, 64),
+    (1, 16), (16, 1),
+)
+
+
+class TestLemmaV3Exact:
+    """A bitonic merge on h x w costs exactly hw(h + w - 2) energy and
+    log2(hw) depth: stride-j stages move every wire j columns while j < w,
+    then j / w rows, i.e. (w - 1) + (h - 1) per wire over all stages."""
+
+    @pytest.mark.parametrize(
+        "make_machine",
+        (ReferenceMachine, lambda: SpatialMachine(fast=True, strict=False)),
+        ids=("reference", "fast"),
+    )
+    @pytest.mark.parametrize("h, w", LEMMA_V3_SHAPES)
+    def test_merge_energy_and_depth(self, h, w, make_machine, rng):
+        n = h * w
+        x = np.concatenate([np.sort(rng.random(n // 2)), np.sort(rng.random(n // 2))[::-1]])
+        m = make_machine()
+        region = Region(0, 0, h, w)
+        out = bitonic_merge(m, m.place_rowmajor(as_sort_payload(x), region), region)
+        assert np.array_equal(out.payload[:, 0], np.sort(x))
+        assert m.stats.energy == h * w * (h + w - 2)
+        assert m.stats.max_depth == int(np.log2(n))

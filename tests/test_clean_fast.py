@@ -3,22 +3,29 @@
 ``SpatialMachine.clean_fast`` is true only for a fast, non-strict machine
 with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_shifts``, ``send_many``, the quadrant pair,
-``broadcast_1d``, ``broadcast``, the all-pairs rank, and the
-level-synchronous merge tree: mergesort levels, merge levels and batched
-selection) must take it on a clean machine and fall back to its reference
-loop or depth-first body when any single clause is turned off.  The public
+``broadcast_1d``, ``broadcast``, the all-pairs rank, the level-synchronous
+merge tree: mergesort levels, merge levels and batched selection, and the
+per-shape closed forms of the bitonic network, the scan and the Z-ordered
+square reduce) must take it on a clean machine and fall back to its
+reference loop or depth-first body when any single clause is turned off.  The public
 batched entry points have no reference loop and refuse such machines.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
 from repro.core import collectives
-from repro.core.sorting import allpairs, merge2d, mergesort2d, two_sorted_select
+from repro.core.ops import ADD
+from repro.core.sorting import allpairs, bitonic, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
 from repro.machine import FaultPlan, Region, SpatialMachine
 from repro.machine import machine as machine_mod
 from repro.machine.machine import concat_tracked
+
+# the package re-exports the scan function under the module's name
+scan_mod = importlib.import_module("repro.core.scan")
 
 #: one machine per clause turned off (the rest stay clean)
 CLAUSES = {
@@ -91,6 +98,22 @@ def _batched_selection(m):
     two_sorted_select.select_ranks_two_sorted(m, A, B, [8, 16, 24])
 
 
+def _bitonic_network(m):
+    region = Region(0, 0, 2, 4)
+    ta = m.place_rowmajor(as_sort_payload(np.arange(8.0)[::-1]), region)
+    bitonic.bitonic_sort(m, ta, region)
+
+
+def _scan(m):
+    region = Region(0, 0, 4, 4)
+    scan_mod.scan(m, m.place_zorder(np.arange(16.0), region), region)
+
+
+def _reduce_zorder(m):
+    region = Region(0, 0, 4, 4)
+    collectives.reduce(m, m.place_zorder(np.arange(16.0), region), region, ADD)
+
+
 #: site -> (owner of the fast body, its attribute name, a call exercising it)
 SITES = {
     "send_shifts": (machine_mod.SpatialMachine, "_send_shifts_fast", _send_shifts),
@@ -107,6 +130,9 @@ SITES = {
         "select_ranks_two_sorted_many",
         _batched_selection,
     ),
+    "bitonic_network": (bitonic, "_network_fast", _bitonic_network),
+    "scan": (scan_mod, "_scan_fast", _scan),
+    "reduce_zorder": (collectives, "_reduce_zorder", _reduce_zorder),
 }
 
 

@@ -14,8 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.collectives import broadcast, broadcast_1d, broadcast_2d, reduce_2d
-from repro.core.ops import ADD, MAX
+from repro.core.collectives import (
+    all_reduce,
+    broadcast,
+    broadcast_1d,
+    broadcast_2d,
+    reduce,
+    reduce_2d,
+)
+from repro.core.ops import ADD, MAX, Monoid
+from repro.core.scan import scan, segmented_broadcast, segmented_scan
+from repro.core.sorting.bitonic import bitonic_merge, bitonic_sort
 from repro.machine import Region, ReferenceMachine, SpatialMachine
 
 GRID = 16
@@ -271,6 +280,222 @@ class TestBroadcastParity:
         mr, mf = ReferenceMachine(), fast_machine()
         ref, fast = run(mr), run(mf)
         assert_tracked_equal(ref, fast)
+        assert_machines_equal(mr, mf)
+
+
+# ---------------------------------------------------------------------------
+# per-shape closed forms: bitonic network, scan, square reduce
+# ---------------------------------------------------------------------------
+def _shapes(max_wires):
+    """Squares, 2:1 and 1:2 rectangles, and both lines, up to ``max_wires``."""
+    out = []
+    for k in range(max_wires.bit_length()):
+        s = 1 << (k // 2)
+        out += [(s, s)] if k % 2 == 0 else [(s, 2 * s), (2 * s, s)]
+        out += [line for line in ((1, 1 << k), (1 << k, 1)) if line not in out]
+    return out
+
+
+def _sort_input(kind, n, rng):
+    """``(payload, key_cols)`` for one bitonic input kind."""
+    if kind == "uniform":
+        return rng.random((n, 1)), 1
+    if kind == "duplicated":
+        return rng.integers(0, 3, (n, 1)).astype(np.float64), 1
+    if kind == "signed_zero":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], (n, 1)), 1
+    if kind == "nan":
+        x = rng.random((n, 1))
+        x[rng.random(n) < 0.2] = np.nan
+        return x, 1
+    if kind == "inf_pad":
+        # selection's sample sort: (value, uid) rows padded with +inf rows
+        x = np.stack([rng.random(n), np.arange(n, dtype=np.float64)], axis=1)
+        x[n - n // 4 :] = np.inf
+        return x, 2
+    if kind == "integer":
+        return rng.integers(-3, 3, (n, 2)), 1
+    # satellite columns travel with tied keys
+    return np.concatenate([rng.integers(0, 2, (n, 1)), rng.random((n, 2))], axis=1), 1
+
+
+SORT_KINDS = ("uniform", "duplicated", "signed_zero", "nan", "inf_pad", "integer", "satellite")
+BITONIC_SHAPES = _shapes(1024)
+
+
+def _reference(strict_ok=True):
+    """The oracle; strict mode (``REPRO_STRICT``) refuses NaN placements."""
+    return ReferenceMachine() if strict_ok else ReferenceMachine(strict=False)
+
+
+def _skewed(ta, rng):
+    """Give ``ta`` non-uniform input metadata (in place)."""
+    ta.depth[:] = rng.integers(0, 6, len(ta))
+    ta.dist[:] = rng.integers(0, 20, len(ta))
+    return ta
+
+
+class TestBitonicClosedForm:
+    """The per-shape network against the stage-by-stage oracle."""
+
+    @staticmethod
+    def _check(h, w, kind, run, variants):
+        n = h * w
+        region = Region(2, 3, h, w)
+        for seed, (descending, tiebreak, skew) in enumerate(variants):
+            rng = np.random.default_rng([n, seed, SORT_KINDS.index(kind)])
+            payload, key_cols = _sort_input(kind, n, rng)
+            meta_seed = int(rng.integers(2**31))
+
+            def go(m):
+                ta = m.place_rowmajor(payload, region)
+                if skew:
+                    _skewed(ta, np.random.default_rng(meta_seed))
+                return run(m, ta, region, key_cols, descending, tiebreak)
+
+            mr, mf = _reference(kind != "nan"), fast_machine()
+            assert_tracked_equal(go(mr), go(mf))
+            assert_machines_equal(mr, mf)
+
+    @staticmethod
+    def _variants(n):
+        combos = [(d, t, k) for d in (False, True) for t in (True, False) for k in (False, True)]
+        # every option at up to 64 wires; two complementary combos beyond
+        return combos if n <= 64 else [combos[0], combos[-1]]
+
+    @pytest.mark.parametrize("kind", SORT_KINDS)
+    @pytest.mark.parametrize("h, w", BITONIC_SHAPES)
+    def test_sort(self, h, w, kind):
+        def run(m, ta, region, key_cols, descending, tiebreak):
+            return bitonic_sort(m, ta, region, key_cols, descending, tiebreak)
+
+        self._check(h, w, kind, run, self._variants(h * w))
+
+    @pytest.mark.parametrize("kind", ("uniform", "duplicated", "nan", "satellite"))
+    @pytest.mark.parametrize("h, w", BITONIC_SHAPES)
+    def test_merge(self, h, w, kind):
+        """Bitonic inputs (sorted up, then down) and arbitrary ones: a merge
+        of a non-bitonic input is not a sort, and must still match."""
+
+        def run(m, ta, region, key_cols, descending, bitonic_input):
+            if bitonic_input:
+                half = len(ta) // 2
+                order = np.lexsort(ta.payload[:, :key_cols].T[::-1])
+                up_down = np.concatenate([order[:half], order[half:][::-1]])
+                ta = ta.with_payload(ta.payload[up_down])
+            return bitonic_merge(m, ta, region, key_cols, descending)
+
+        self._check(h, w, kind, run, self._variants(h * w))
+
+    def test_layout_is_checked_before_any_charge(self):
+        """A Z-ordered input is refused on every machine."""
+        region = Region(0, 0, 4, 4)
+        for m in (ReferenceMachine(), fast_machine()):
+            ta = m.place_zorder(np.arange(16.0)[:, None], region)
+            with pytest.raises(ValueError, match="entry 2 sits at"):
+                bitonic_sort(m, ta, region)
+            with pytest.raises(ValueError, match="row-major"):
+                bitonic_merge(m, ta, region)
+            assert m.stats.energy == 0
+
+
+def _first_op(a, b):
+    return a
+
+
+FIRST = Monoid("first", _first_op, np.nan, commutative=False)
+SCAN_SIDES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+class TestScanClosedForm:
+    """The per-side up/down-sweep plan against the send-per-slot oracle."""
+
+    @pytest.mark.parametrize("phases", (True, False))
+    @pytest.mark.parametrize("op", ("add", "max", "segmented", "first"))
+    @pytest.mark.parametrize("side", SCAN_SIDES)
+    def test_scan(self, side, op, phases):
+        n = side * side
+        rng = np.random.default_rng([side, len(op)])
+        x = rng.standard_normal(n)
+        flags = rng.random(n) < 0.1
+        meta_seed = int(rng.integers(2**31))
+        region = Region(1, 2, side, side)
+
+        def run(m):
+            ta = _skewed(m.place_zorder(x, region), np.random.default_rng(meta_seed))
+            if op == "segmented":
+                res = segmented_scan(m, flags, ta, region, ADD)
+            elif op == "first":
+                return [segmented_broadcast(m, flags, ta, region)]
+            else:
+                res = scan(m, ta, region, ADD if op == "add" else MAX)
+            return [res.inclusive, res.exclusive, res.total]
+
+        mr = ReferenceMachine(phases=phases)
+        mf = SpatialMachine(fast=True, strict=False, phases=phases)
+        for a, b in zip(run(mr), run(mf)):
+            assert_tracked_equal(a, b)
+        assert_machines_equal(mr, mf)
+
+    def test_plain_first_monoid(self):
+        """A monoid that returns its operand itself (no copy)."""
+        region = Region(0, 0, 8, 8)
+        x = np.random.default_rng(5).random((64, 2))
+
+        def run(m):
+            res = scan(m, m.place_zorder(x, region), region, FIRST)
+            return [res.inclusive, res.exclusive, res.total]
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        for a, b in zip(run(mr), run(mf)):
+            assert_tracked_equal(a, b)
+        assert_machines_equal(mr, mf)
+
+    @pytest.mark.parametrize("entry", ("scan", "segmented_scan", "segmented_broadcast"))
+    def test_layout_is_checked_before_any_charge(self, entry):
+        """A row-major input is refused on every machine."""
+        region = Region(0, 0, 4, 4)
+        flags = np.zeros(16, dtype=bool)
+        for m in (ReferenceMachine(), fast_machine()):
+            ta = m.place_rowmajor(np.arange(16.0), region)
+            with pytest.raises(ValueError, match="entry 2 sits at"):
+                if entry == "scan":
+                    scan(m, ta, region)
+                elif entry == "segmented_scan":
+                    segmented_scan(m, flags, ta, region)
+                else:
+                    segmented_broadcast(m, flags, ta, region)
+            assert m.stats.energy == 0
+
+
+REDUCE_REGIONS = (
+    [("zorder", s, s) for s in (1, 2, 4, 8, 16, 32, 64)]
+    + [("rowmajor", s, s) for s in (1, 2, 4, 8, 16, 32, 64)]
+    + [("rowmajor", 4 * s, s) for s in (1, 2, 4, 8)]
+    + [("rowmajor", s, 4 * s) for s in (1, 2, 4, 8)]
+    + [("rowmajor", 16, 1), ("rowmajor", 1, 16)]
+)
+
+
+class TestReduceClosedForm:
+    """``reduce`` and ``all_reduce`` (Z-ordered squares skip the reorder)."""
+
+    @pytest.mark.parametrize("fn", (reduce, all_reduce), ids=("reduce", "all_reduce"))
+    @pytest.mark.parametrize("op", (ADD, MAX), ids=("add", "max"))
+    @pytest.mark.parametrize("layout, h, w", REDUCE_REGIONS)
+    def test_reduce(self, layout, h, w, op, fn):
+        rng = np.random.default_rng([h, w])
+        x = rng.standard_normal((h * w, 2))
+        meta_seed = int(rng.integers(2**31))
+        region = Region(3, 1, h, w)
+
+        def run(m):
+            place = m.place_zorder if layout == "zorder" else m.place_rowmajor
+            ta = _skewed(place(x, region), np.random.default_rng(meta_seed))
+            return fn(m, ta, region, op)
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        assert_tracked_equal(run(mr), run(mf))
         assert_machines_equal(mr, mf)
 
 
