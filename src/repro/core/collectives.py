@@ -24,6 +24,7 @@ from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tra
 from ..machine.metrics import META_DTYPE
 from ..machine.zorder import is_power_of_two, zorder_cells, zorder_encode
 from .ops import Monoid
+from .validate import misplaced
 
 __all__ = [
     "broadcast",
@@ -374,9 +375,8 @@ def reduce(
 
     ``ta`` must hold exactly one value per cell of ``region`` (any entry
     order).  Non-commutative monoids are combined in row-major block order /
-    Z-order within blocks, i.e. a fixed deterministic order.  On a clean
-    fast machine, a square region whose entries already sit in Z-order
-    skips the reordering (:func:`_reduce_zorder`).
+    Z-order within blocks, i.e. a fixed deterministic order.  A square
+    region whose entries already sit in Z-order skips the reordering.
     """
     h, w = region.height, region.width
     if not (is_power_of_two(h) and is_power_of_two(w)):
@@ -385,8 +385,8 @@ def reduce(
         raise ValueError(f"reduce expects one value per cell ({region.size}), got {len(ta)}")
     with machine.phase("reduce"):
         if h == w:
-            if machine.clean_fast and _in_zorder(ta, region):
-                return _reduce_zorder(machine, ta, w, monoid)
+            if misplaced(ta, region, *zorder_cells(w)) < 0:
+                return machine.quadrant_reduce(ta, w, monoid)
             return reduce_2d(machine, _order_block_rowmajor(ta, region, w), region, monoid)
 
         if h > w:
@@ -400,23 +400,6 @@ def reduce(
         blocks = reduce_2d(machine, ta, Region(region.row, region.col, h, h), monoid)
         row0 = Region(region.row, region.col, 1, w)
         return _tree_reduce_1d(machine, blocks, row0, stride=h, monoid=monoid)
-
-
-def _in_zorder(ta: TrackedArray, region: Region) -> bool:
-    """True when entry ``i`` sits at the i-th Z-order cell of square ``region``."""
-    zr, zc = zorder_cells(region.width)
-    return bool(
-        np.array_equal(ta.rows - region.row, zr) and np.array_equal(ta.cols - region.col, zc)
-    )
-
-
-def _reduce_zorder(
-    machine: SpatialMachine, ta: TrackedArray, side: int, monoid: Monoid
-) -> TrackedArray:
-    """Square reduce of Z-ordered entries (clean fast machines only): the
-    quadrant tree's closed form, with no reordering.  :func:`reduce_2d`
-    would sort the entries into this very order first."""
-    return machine.quadrant_reduce(ta, side, monoid)
 
 
 def _order_block_rowmajor(ta: TrackedArray, region: Region, side: int) -> TrackedArray:

@@ -27,7 +27,7 @@ comparison.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,69 +80,62 @@ def compare_exchange_stage(
     return cur.combined_with(recv, payload=payload)
 
 
-def _stages(n: int, k: int, alternate: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(j, partner, take_min)`` of the ``j = k/2 .. 1`` halving stages of a
-    bitonic merge of blocks of size ``k``.  With ``alternate`` set, blocks
-    alternate direction according to bit ``k`` of the wire index (the full
-    sort's schedule); otherwise all blocks merge in the same direction (a
-    standalone merge)."""
-    idx = np.arange(n, dtype=np.int64)
-    ascending_block = (idx & k) == 0 if alternate else np.ones(n, dtype=bool)
-    j = k // 2
-    while j >= 1:
-        yield j, idx ^ j, ((idx & j) == 0) == ascending_block
-        j //= 2
-
-
-def _schedule(n: int, merge: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Every stage of the sort network on ``n`` wires, or with ``merge`` of
-    its final merge alone (the last ``log2(n)`` stages)."""
-    k = n if merge else 2
-    while k <= n:
-        yield from _stages(n, k, alternate=k < n)
-        k *= 2
-
-
 class _Network(NamedTuple):
     """The bitonic sort network on ``n`` row-major wires of a region ``w``
-    wide.  A standalone merge is its last ``log2(n)`` stages."""
+    wide.  A standalone merge is its last ``log2(n)`` stages, from
+    ``merge_start`` on."""
 
     rows: np.ndarray  # wire i's cell, relative to the region corner
     cols: np.ndarray
     partner: tuple[np.ndarray, ...]  # per stage
+    take_min: tuple[np.ndarray, ...]  # per stage: the wire keeps the min
     inc: tuple[np.ndarray, ...]  # per stage, (2, 1): (1, hop) added by a message
+    merge_start: int
     sort_energy: int
     merge_energy: int
 
 
-# one network per (wires, width); ~100 KB at 1024 wires
+# one network per (wires, width); ~150 KB at 1024 wires
 _NETWORKS: dict[tuple[int, int], _Network] = {}
 
 
 def _network_table(n: int, w: int) -> _Network:
     """The cached network on ``n`` wires ``w`` to a row.
 
-    Wire ``i ^ j`` differs from wire ``i`` in one bit of the row-major
-    index, so every message of the stride-``j`` stage crosses ``j`` columns
-    (``j < w``) or ``j / w`` rows: the hop is one number per stage.
+    Merge ``k = 2, 4, .., n`` runs the halving stages ``j = k/2 .. 1``:
+    stage ``j`` partners wire ``i`` with ``i ^ j``, and blocks of size ``k``
+    alternate direction by bit ``k`` of the wire index, except in the final
+    merge, where all of them ascend (a standalone merge).  Wire ``i ^ j``
+    differs from wire ``i`` in one bit of the row-major index, so every
+    message of the stride-``j`` stage crosses ``j`` columns (``j < w``) or
+    ``j / w`` rows: the hop is one number per stage.
     """
     cached = _NETWORKS.get((n, w))
     if cached is not None:
         return cached
     idx = np.arange(n, dtype=np.int64)
     partners: dict[int, np.ndarray] = {}
-    partner, hops = [], []
-    for j, p, _ in _schedule(n, merge=False):
-        partner.append(partners.setdefault(j, p))
-        hops.append(j if j < w else j // w)
-    merge_stages = n.bit_length() - 1
+    partner, take_min, hops = [], [], []
+    k = 2
+    while k <= n:
+        ascending_block = (idx & k) == 0 if k < n else np.ones(n, dtype=bool)
+        j = k // 2
+        while j >= 1:
+            partner.append(partners.setdefault(j, idx ^ j))
+            take_min.append(((idx & j) == 0) == ascending_block)
+            hops.append(j if j < w else j // w)
+            j //= 2
+        k *= 2
+    merge_start = len(hops) - (n.bit_length() - 1)
     table = _Network(
         rows=idx // w,
         cols=idx % w,
         partner=tuple(partner),
+        take_min=tuple(take_min),
         inc=tuple(np.array([[1], [hop]], dtype=META_DTYPE) for hop in hops),
+        merge_start=merge_start,
         sort_energy=n * sum(hops),
-        merge_energy=n * sum(hops[len(hops) - merge_stages :]),
+        merge_energy=n * sum(hops[merge_start:]),
     )
     _NETWORKS[(n, w)] = table
     return table
@@ -177,27 +170,27 @@ def _lexsorted(payload: np.ndarray, key_cols: int, descending: bool) -> np.ndarr
 def _network_fast(
     machine: SpatialMachine,
     cur: TrackedArray,
-    region: Region,
+    table: _Network,
+    stages: range,
+    merge: bool,
     key_cols: int,
     descending: bool,
-    merge: bool,
 ) -> TrackedArray:
-    """The network from its per-shape table (clean fast machines only).
+    """``stages`` of the network from its per-shape table (clean fast
+    machines only).
 
     Counters are the table's totals; the per-wire metadata runs the stages
     as integer array steps; the payload of a full sort is one lexsort when
     :func:`_lexsorted` allows it (a merge only sorts bitonic inputs), and
     otherwise runs the comparator rule stage by stage.
     """
-    n = len(cur)
-    table = _network_table(n, region.width)
-    first = len(table.partner) - (n.bit_length() - 1) if merge else 0
-    stages = range(first, len(table.partner))
     payload = None if merge else _lexsorted(cur.payload, key_cols, descending)
     if payload is None:
         payload = cur.payload
-        for _, partner, take_min in _schedule(n, merge):
-            payload = _exchange(payload, payload[partner], take_min, key_cols, descending)
+        for s in stages:
+            payload = _exchange(
+                payload, payload[table.partner[s]], table.take_min[s], key_cols, descending
+            )
     meta = np.stack([cur.depth, cur.dist])
     recv = np.empty_like(meta)
     for s in stages:
@@ -205,6 +198,7 @@ def _network_fast(
         recv += table.inc[s]
         np.maximum(meta, recv, out=meta)
     if len(stages):
+        n = len(cur)
         energy = table.merge_energy if merge else table.sort_energy
         machine._charge(energy, n * len(stages), len(stages))
         # a wire's metadata never decreases, so the last stage holds the maxima
@@ -222,10 +216,14 @@ def _network(
     merge: bool,
 ) -> TrackedArray:
     """The sort network, or with ``merge`` its final merge alone."""
+    table = _network_table(len(cur), region.width)
+    stages = range(table.merge_start if merge else 0, len(table.partner))
     if machine.clean_fast:
-        return _network_fast(machine, cur, region, key_cols, descending, merge)
-    for _, partner, take_min in _schedule(len(cur), merge):
-        cur = compare_exchange_stage(machine, cur, partner, take_min, key_cols, descending)
+        return _network_fast(machine, cur, table, stages, merge, key_cols, descending)
+    for s in stages:
+        cur = compare_exchange_stage(
+            machine, cur, table.partner[s], table.take_min[s], key_cols, descending
+        )
     return cur
 
 

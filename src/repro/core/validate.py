@@ -3,6 +3,8 @@
 :func:`check_cells` enforces a primitive's documented layout on every
 machine: the closed forms charge hops between the cells the layout names,
 so an entry elsewhere would be charged for a wire it never crosses.
+:func:`misplaced` is the predicate behind it, for callers that branch on
+the layout instead of refusing it.
 
 The fault/recovery layer (see ``docs/FAULTS.md``) keeps every primitive
 *result-transparent*: retries, detours, and dead-cell sparing change the
@@ -20,19 +22,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_cells", "check_finite_values", "check_symmetric_adjacency"]
+__all__ = ["check_cells", "check_finite_values", "check_symmetric_adjacency", "misplaced"]
+
+
+def misplaced(ta, region, rows: np.ndarray, cols: np.ndarray) -> int:
+    """Index of the first entry of ``ta`` not at cell ``(rows[i], cols[i])``
+    of ``region`` (coordinates local to its corner), or ``-1`` if none is."""
+    bad = (ta.rows - region.row != rows) | (ta.cols - region.col != cols)
+    return int(bad.argmax()) if bad.any() else -1
 
 
 def check_cells(ta, region, rows: np.ndarray, cols: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` unless entry ``i`` of ``ta`` sits at cell
-    ``(rows[i], cols[i])`` of ``region`` (coordinates local to its corner).
+    ``(rows[i], cols[i])`` of ``region`` (see :func:`misplaced`).
 
     ``what`` names the primitive and its layout, e.g. ``"scan expects entry
     i at the i-th Z-order cell"``; the error names the first misplaced entry.
     """
-    bad = (ta.rows - region.row != rows) | (ta.cols - region.col != cols)
-    if bad.any():
-        i = int(bad.argmax())
+    i = misplaced(ta, region, rows, cols)
+    if i >= 0:
         raise ValueError(
             f"{what} of {region}: entry {i} sits at ({int(ta.rows[i])}, "
             f"{int(ta.cols[i])}), not ({region.row + int(rows[i])}, "

@@ -5,10 +5,10 @@ with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_shifts``, ``send_many``, the quadrant pair,
 ``broadcast_1d``, ``broadcast``, the all-pairs rank, the level-synchronous
 merge tree: mergesort levels, merge levels and batched selection, and the
-per-shape closed forms of the bitonic network, the scan and the Z-ordered
-square reduce) must take it on a clean machine and fall back to its
-reference loop or depth-first body when any single clause is turned off.  The public
-batched entry points have no reference loop and refuse such machines.
+per-shape closed forms of the bitonic network and the scan) must take it on
+a clean machine and fall back to its reference loop or depth-first body
+when any single clause is turned off.  The public batched entry points have
+no reference loop and refuse such machines.
 """
 
 import importlib
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import collectives
-from repro.core.ops import ADD
 from repro.core.sorting import allpairs, bitonic, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
 from repro.machine import FaultPlan, Region, SpatialMachine
@@ -109,11 +108,6 @@ def _scan(m):
     scan_mod.scan(m, m.place_zorder(np.arange(16.0), region), region)
 
 
-def _reduce_zorder(m):
-    region = Region(0, 0, 4, 4)
-    collectives.reduce(m, m.place_zorder(np.arange(16.0), region), region, ADD)
-
-
 #: site -> (owner of the fast body, its attribute name, a call exercising it)
 SITES = {
     "send_shifts": (machine_mod.SpatialMachine, "_send_shifts_fast", _send_shifts),
@@ -132,7 +126,6 @@ SITES = {
     ),
     "bitonic_network": (bitonic, "_network_fast", _bitonic_network),
     "scan": (scan_mod, "_scan_fast", _scan),
-    "reduce_zorder": (collectives, "_reduce_zorder", _reduce_zorder),
 }
 
 

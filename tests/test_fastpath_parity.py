@@ -498,6 +498,26 @@ class TestReduceClosedForm:
         assert_tracked_equal(run(mr), run(mf))
         assert_machines_equal(mr, mf)
 
+    @pytest.mark.parametrize("side", (1, 2, 4, 8, 16, 32, 64))
+    def test_zorder_skip_is_the_reorder_path(self, side):
+        """Z-ordered entries are already in the order ``reduce_2d`` sorts
+        them into, so skipping the reorder changes nothing on the oracle."""
+        rng = np.random.default_rng(side)
+        x = rng.standard_normal((side * side, 2))
+        meta_seed = int(rng.integers(2**31))
+        region = Region(3, 1, side, side)
+
+        def run(m, skip):
+            ta = _skewed(m.place_zorder(x, region), np.random.default_rng(meta_seed))
+            if skip:
+                return reduce(m, ta, region, ADD)
+            with m.phase("reduce"):
+                return reduce_2d(m, ta, region, ADD)
+
+        ms, mo = ReferenceMachine(), ReferenceMachine()
+        assert_tracked_equal(run(ms, skip=True), run(mo, skip=False))
+        assert_machines_equal(ms, mo)
+
 
 # ---------------------------------------------------------------------------
 # guard dispatch: impure machines must take the reference path
