@@ -33,7 +33,6 @@ def _serve_load(requests: int, concurrency: int, mix_seed: int) -> dict:
             port=0,
             inline=True,
             workers=4,
-            batch_window=0.02,
             max_inflight=max(64, 2 * concurrency),
             disk_cache=False,
             drain_timeout=30.0,

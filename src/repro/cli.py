@@ -624,10 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(for hosts that cannot fork; disables profile requests)")
     sp.add_argument("--max-inflight", type=int, default=64,
                     help="admitted requests in flight before 429")
-    sp.add_argument("--queue", type=int, default=256,
-                    help="admitted-but-not-executing requests before 429")
-    sp.add_argument("--batch-window", type=float, default=0.02,
-                    help="seconds to hold a new key for duplicate coalescing")
     sp.add_argument("--timeout", type=float, default=30.0,
                     help="per-execution deadline in seconds (overrun -> 504)")
     sp.add_argument("--memory-cache", type=int, default=512,

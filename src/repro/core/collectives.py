@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine.fastpath import _quad_scaled, quad_offsets
+from ..machine.fastpath import quad_broadcast_energy, quad_offsets
 from ..machine.geometry import Region
 from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ..machine.metrics import META_DTYPE
@@ -141,7 +141,7 @@ def _broadcast_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray, int, int,
     side = min(h, w)
     k = side.bit_length() - 1
     row_off, col_off, q_dep, q_dst = quad_offsets(side)
-    q_energy = _quad_scaled(side, 1)[4]
+    q_energy = quad_broadcast_energy(side)
     if h == w:
         corner_d = corner_s = np.zeros(1, dtype=META_DTYPE)
         energy = messages = sends = dmax = smax = 0

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine.fastpath import _quad_scaled, quad_offsets, quad_reduce_offsets, ragged
+from ...machine.fastpath import quad_broadcast_energy, quad_offsets, quad_reduce_offsets, ragged
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
@@ -93,7 +93,7 @@ def _side_tables(s: int) -> dict:
         "rso": rso,
         "k": s.bit_length() - 1,
         # two quadrant broadcasts (strides 1 and s) and one quadrant reduce
-        "energy": _quad_scaled(s, 1)[4] + _quad_scaled(s, s)[4] + block_energy,
+        "energy": quad_broadcast_energy(s) + quad_broadcast_energy(s, s) + block_energy,
         "messages": 3 * (per - 1),
         "doff_max": prefix_max(doff),
         "dstoff_max": prefix_max(dstoff),

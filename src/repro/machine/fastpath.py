@@ -27,11 +27,10 @@ from .faults import backoff_ticks, detour_extras, sample_failures, spare_extras
 from .metrics import META_DTYPE
 
 __all__ = [
-    "quad_broadcast_charge",
+    "quad_broadcast_energy",
     "quad_offsets",
     "quad_reduce_charge",
     "quad_reduce_offsets",
-    "quadrant_broadcast_fast",
     "quadrant_reduce_fast",
     "ragged",
     "relay_flat",
@@ -80,8 +79,9 @@ def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 _QUAD_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _quad_tables(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(row_off, col_off, depth_off, dist_off) per final quadrant index.
+def quad_offsets(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row_off, col_off, depth_off, dist_off) per final quadrant index
+    (cached; read-only).
 
     The doubling loop appends the three shifted copies after the originals,
     so after ``k = log2(side)`` levels the element that started at position
@@ -108,11 +108,6 @@ def _quad_tables(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     tables = (row_off, col_off, depth_off, dist_off)
     _QUAD_TABLES[side] = tables
     return tables
-
-
-def quad_offsets(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Public accessor for the per-quadrant offset tables (read-only)."""
-    return _quad_tables(side)
 
 
 # reduce-side tables: same quadrant digits, but level l of the reduce works
@@ -160,86 +155,21 @@ def quad_reduce_charge(machine, nblocks, side):
     """Charge a quadrant reduce's exact counters without materializing it.
 
     ``nblocks`` blocks of ``side * side`` entries each; per block every entry
-    but the Z-first moves exactly once along its digit path.  Counterpart of
-    :func:`quad_broadcast_charge` for callers that reconstruct the per-block
-    metadata themselves.
+    but the Z-first moves exactly once along its digit path.  For callers
+    that reconstruct the per-block metadata themselves.
     """
     _, _, block_energy = _quad_reduce_tables(side)
     k = side.bit_length() - 1
     machine._charge(nblocks * block_energy, nblocks * (side * side - 1), 3 * k)
 
 
-# scaled variants plus the per-element counter units, keyed (side, scale)
-_QUAD_SCALED: dict[
-    tuple[int, int],
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int],
-]
-_QUAD_SCALED = {}
-
-
-def _quad_scaled(side: int, scale: int):
-    cached = _QUAD_SCALED.get((side, scale))
-    if cached is not None:
-        return cached
-    row_off, col_off, depth_off, dist_off = _quad_tables(side)
-    if scale != 1:
-        row_off = row_off * scale
-        col_off = col_off * scale
-        dist_off = dist_off * scale
-    # per input element: three sends per level, costing h, h and 2h each
-    energy_unit = sum(
+def quad_broadcast_energy(side: int, scale: int = 1) -> int:
+    """Energy one value pays to be replicated over a ``side x side`` lattice
+    of stride ``scale``: three sends per level, costing h, h and 2h each."""
+    return sum(
         4 * (side >> lvl) * scale * 4 ** (lvl - 1)
         for lvl in range(1, side.bit_length())
     )
-    messages_unit = side * side - 1
-    cached = (
-        row_off[:, None],
-        col_off[:, None],
-        depth_off[:, None],
-        dist_off[:, None],
-        energy_unit,
-        messages_unit,
-    )
-    _QUAD_SCALED[(side, scale)] = cached
-    return cached
-
-
-def quad_broadcast_charge(machine, m, side, scale, depth_in_max, dist_in_max):
-    """Charge a quadrant broadcast's exact counters without materializing it.
-
-    ``m`` values, each replicated ``side * side``-fold with block stride
-    ``scale``; ``depth_in_max``/``dist_in_max`` are the input metadata maxima.
-    Callers that reconstruct the output metadata themselves (the all-pairs
-    fast path) use this to keep the books identical to the reference loop.
-    """
-    _, _, _, _, energy_unit, messages_unit = _quad_scaled(side, scale)
-    k = side.bit_length() - 1
-    machine._charge(m * energy_unit, m * messages_unit, 3 * k)
-    machine.observe_maxima(depth_in_max + k, dist_in_max + 2 * (side - 1) * scale)
-
-
-def quadrant_broadcast_fast(machine, ta, side, scale):
-    """Closed form of the recursive quadrant replication loop.
-
-    Charges the loop's exact counters (energy, messages, rounds, sends,
-    maxima) and returns the final ``(payload, rows, cols, depth, dist)``
-    components in the loop's element order.  Clean runs only — the caller
-    guards out strict mode, tracer/profiler, and fault plans.
-    """
-    row_off, col_off, depth_off, dist_off, _, _ = _quad_scaled(side, scale)
-    quad_broadcast_charge(
-        machine, len(ta), side, scale, int(ta.depth.max()), int(ta.dist.max())
-    )
-    rows = (ta.rows[None, :] + row_off).ravel()
-    cols = (ta.cols[None, :] + col_off).ravel()
-    depth = (ta.depth[None, :] + depth_off).ravel()
-    dist = (ta.dist[None, :] + dist_off).ravel()
-    p = ta.payload
-    if p.ndim == 1:
-        payload = np.tile(p, side * side)
-    else:
-        payload = np.tile(p, (side * side,) + (1,) * (p.ndim - 1))
-    return payload, rows, cols, depth, dist
 
 
 def quadrant_reduce_fast(machine, payload, depth, dist, side, combine):

@@ -28,7 +28,7 @@ Two interchangeable execution paths implement the charging rules
 (``docs/PERFORMANCE.md``):
 
 * the **fast path** (default) runs single-pass vectorized kernels and the
-  batched :meth:`SpatialMachine.relay_many` / :meth:`SpatialMachine.send_shifts`
+  batched :meth:`SpatialMachine.relay_many` / :meth:`SpatialMachine.send_many`
   APIs;
 * the **reference path** (:class:`ReferenceMachine`, or ``REPRO_REFERENCE=1``)
   keeps the original per-call implementations as the conformance oracle.
@@ -57,7 +57,6 @@ from .faults import (
     sample_failures,
 )
 from .fastpath import (
-    quadrant_broadcast_fast,
     quadrant_reduce_fast,
     relay_many_fast,
     segment_starts,
@@ -811,78 +810,6 @@ class SpatialMachine:
             )
         return out
 
-    def send_shift(self, ta: TrackedArray, dr: int, dc: int) -> TrackedArray:
-        """Send every value by the uniform offset ``(dr, dc)``.
-
-        Exactly ``send(ta, ta.rows + dr, ta.cols + dc)`` on every counter;
-        the fast path exploits the constant wire length ``|dr| + |dc|``
-        shared by all messages of the batch.
-        """
-        return self.send_shifts(ta, ((dr, dc),))[0]
-
-    def send_shifts(
-        self, ta: TrackedArray, offsets: Sequence[tuple[int, int]]
-    ) -> list[TrackedArray]:
-        """Issue one uniform-offset ``send`` per entry of ``offsets``.
-
-        Defined as — and on the reference path literally executed as — the
-        sequential loop ``[send(ta, ta.rows + dr, ta.cols + dc) for dr, dc
-        in offsets]``: each offset with any movement is its own round.  The
-        quadrant collectives (broadcast, all-pairs replication) use this to
-        charge a whole recursion level per call; the fast path then reduces
-        each offset to closed-form scalar charges (``n`` messages of length
-        ``|dr| + |dc|`` each).
-        """
-        offsets = [(int(dr), int(dc)) for dr, dc in offsets]
-        if not self.clean_fast or len(ta) == 0:
-            # every observing/validating feature wants real coordinate
-            # arrays: degrade to the defining per-offset loop
-            return [self.send(ta, ta.rows + dr, ta.cols + dc) for dr, dc in offsets]
-        return self._send_shifts_fast(ta, offsets)
-
-    def _send_shifts_fast(
-        self, ta: TrackedArray, offsets: list[tuple[int, int]]
-    ) -> list[TrackedArray]:
-        n = len(ta)
-        st = self.stats
-        node = self._phase_node
-        # uniform shifts preserve the argmax structure: the batch maxima
-        # after a shift are the input maxima plus the shift charges
-        base_depth = int(ta.depth.max())
-        base_dist = int(ta.dist.max())
-        depth = None
-        outs = []
-        for dr, dc in offsets:
-            s = abs(dr) + abs(dc)
-            rows = ta.rows + dr if dr else ta.rows
-            cols = ta.cols + dc if dc else ta.cols
-            if s == 0:
-                outs.append(_tracked(self, ta.payload, rows, cols, ta.depth, ta.dist))
-                self.observe(ta.depth, ta.dist)
-                continue
-            if depth is None:
-                depth = ta.depth + 1
-            dist = ta.dist + s
-            st.energy += n * s
-            st.messages += n
-            st.rounds += 1
-            dmax = base_depth + 1
-            smax = base_dist + s
-            if dmax > st.max_depth:
-                st.max_depth = dmax
-            if smax > st.max_distance:
-                st.max_distance = smax
-            if node is not None:
-                node.energy += n * s
-                node.messages += n
-                node.sends += 1
-                if dmax > node.max_depth:
-                    node.max_depth = dmax
-                if smax > node.max_distance:
-                    node.max_distance = smax
-            outs.append(_tracked(self, ta.payload, rows, cols, depth, dist))
-        return outs
-
     def send_many(
         self,
         batches: Sequence[tuple[TrackedArray, np.ndarray, np.ndarray]]
@@ -981,25 +908,22 @@ class SpatialMachine:
         lattice of strides ``scale`` (the 2D broadcast / all-pairs
         replication pattern).
 
-        Defined as — and on the reference path literally executed as — the
-        doubling loop: while ``s > 1`` concatenate ``cur`` with its three
+        The doubling loop: while ``s > 1`` concatenate ``cur`` with its three
         copies shifted by ``(0, h)``, ``(h, 0)``, ``(h, h)`` where
-        ``h = (s // 2) * scale``.  ``side`` must be a power of two.  The
-        fast path materializes the final ``len(ta) * side**2`` layout in
-        closed form (offsets, depth and distance increments per quadrant
-        index) and charges the loop's exact counters.
+        ``h = (s // 2) * scale``, one ``send`` round each.  ``side`` must be
+        a power of two.  A clean fast broadcast from a region corner never
+        gets here: ``collectives._broadcast_tables`` charges it in closed form.
         """
         side = int(side)
         if side <= 1:
             return ta
-        if self.clean_fast and len(ta):
-            return _tracked(self, *quadrant_broadcast_fast(self, ta, side, int(scale)))
         cur = ta
         s = side
         while s > 1:
             half = (s // 2) * scale
             parts = [cur]
-            parts += self.send_shifts(cur, ((0, half), (half, 0), (half, half)))
+            for dr, dc in ((0, half), (half, 0), (half, half)):
+                parts.append(self.send(cur, cur.rows + dr, cur.cols + dc))
             cur = concat_tracked(parts)
             s //= 2
         return cur
@@ -1239,7 +1163,7 @@ class ReferenceMachine(SpatialMachine):
     """A :class:`SpatialMachine` pinned to the per-call reference path.
 
     The conformance oracle: ``send`` and ``relay`` run the original scalar
-    implementations, and every batched API (``send_shifts``,
+    implementations, and every batched API (``send_many``,
     ``relay_many``) degrades to its defining sequential loop.  Constructing
     a plain ``SpatialMachine`` under ``REPRO_REFERENCE=1`` resolves to the
     same behavior; this class pins it regardless of the environment.

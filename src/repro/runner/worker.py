@@ -109,12 +109,14 @@ def pool_worker_main(conn, bench_dir: str) -> None:
 
     The protocol is one ``(suite_name, params, seed, profile[, trace])``
     tuple per task, answered with ``("ok", payload)`` or ``("error",
-    traceback)``.  ``None`` — or a closed pipe — ends the loop.  The
-    optional fifth element carries distributed-tracing context (parent span
-    ids); when present and ``REPRO_TRACE_DIR`` is set, the task runs inside
-    a ``worker.execute`` span whose attributes link the request trace to the
-    machine-level cost breakdown (energy, messages, and the ``phases`` rows
-    of the CostTree when the task was profiled).
+    traceback)``.  ``None``, a closed pipe or the parent's exit ends the
+    loop: a forked worker inherits the parent ends of the pool's pipes, its
+    own included, so a parent that dies unannounced closes none of them.
+    The optional fifth element carries distributed-tracing context (parent
+    span ids); when present and ``REPRO_TRACE_DIR`` is set, the task runs
+    inside a ``worker.execute`` span whose attributes link the request trace
+    to the machine-level cost breakdown (energy, messages, and the
+    ``phases`` rows of the CostTree when the task was profiled).
 
     The first message the child ever sends is a ``("ready", pid)`` warm-up
     handshake: the parent pool uses it for readiness reporting (a freshly
@@ -123,12 +125,16 @@ def pool_worker_main(conn, bench_dir: str) -> None:
     """
     import os
 
+    parent = os.getppid()
     try:
         conn.send(("ready", os.getpid()))
     except (OSError, ValueError):  # pragma: no cover - parent already gone
         return
     while True:
         try:
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    raise EOFError("parent process exited")
             task = conn.recv()
         except (EOFError, OSError):
             break

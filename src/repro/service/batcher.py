@@ -2,13 +2,14 @@
 
 Simulations are deterministic given ``(algo, n, seed, profile)``, so two
 concurrent requests for the same key need exactly one execution.  The first
-arrival (the *leader*) opens a batch, sleeps a small collection window so
-near-simultaneous duplicates can attach, then executes once and fans the
-payload out to every waiter.  Requests arriving while the execution is still
-running also attach — the batch stays open until the result lands.
+arrival (the *leader*) opens a batch and executes at once; requests arriving
+while that execution runs attach to it, and the payload fans out to every
+waiter when it lands.  A duplicate arriving after that is a cache hit (the
+server writes the cache before the batch closes), so holding a batch open
+any longer would save no execution.
 
 All bookkeeping runs on the event-loop thread; the only awaits are the
-window sleep, the execution itself, and the waiters' future."""
+execution itself and the waiters' future."""
 
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ class BatchOutcome:
 class Batcher:
     """Coalesce identical in-flight work onto single executions."""
 
-    window: float = 0.02
     _inflight: dict[str, _Batch] = field(default_factory=dict)
 
     def depth(self) -> int:
@@ -72,8 +72,6 @@ class Batcher:
         batch = _Batch(asyncio.get_running_loop().create_future())
         self._inflight[key] = batch
         try:
-            if self.window > 0:
-                await asyncio.sleep(self.window)
             payload = await execute()
         except BaseException as exc:
             # closing the batch and resolving the future happen back-to-back

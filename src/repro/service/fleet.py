@@ -644,7 +644,6 @@ def serve_argv(
     workers: int = 1,
     cache_dir: str = "",
     bench_dir: str = "",
-    batch_window: float | None = None,
     timeout: float | None = None,
     extra: tuple = (),
 ) -> list[str]:
@@ -660,8 +659,6 @@ def serve_argv(
         argv += ["--cache-dir", cache_dir]
     if bench_dir:
         argv += ["--bench-dir", bench_dir]
-    if batch_window is not None:
-        argv += ["--batch-window", str(batch_window)]
     if timeout is not None:
         argv += ["--timeout", str(timeout)]
     argv += list(extra)

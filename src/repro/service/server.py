@@ -12,11 +12,11 @@ Endpoints (all JSON; see ``docs/SERVICE.md``):
 * ``GET /metrics`` — counters, latency histograms, cache/batch efficiency
 * ``GET /algos``   — served algorithms and admitted size ranges
 
-The request path is: admission control (in-flight cap and bounded queue →
-429 + Retry-After) → two-tier cache lookup → micro-batcher (identical
-in-flight requests coalesce onto one execution) → worker pool.  A cache hit
-is answered on the spot; a miss races a deadline, and losing it returns 504
-while any shared execution keeps running for the other waiters.
+The request path is: admission control (in-flight cap → 429 + Retry-After)
+→ two-tier cache lookup → micro-batcher (identical in-flight requests
+coalesce onto one execution) → worker pool.  A cache hit is answered on the
+spot; a miss races a deadline, and losing it returns 504 while any shared
+execution keeps running for the other waiters.
 SIGTERM/SIGINT triggers a graceful drain: the listener closes, in-flight
 requests finish, workers shut down, and the process exits 0 after printing
 ``drained cleanly``.
@@ -66,9 +66,7 @@ class ServiceConfig:
     #: (for contexts that cannot fork; disables ``profile`` requests)
     inline: bool = False
     max_inflight: int = 64
-    max_queue: int = 256
-    batch_window: float = 0.02
-    #: execution deadline; the request deadline adds the batch window + 1s
+    #: execution deadline; the request deadline adds 1s
     timeout: float = 30.0
     memory_cache: int = 512
     cache_dir: str = DEFAULT_CACHE_DIR
@@ -118,7 +116,7 @@ class SpatialService(HttpFront):
             cache=disk,
             db_path=config.plan_db or None,
         )
-        self.batcher = Batcher(window=config.batch_window)
+        self.batcher = Batcher()
         self.executor = ServiceExecutor(
             workers=config.workers,
             bench_dir=config.bench_dir,
@@ -141,7 +139,7 @@ class SpatialService(HttpFront):
     def banner(self) -> str:
         backend = "inline" if self.config.inline else f"pool({self.config.workers})"
         shard = f", shard={self.config.shard_id}" if self.config.shard_id else ""
-        return f"backend={backend}, window={self.config.batch_window}s{shard}"
+        return f"backend={backend}{shard}"
 
     # -- request processing ---------------------------------------------
     def queue_depth(self) -> int:
@@ -294,14 +292,12 @@ class SpatialService(HttpFront):
             return self.refuse(span, 503, "server is draining", rejected="draining")
         if self.metrics.inflight >= self.config.max_inflight:
             return self.refuse(span, 429, "too many in-flight requests", rejected="max_inflight")
-        if self.queue_depth() >= self.config.max_queue:
-            return self.refuse(span, 429, "queue full", rejected="queue_full")
 
         started = time.monotonic()
         self.metrics.request_admitted(request.algo)
         status = 200
         result: dict = {}
-        deadline = self.config.timeout + self.config.batch_window + 1.0
+        deadline = self.config.timeout + 1.0
         try:
             out = key = stages = None
             if not request.is_auto:
@@ -437,9 +433,7 @@ class SpatialService(HttpFront):
                     "executor": self.executor.stats(),
                     "open_batches": self.batcher.depth(),
                     "memory_cache_entries": len(self.cache),
-                    "batch_window_s": self.config.batch_window,
                     "max_inflight": self.config.max_inflight,
-                    "max_queue": self.config.max_queue,
                     "planner": self.planner.stats(),
                 },
             },
@@ -454,8 +448,6 @@ def serve_main(args) -> int:
         workers=args.workers,
         inline=args.inline,
         max_inflight=args.max_inflight,
-        max_queue=args.queue,
-        batch_window=args.batch_window,
         timeout=args.timeout,
         memory_cache=args.memory_cache,
         cache_dir=args.cache_dir,

@@ -2,10 +2,10 @@
 
 ``SpatialMachine.clean_fast`` is true only for a fast, non-strict machine
 with no tracer, no profiler and no fault-injecting plan.  Each site that has
-a vectorized body (``send_shifts``, ``send_many``, the quadrant pair,
-``broadcast_1d``, ``broadcast``, the all-pairs rank, the level-synchronous
-merge tree: mergesort levels, merge levels and batched selection, and the
-per-shape closed forms of the bitonic network and the scan) must take it on
+a vectorized body (``send_many``, the quadrant pair, ``broadcast_1d``,
+``broadcast``, the all-pairs rank, the level-synchronous merge tree:
+mergesort levels, merge levels and batched selection, and the per-shape
+closed forms of the bitonic network and the scan) must take it on
 a clean machine and fall back to its reference loop or depth-first body
 when any single clause is turned off.  The public batched entry points have
 no reference loop and refuse such machines.
@@ -40,17 +40,16 @@ def _row(m):
     return m.place_rowmajor(np.arange(4.0), Region(0, 0, 1, 4))
 
 
-def _send_shifts(m):
-    m.send_shifts(_row(m), [(1, 0), (0, 1)])
-
-
 def _send_many(m):
     ta = _row(m)
     m.send_many([(ta, ta.rows + 1, ta.cols)])
 
 
 def _quadrant_broadcast(m):
-    m.quadrant_broadcast(_row(m), 2, 4)
+    # a square broadcast: the closed form on a clean machine, else the
+    # machine's quadrant doubling loop
+    value = m.place(np.array([1.0]), np.array([0]), np.array([0]))
+    collectives.broadcast(m, value, Region(0, 0, 4, 4))
 
 
 def _quadrant_reduce(m):
@@ -110,9 +109,8 @@ def _scan(m):
 
 #: site -> (owner of the fast body, its attribute name, a call exercising it)
 SITES = {
-    "send_shifts": (machine_mod.SpatialMachine, "_send_shifts_fast", _send_shifts),
     "send_many": (machine_mod.SpatialMachine, "_send_segments_fast", _send_many),
-    "quadrant_broadcast": (machine_mod, "quadrant_broadcast_fast", _quadrant_broadcast),
+    "quadrant_broadcast": (collectives, "_charge_broadcasts", _quadrant_broadcast),
     "quadrant_reduce": (machine_mod, "quadrant_reduce_fast", _quadrant_reduce),
     "broadcast_1d": (collectives, "_charge_broadcasts", _broadcast_1d),
     "broadcast": (collectives, "_charge_broadcasts", _broadcast),

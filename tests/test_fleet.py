@@ -71,7 +71,6 @@ def _service_config(**overrides) -> ServiceConfig:
         port=0,
         inline=True,  # no forking under the test runner
         workers=4,
-        batch_window=0.01,
         disk_cache=False,
         drain_timeout=10.0,
     )
@@ -827,7 +826,6 @@ class TestFleetSubprocess:
                 name,
                 workers=1,
                 cache_dir=str(tmp_path / "cache"),
-                batch_window=0.05,
             ),
             env=env,
         )

@@ -340,7 +340,7 @@ class TestServerIntegration:
         from repro.service import ServiceConfig, SpatialService
 
         config = ServiceConfig(
-            port=0, inline=True, workers=2, batch_window=0.0, disk_cache=False,
+            port=0, inline=True, workers=2, disk_cache=False,
             **config_overrides,
         )
 

@@ -18,6 +18,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -119,9 +120,26 @@ class TestProtocol:
 
 
 class TestBatcher:
+    def test_leader_executes_on_its_first_loop_turn(self):
+        async def go():
+            batcher = Batcher()
+            started = asyncio.Event()
+
+            async def execute():
+                started.set()
+                return {}
+
+            task = asyncio.ensure_future(batcher.submit("k", execute))
+            await asyncio.sleep(0)
+            began = started.is_set()
+            await task
+            return began
+
+        assert asyncio.run(go())
+
     def test_identical_keys_coalesce_to_one_execution(self):
         async def go():
-            batcher = Batcher(window=0.05)
+            batcher = Batcher()
             calls = 0
 
             async def execute():
@@ -141,7 +159,7 @@ class TestBatcher:
 
     def test_distinct_keys_do_not_coalesce(self):
         async def go():
-            batcher = Batcher(window=0.01)
+            batcher = Batcher()
             calls = 0
 
             async def execute():
@@ -160,7 +178,7 @@ class TestBatcher:
 
     def test_leader_failure_propagates_to_waiters(self):
         async def go():
-            batcher = Batcher(window=0.05)
+            batcher = Batcher()
 
             async def execute():
                 await asyncio.sleep(0.01)
@@ -178,7 +196,7 @@ class TestBatcher:
 
     def test_cancelled_waiter_does_not_kill_the_batch(self):
         async def go():
-            batcher = Batcher(window=0.05)
+            batcher = Batcher()
             calls = 0
 
             async def execute():
@@ -188,7 +206,7 @@ class TestBatcher:
                 return {"v": 1}
 
             leader = asyncio.ensure_future(batcher.submit("k", execute))
-            await asyncio.sleep(0.01)  # leader is inside its window
+            await asyncio.sleep(0.01)  # leader is inside its execution
             waiter = asyncio.ensure_future(batcher.submit("k", execute))
             await asyncio.sleep(0.01)
             waiter.cancel()
@@ -399,12 +417,33 @@ def _service_config(**overrides) -> ServiceConfig:
         port=0,
         inline=True,  # no forking under the test runner
         workers=4,
-        batch_window=0.02,
         disk_cache=False,
         drain_timeout=10.0,
     )
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+def _gate_executions(service) -> asyncio.Event:
+    """Park every execution ``service`` starts until the returned event is
+    set, then run it for real: a slow simulation without the timing."""
+    gate = asyncio.Event()
+    execute = service.executor.execute
+
+    async def gated(request, trace=None):
+        await gate.wait()
+        return await execute(request, trace)
+
+    service.executor.execute = gated
+    return gate
+
+
+async def _until(ready, timeout=20.0):
+    """Poll ``ready()`` until it holds or ``timeout`` seconds pass (a
+    broken server then fails the caller's assertions instead of hanging)."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not ready() and asyncio.get_running_loop().time() < deadline:
+        await asyncio.sleep(0.005)
 
 
 def _with_service(config, scenario):
@@ -637,8 +676,10 @@ class TestServerRoutes:
     def test_admission_control_429_with_retry_after(self):
         async def scenario(service):
             port = service.port
-            # eight distinct keys at once against max_inflight=3: the window
-            # holds the first three in flight, the rest must bounce
+            # eight distinct keys at once against max_inflight=3: a gated
+            # execution holds the first three in flight, the rest must bounce
+            gate = _gate_executions(service)
+
             async def post(seed):
                 body = json.dumps({"algo": "scan", "n": 64, "seed": seed}).encode()
                 raw = (
@@ -648,7 +689,10 @@ class TestServerRoutes:
                 )
                 return await _call_raw(port, raw, timeout=30.0)
 
-            outs = await asyncio.gather(*(post(s) for s in range(8)))
+            posts = asyncio.gather(*(post(s) for s in range(8)))
+            await _until(lambda: service.metrics.rejected == 5)
+            gate.set()
+            outs = await posts
             statuses = [s for s, _, _ in outs]
             assert statuses.count(200) == 3
             assert statuses.count(429) == 5
@@ -656,9 +700,7 @@ class TestServerRoutes:
             assert rejected[1].get("retry-after") == "1"
             assert service.metrics.rejected == 5
 
-        _with_service(
-            _service_config(max_inflight=3, max_queue=64, batch_window=0.5), scenario
-        )
+        _with_service(_service_config(max_inflight=3), scenario)
 
 
 class TestServerUnderLoad:
@@ -668,9 +710,14 @@ class TestServerUnderLoad:
         async def scenario(service):
             port = service.port
             requests = build_requests(60, seed=11, mix=FAST_MIX, seed_pool=2)
-            report = await run_load(
-                "127.0.0.1", port, requests, concurrency=50, timeout=60.0
+            # executions stay parked until 50 requests are in flight
+            gate = _gate_executions(service)
+            load = asyncio.ensure_future(
+                run_load("127.0.0.1", port, requests, concurrency=50, timeout=60.0)
             )
+            await _until(lambda: service.metrics.inflight >= 50)
+            gate.set()
+            report = await load
             assert report.dropped == 0, report.errors
             assert report.ok == 60, dict(report.by_status)
 
@@ -686,9 +733,7 @@ class TestServerUnderLoad:
             assert status == 200 and doc["cached"] == "memory"
             assert service.metrics_doc()["cache"]["hits"] >= 1
 
-        _with_service(
-            _service_config(max_inflight=128, batch_window=0.3, workers=8), scenario
-        )
+        _with_service(_service_config(max_inflight=128, workers=8), scenario)
 
     def test_timeout_returns_504_pool_backend(self, tmp_path):
         # needs the real pool: kill-on-timeout is a process-level contract
@@ -714,7 +759,6 @@ class TestServerUnderLoad:
                 inline=False,
                 workers=1,
                 timeout=0.05,
-                batch_window=0.0,
                 disk_cache=True,
                 cache_dir=str(tmp_path / "cache"),
             ),
@@ -732,9 +776,14 @@ class TestServerUnderLoad:
             assert len(pids) == 1
 
             body = {"algo": "sort", "n": 4096}
+            gate = _gate_executions(service)
             leader = asyncio.ensure_future(_call(port, "POST", "/run", body, timeout=60.0))
-            await asyncio.sleep(0.1)  # leader is inside its batch window
+            await _until(lambda: service.batcher.depth() == 1)  # leader is parked
             follower = asyncio.ensure_future(_call(port, "POST", "/run", body, timeout=60.0))
+            await _until(
+                lambda: sum(b.waiters for b in service.batcher._inflight.values()) == 2
+            )
+            gate.set()
 
             # wait until the batch has actually been dispatched to the worker,
             # then kill it mid-task
@@ -764,13 +813,33 @@ class TestServerUnderLoad:
             _service_config(
                 inline=False,
                 workers=1,
-                batch_window=0.3,
                 timeout=60.0,
                 disk_cache=True,
                 cache_dir=str(tmp_path / "cache"),
             ),
             scenario,
         )
+
+
+def _stat(pid) -> list[str]:
+    """``/proc/<pid>/stat`` after the command name (state, ppid, ...);
+    empty once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _alive(pid) -> bool:
+    return _stat(pid)[:1] not in ([], ["Z"])
+
+
+def _live_children(pid: int) -> list[int]:
+    """Live (non-zombie) child processes of ``pid``."""
+    return [
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and _alive(entry) and _stat(entry)[1:2] == [str(pid)]
+    ]
 
 
 class TestServeSubprocess:
@@ -784,7 +853,6 @@ class TestServeSubprocess:
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0",
                 "--workers", "2",
-                "--batch-window", "0.25",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--drain-timeout", "30",
                 *extra,
@@ -854,7 +922,7 @@ class TestServeSubprocess:
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.communicate()
+                proc.communicate(timeout=60)
         assert proc.returncode == 0, out
         assert "drained cleanly" in out
 
@@ -863,18 +931,19 @@ class TestServeSubprocess:
         the leader's result — a follower is never dropped mid-drain."""
 
         async def scenario(proc, port):
-            body = {"algo": "select", "n": 1024}
+            # a ~0.5 s execution: the follower attaches while it runs
+            body = {"algo": "graph", "n": 256}
             r1, w1 = await asyncio.open_connection("127.0.0.1", port)
             r2, w2 = await asyncio.open_connection("127.0.0.1", port)
             try:
                 leader = asyncio.ensure_future(
                     http_call(r1, w1, "POST", "/run", body, timeout=60.0)
                 )
-                await asyncio.sleep(0.05)  # leader is inside the 0.25s window
+                await asyncio.sleep(0.05)  # leader is executing
                 follower = asyncio.ensure_future(
                     http_call(r2, w2, "POST", "/run", body, timeout=60.0)
                 )
-                await asyncio.sleep(0.05)  # both attached, execution pending
+                await asyncio.sleep(0.05)  # both attached, execution running
                 proc.send_signal(signal.SIGTERM)
                 (s1, _, d1, _), (s2, _, d2, _) = await asyncio.gather(leader, follower)
                 for status, doc in ((s1, d1), (s2, d2)):
@@ -892,6 +961,27 @@ class TestServeSubprocess:
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.communicate()
+                proc.communicate(timeout=60)
         assert proc.returncode == 0, out
         assert "drained cleanly" in out
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_sigkilled_server_leaves_no_pool_worker(self, tmp_path):
+        """A server killed without a drain never stops its pool: the workers
+        must notice on their own and exit."""
+        proc, _port = self._spawn(tmp_path)
+        workers = _live_children(proc.pid)
+        try:
+            assert len(workers) == 2, workers
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=60)

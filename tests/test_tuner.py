@@ -314,7 +314,6 @@ class TestServicePlanEndpoint:
             port=0,
             inline=True,
             disk_cache=False,
-            batch_window=0.01,
             timeout=60.0,
             drain_timeout=10.0,
             plan_db=str(tmp_path / "plan_db.json"),
