@@ -15,15 +15,17 @@ Two guarantees ride along:
   payload bytes, :class:`MachineStats`, and the per-phase cost tree (the
   fast path is an optimization, never an approximation);
 * **speed** — at the largest side the fast machine must win by at least
-  :data:`MIN_SPEEDUP_LARGEST`x (measured ~50x at side 32 on a 2-core x86
-  host once the merge tree runs level by level; the gate leaves a wide
-  noise margin below the measurement but still fails any real regression).
+  :data:`MIN_SPEEDUP_LARGEST`x (measured ~66x at side 32, the median of
+  three runs on a 2-core x86 host, with the merge tree run level by level
+  from one merged order per merge; the gate leaves a wide noise margin
+  below the measurement but still fails any real regression).
 
 A second test gates rank selection the same way at ``n =``
 :data:`SELECT_N`: each iteration runs a gather scan, a bitonic sample sort
 and two all-reduces, so a selection that silently fell back to the
 depth-first bodies would lose the win (about 1.5x over the reference when
-only ``send`` was vectorized; the per-shape closed forms measured ~3.7x).
+only ``send`` was vectorized; the per-shape closed forms measured ~4.8x,
+the median of the same three runs).
 """
 
 import time

@@ -44,7 +44,7 @@ from ..collectives import broadcast_2d, reduce_2d
 from ..ops import ADD
 from .sortutil import lex_less, strip_tiebreak, with_tiebreak
 
-__all__ = ["allpairs_sort", "allpairs_sort_many", "allpairs_rank"]
+__all__ = ["allpairs_sort", "allpairs_sort_many", "allpairs_sort_ranked", "allpairs_rank"]
 
 
 def _subgrid_side(n: int) -> int:
@@ -130,10 +130,23 @@ def allpairs_rank(
         workspace = Region(int(ta.rows.min()), int(ta.cols.min()), s * s, s * s)
     R, C = workspace.row, workspace.col
     if machine.clean_fast:
-        return _rank_segments(
-            machine, ta, np.array([n]), np.array([R]), np.array([C]), key_cols
-        )
+        pos = np.arange(n, dtype=np.int64)
+        ranks = _segment_ranks(ta.payload, key_cols, np.zeros(n, dtype=np.int64), pos)
+        ranked = _rank_segments(machine, ta, np.array([n]), np.array([R]), np.array([C]))
+        return ranked, ranks
     return _allpairs_rank_reference(machine, ta, key_cols, R, C, s, n)
+
+
+def _segment_ranks(
+    payload: np.ndarray, key_cols: int, seg: np.ndarray, pos: np.ndarray
+) -> np.ndarray:
+    """Rank of every entry within its segment under the lexicographic order
+    of its ``key_cols`` leading columns, which must be strict (``seg, pos``
+    from :func:`~repro.machine.fastpath.ragged`)."""
+    order = np.lexsort((*(payload[:, c] for c in range(key_cols - 1, -1, -1)), seg))
+    ranks = np.empty(len(seg), dtype=np.int64)
+    ranks[order] = pos  # sorted slot t lies in segment seg[t] at index pos[t]
+    return ranks
 
 
 def _rank_segments(
@@ -142,14 +155,13 @@ def _rank_segments(
     sizes: np.ndarray,
     ws_rows: np.ndarray,
     ws_cols: np.ndarray,
-    key_cols: int,
-) -> tuple[TrackedArray, np.ndarray]:
-    """Closed-form rank of every segment: same counters and ranks as one
-    reference rank per segment, no ``n^2`` placements.
+) -> TrackedArray:
+    """Closed-form rank of every segment: same counters as one reference
+    rank per segment, no ``n^2`` placements.
 
     Segment ``i`` holds the next ``sizes[i]`` entries of ``ta`` and explodes
     onto a workspace cornered at ``(ws_rows[i], ws_cols[i])``.  Returns the
-    ranked elements in input order and each one's rank within its segment.
+    ranked elements in input order.
 
     After the reference regroups its replicas by (subgrid, cell), the entry
     at cell ``j`` of ``Γ_i`` holds the pair ``(A_i, A_j)``: the blanket copy
@@ -159,7 +171,9 @@ def _rank_segments(
     outputs, and the per-block maxima of the reduce collapse to per-segment
     vector maxima.  The ranks themselves need no arithmetic at all: summing
     strict 0/1 comparison bits is exact in float64, so the reduce output *is*
-    the element's lexicographic rank — one ``np.lexsort`` of the keys.
+    the element's rank under the strict key order, and the caller supplies
+    it: one ``np.lexsort`` of the keys (:func:`_segment_ranks`), or
+    arithmetic on a merged order it already holds.
     """
     n_total = len(ta)
     nseg = len(sizes)
@@ -230,13 +244,7 @@ def _rank_segments(
     out_dst = np.maximum(pivots.dist, rdst)
     machine.observe(out_dep, out_dst)
 
-    # rank = number of strictly smaller rows = position in the sorted order
-    P = ta.payload
-    order = np.lexsort((*(P[:, c] for c in range(key_cols - 1, -1, -1)), seg))
-    ranks = np.empty(n_total, dtype=np.int64)
-    ranks[order] = pos
-    ranked = _tracked(machine, pivots.payload, pivots.rows, pivots.cols, out_dep, out_dst)
-    return ranked, ranks
+    return _tracked(machine, pivots.payload, pivots.rows, pivots.cols, out_dep, out_dst)
 
 
 def _allpairs_rank_reference(
@@ -403,31 +411,57 @@ def allpairs_sort_many(
     if not machine.clean_fast:
         raise ValueError("allpairs_sort_many charges closed forms: clean fast machines only")
     sizes = np.asarray(sizes, dtype=np.int64)
+    starts, seg, pos = ragged(sizes)
+    ranks = _segment_ranks(ta.payload, key_cols, seg, pos)
+    placed = allpairs_sort_ranked(
+        machine, ta, sizes, ranks, out_rows, out_cols, out_width, ws_rows, ws_cols
+    )
+    order = np.empty(len(ta), dtype=np.int64)
+    order[starts[seg] + ranks] = np.arange(len(ta), dtype=np.int64)
+    out = placed[order]
+    out.payload = np.asarray(out.payload, dtype=np.float64)
+    return out
+
+
+def allpairs_sort_ranked(
+    machine: SpatialMachine,
+    ta: TrackedArray,
+    sizes: np.ndarray,
+    ranks: np.ndarray,
+    out_rows: np.ndarray,
+    out_cols: np.ndarray,
+    out_width: np.ndarray,
+    ws_rows: np.ndarray,
+    ws_cols: np.ndarray,
+) -> TrackedArray:
+    """:func:`allpairs_sort_many` for segments whose ranks the caller knows.
+
+    ``ranks[i]`` is entry ``i``'s rank within its segment under the strict
+    key order; the payload is carried, never compared.  Charges exactly
+    what :func:`allpairs_sort_many` charges and returns the placed entries
+    in input order: entry ``i`` sits at output cell ``ranks[i]`` of its
+    segment's region.
+    """
+    if not machine.clean_fast:
+        raise ValueError("allpairs_sort_ranked charges closed forms: clean fast machines only")
     with machine.phase("allpairs"):
-        n_total = len(ta)
         starts, seg, _ = ragged(sizes)
         src = ta
         multi = sizes > 1
         if multi.all():
-            src, ranks = _rank_segments(machine, ta, sizes, ws_rows, ws_cols, key_cols)
-        else:
+            src = _rank_segments(machine, ta, sizes, ws_rows, ws_cols)
+        elif multi.any():
             # a one-element segment skips the rank and just moves to its cell
-            ranks = np.zeros(n_total, dtype=np.int64)
-            if multi.any():
-                at = multi[seg]
-                ranked, ranks[at] = _rank_segments(
-                    machine, ta[at], sizes[multi], ws_rows[multi], ws_cols[multi], key_cols
-                )
-                src = ta.copy()
-                for name in ("rows", "cols", "depth", "dist"):
-                    getattr(src, name)[at] = getattr(ranked, name)
+            at = multi[seg]
+            ranked = _rank_segments(
+                machine, ta[at], sizes[multi], ws_rows[multi], ws_cols[multi]
+            )
+            src = ta.copy()
+            for name in ("rows", "cols", "depth", "dist"):
+                getattr(src, name)[at] = getattr(ranked, name)
         # element with rank r goes to output cell r
         width = out_width[seg]
-        placed = machine.send_many(
+        return machine.send_many(
             (src, out_rows[seg] + ranks // width, out_cols[seg] + ranks % width),
             starts=starts,
         )
-        order = np.argsort(starts[seg] + ranks)
-        out = placed[order]
-        out.payload = np.asarray(out.payload, dtype=np.float64)
-        return out

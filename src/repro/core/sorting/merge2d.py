@@ -39,7 +39,9 @@ from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
 from ..collectives import broadcast, broadcast_many
-from .two_sorted_select import select_ranks_two_sorted, select_ranks_two_sorted_many
+from ..validate import check_keys
+from .sortutil import merged_ranks
+from .two_sorted_select import select_ranked, select_ranks_two_sorted
 
 __all__ = ["merge_sorted_2d", "merge_sorted_2d_many", "merge_subregions"]
 
@@ -73,6 +75,7 @@ def merge_sorted_2d(
     before ``B`` (and by position within each array), consistent with the
     selection subroutine, so the output is a deterministic permutation.
     ``base_case`` (>= 4) stops the recursion once a chunk fits a tiny region.
+    A NaN key raises ``ValueError`` on every machine.
     """
     n = len(A) + len(B)
     if n != out_region.size:
@@ -88,6 +91,7 @@ def merge_sorted_2d(
                 f"{int(part.cols[i])}) lies outside {out_region}; both inputs "
                 "must lie inside out_region"
             )
+        check_keys(part.payload, key_cols, f"merge_sorted_2d {name}")
     if machine.clean_fast:
         r = out_region
         return merge_sorted_2d_many(
@@ -128,6 +132,12 @@ def merge_sorted_2d_many(
     caller has checked the :func:`merge_sorted_2d` preconditions.  Every
     counter equals one :func:`merge_sorted_2d` call per merge.  Returns each
     merge's output in row-major order of its region, merges in order.
+
+    Each merge is sorted once, under the selection's strict key, and every
+    entry carries its merged rank ``r`` through the levels: the splits are
+    exact rank splits, so a subproblem at offset ``off`` holds exactly the
+    ranks ``[off, off + n)``, and every order a level needs is read off the
+    ranks.
     """
     if not machine.clean_fast:
         raise ValueError("merge_sorted_2d_many charges closed forms: clean fast machines only")
@@ -136,6 +146,11 @@ def merge_sorted_2d_many(
     regions = np.asarray(regions, dtype=np.int64)
     parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]] = []
     with machine.phase("merge2d"):
+        starts, merge, pos = ragged(a_sizes + b_sizes)
+        in_b = pos >= a_sizes[merge]
+        rank = merged_ranks(
+            ta.payload, key_cols, merge, in_b, pos - np.where(in_b, a_sizes[merge], 0), starts
+        )
         # one row per live subproblem: (na, nb, row, col, h, w, offset, merge)
         sub = np.column_stack(
             [a_sizes, b_sizes, regions, np.zeros(len(a_sizes), dtype=np.int64),
@@ -143,63 +158,58 @@ def merge_sorted_2d_many(
         )
         cur = ta
         while len(sub):
-            cur, sub = _merge_level(machine, cur, sub, key_cols, base_case, parked)
+            cur, rank, sub = _merge_level(machine, cur, rank, sub, base_case, parked)
 
         # Fig. 3d: permute from the recursion's traversal order into row-major
         placed = concat_tracked([p[0] for p in parked])
-        ranks = np.concatenate([p[1] for p in parked])
-        merge = np.concatenate([p[2] for p in parked])
+        at = np.concatenate([starts[p[2]] + p[1] for p in parked])
         del parked
-        order = np.lexsort((ranks, merge))
-        placed, ranks, merge = placed[order], ranks[order], merge[order]
+        order = np.empty(len(at), dtype=np.int64)
+        order[at] = np.arange(len(at), dtype=np.int64)
+        placed = placed[order]
         row, col, width = regions[merge, 0], regions[merge, 1], regions[merge, 3]
         return machine.send_many(
-            (placed, row + ranks // width, col + ranks % width),
-            starts=segment_starts(a_sizes + b_sizes),
+            (placed, row + pos // width, col + pos % width), starts=starts
         )
 
 
 def _merge_level(
     machine: SpatialMachine,
     cur: TrackedArray,
+    rank: np.ndarray,
     sub: np.ndarray,
-    key_cols: int,
     base_case: int,
     parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]],
-) -> tuple[TrackedArray, np.ndarray]:
+) -> tuple[TrackedArray, np.ndarray, np.ndarray]:
     """One level of :func:`_merge_rec` over every live subproblem.
 
     ``cur`` holds each subproblem's ``A`` then ``B`` entries, subproblems in
-    order.  Parks the leaves (appending ``(parked, rank, merge)`` to
-    ``parked``) and returns the next level's entries and subproblem rows.
+    order, and ``rank`` each entry's rank in its merge.  Parks the leaves
+    (appending ``(parked, rank, merge)`` to ``parked``) and returns the next
+    level's entries, their ranks and the subproblem rows.
     """
     na, nb, row, col, h, w, off, merge = sub.T
     n = na + nb
     seg_start, seg, pos = ragged(n)
     in_b = pos >= na[seg]
     pos -= np.where(in_b, na[seg], 0)  # index within A or within B
+    rho = rank - off[seg]  # rank within the subproblem
     leaf = (n <= base_case) | (h == 1) | (w == 1) | (n < 4)
 
     # ---- leaves: park the merged chunk in row-major order of its region
     if leaf.any():
         at = leaf[seg]
         ls = seg[at]
-        P = cur.payload
-        order = np.lexsort(
-            (pos[at], in_b[at], *(P[at, c] for c in range(key_cols - 1, -1, -1)), ls)
-        )
-        leaf_start = segment_starts(np.where(leaf, n, 0))
-        inv = np.empty(len(ls), dtype=np.int64)
-        inv[order] = np.arange(len(ls)) - leaf_start[ls[order]]
-        lw = w[ls]
+        lr, lw = rho[at], w[ls]
         out = machine.send_many(
-            (cur[at], row[ls] + inv // lw, col[ls] + inv % lw), starts=leaf_start[leaf]
+            (cur[at], row[ls] + lr // lw, col[ls] + lr % lw), starts=segment_starts(n[leaf])
         )
-        parked.append((out, off[ls] + inv, merge[ls]))
+        parked.append((out, rank[at], merge[ls]))
         if leaf.all():
-            return cur[0:0], sub[0:0]
-        cur, sub = cur[~at], sub[~leaf]
-        pos, in_b = pos[~at], in_b[~at]
+            return cur[0:0], rank[0:0], sub[0:0]
+        keep = ~at
+        cur, rank, sub = cur[keep], rank[keep], sub[~leaf]
+        pos, in_b, rho = pos[keep], in_b[keep], rho[keep]
         na, nb, row, col, h, w, off, merge = sub.T
         n = na + nb
         seg_start, seg, _ = ragged(n)
@@ -242,15 +252,15 @@ def _merge_level(
             with machine.phase("broadcast"):
                 pass
     if two.any():
-        e_two = two[seg]
-        ca, cb, dd, ds, wr, wc, _ = select_ranks_two_sorted_many(
+        ca, cb, dd, ds, wr, wc, _ = select_ranked(
             machine,
-            cur[e_two & ~in_b],
+            cur,
+            rho,
+            seg_start[two],
             na[two],
-            cur[e_two & in_b],
+            seg_start[two] + na[two],
             nb[two],
             ks[two],
-            key_cols,
             row[two],
             col[two],
         )
@@ -278,10 +288,10 @@ def _merge_level(
         ctl_d[at] = corner.depth[gs] + dep_off[cell]
         ctl_s[at] = corner.dist[gs] + dst_off[cell]
 
-    # chunk q of a subproblem is A[cut_a[q]:cut_a[q+1]] || B[cut_b[q]:cut_b[q+1]]
-    chunk_a, chunk_b = np.diff(cut_a, axis=1), np.diff(cut_b, axis=1)
-    cuts = np.where(in_b[:, None], cut_b[seg, 1:4], cut_a[seg, 1:4])
-    q = (pos[:, None] >= cuts).sum(1)
+    # chunk q of a subproblem is A[cut_a[q]:cut_a[q+1]] || B[cut_b[q]:cut_b[q+1]]:
+    # the ranks [q * quarter, (q + 1) * quarter), the last chunk taking the rest
+    chunk_a = np.diff(cut_a, axis=1)
+    q = np.minimum(rho // quarter[seg], 3)
     j = np.where(in_b, pos - cut_b[seg, q] + chunk_a[seg, q], pos - cut_a[seg, q])
     # sub-region q: square -> Z-order quadrants, wide/tall -> four strips
     q4 = np.arange(4, dtype=np.int64)
@@ -296,9 +306,9 @@ def _merge_level(
 
     # one send per (subproblem, chunk, side); entries regroup into the next
     # level's layout: children in order, each child's A part then B part
-    key = (seg * 4 + q) * 2 + in_b
-    order = np.argsort(key, kind="stable")
-    starts = segment_starts(np.bincount(key, minlength=8 * S))
+    child_start = seg_start[:, None] + q4 * quarter[:, None]
+    order = np.empty(len(seg), dtype=np.int64)
+    order[child_start[seg, q] + j] = np.arange(len(seg), dtype=np.int64)
     moving = _tracked(
         machine,
         cur.payload[order],
@@ -307,11 +317,14 @@ def _merge_level(
         np.maximum(cur.depth, ctl_d)[order],
         np.maximum(cur.dist, ctl_s)[order],
     )
-    moved = machine.send_many((moving, dest_r[order], dest_c[order]), starts=starts)
+    moved = machine.send_many(
+        (moving, dest_r[order], dest_c[order]),
+        starts=np.stack([child_start, child_start + chunk_a], 2).ravel(),
+    )
     children = np.column_stack(
         [
             chunk_a.ravel(),
-            chunk_b.ravel(),
+            np.diff(cut_b, axis=1).ravel(),
             sub_row.ravel(),
             sub_col.ravel(),
             np.repeat(sub_h, 4),
@@ -320,7 +333,7 @@ def _merge_level(
             np.repeat(merge, 4),
         ]
     )
-    return moved, children
+    return moved, rank[order], children
 
 
 def _merged_order(A: TrackedArray, B: TrackedArray, key_cols: int) -> np.ndarray:

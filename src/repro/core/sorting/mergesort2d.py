@@ -28,7 +28,7 @@ import numpy as np
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray
 from ...machine.zorder import is_power_of_two, zorder_decode, zorder_encode
-from ..validate import check_finite_values
+from ..validate import check_finite_values, check_keys
 from .allpairs import allpairs_sort, allpairs_sort_many
 from .merge2d import merge_sorted_2d, merge_sorted_2d_many
 
@@ -48,7 +48,7 @@ def mergesort_2d(
     ``region`` must be a power-of-two square.  The payload is ``(n, k)`` with
     ``key_cols`` leading key columns compared lexicographically; ties keep a
     deterministic order via the merge's A-before-B rule and the base sorter's
-    position tie-break.
+    position tie-break.  A NaN key raises ``ValueError`` on every machine.
     """
     if not region.is_square or not is_power_of_two(region.width):
         raise ValueError(f"mergesort_2d needs a power-of-two square region, got {region}")
@@ -57,6 +57,7 @@ def mergesort_2d(
         raise ValueError(f"expected one value per cell ({region.size}), got {n}")
     if ta.payload.ndim != 2:
         raise ValueError("sort payloads are (n, k) arrays; see sortutil.as_sort_payload")
+    check_keys(ta.payload, key_cols, "mergesort_2d input")
     with machine.phase("mergesort2d"):
         if machine.clean_fast:
             return _sort_levels(machine, ta, region, key_cols, max(4, base_case))

@@ -22,6 +22,7 @@ __all__ = [
     "with_tiebreak",
     "strip_tiebreak",
     "as_sort_payload",
+    "merged_ranks",
 ]
 
 
@@ -81,3 +82,26 @@ def strip_tiebreak(ta: TrackedArray, key_cols_with_tb: int) -> TrackedArray:
     else:
         kept = np.concatenate([payload[:, :tb], payload[:, tb + 1 :]], axis=1)
     return ta.with_payload(kept)
+
+
+def merged_ranks(
+    payload: np.ndarray,
+    key_cols: int,
+    group: np.ndarray,
+    in_b: np.ndarray,
+    pos: np.ndarray,
+    group_start: np.ndarray,
+) -> np.ndarray:
+    """Every entry's 0-based rank in its pair's merged order.
+
+    Entry ``i`` is ``A[pos[i]]`` (or ``B[pos[i]]`` where ``in_b[i]``) of pair
+    ``group[i]``, whose ranks start at ``group_start[group[i]]`` of the
+    sorted layout (pairs in order).  The order is the strict key of the
+    selection and the merge: user keys, ``A`` before ``B``, position.
+    """
+    order = np.lexsort(
+        (pos, in_b, *(payload[:, c] for c in range(key_cols - 1, -1, -1)), group)
+    )
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64) - group_start[group[order]]
+    return rank

@@ -40,7 +40,9 @@ from ...machine.fastpath import ragged, relay_flat, segment_starts
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
-from .allpairs import _subgrid_sides, allpairs_sort, allpairs_sort_many
+from ..validate import check_keys
+from .allpairs import _subgrid_sides, allpairs_sort, allpairs_sort_ranked
+from .sortutil import merged_ranks
 
 __all__ = [
     "select_rank_two_sorted",
@@ -136,14 +138,17 @@ def select_ranks_two_sorted(
     """Split sorted ``A`` and ``B`` at several ranks, sharing one sample sort.
 
     Ranks are 1-based.  Returns one :class:`TwoArraySplit` per requested rank,
-    in order.  A clean fast machine runs the batched body
-    (:func:`select_ranks_two_sorted_many`) on this one pair.
+    in order.  A NaN key raises ``ValueError`` on every machine.  A clean
+    fast machine runs the batched body (:func:`select_ranks_two_sorted_many`)
+    on this one pair.
     """
     na, nb = len(A), len(B)
     n = na + nb
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"rank k={k} out of range 1..{n}")
+    check_keys(A.payload, key_cols, "select_ranks_two_sorted A")
+    check_keys(B.payload, key_cols, "select_ranks_two_sorted B")
     if na == 0 or nb == 0:
         full = A if nb == 0 else B
         where = (int(full.rows[0]), int(full.cols[0]))
@@ -278,33 +283,31 @@ def _probe_chains(n: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndar
     probes per search.
     """
     stride = _isqrt(n)
-    chain: list[np.ndarray] = []
-    probes: list[np.ndarray] = []
+    probes: list[np.ndarray] = []  # one row per bisection step, over all searches
+    taken: list[np.ndarray] = []  # which searches probed at that step
 
     def bisect(base: np.ndarray, hi: np.ndarray, step: np.ndarray) -> np.ndarray:
         """Probe base, base+step, ... to find the first block not below."""
         lo = np.zeros(len(n), dtype=np.int64)
         active = lo < hi
         while active.any():
-            at = np.flatnonzero(active)
-            mid = (lo[at] + hi[at]) // 2
-            idx = np.minimum(base[at] + mid * step[at], n[at] - 1)
-            chain.append(at)
+            mid = (lo + hi) >> 1
+            idx = np.minimum(base + mid * step, n - 1)
             probes.append(idx)
-            below = idx < count[at]
-            lo[at] = np.where(below, mid + 1, lo[at])
-            hi[at] = np.where(below, hi[at], mid)
+            taken.append(active)
+            below = idx < count
+            lo = np.where(active & below, mid + 1, lo)
+            hi = np.where(active & ~below, mid, hi)
             active = lo < hi
         return base + lo * step
 
     first_block = bisect(np.zeros(len(n), dtype=np.int64), (n + stride - 1) // stride, stride)
     block_lo = np.maximum(0, first_block - stride)
     bisect(block_lo, np.minimum(n, block_lo + 2 * stride) - block_lo, np.ones_like(n))
-    if not chain:
+    if not probes:
         return np.zeros(0, dtype=np.int64), np.zeros(len(n), dtype=np.int64)
-    chain_id = np.concatenate(chain)
-    order = np.argsort(chain_id, kind="stable")  # probes were appended in probe order
-    return np.concatenate(probes)[order], np.bincount(chain_id, minlength=len(n))
+    by_search = np.array(taken).T  # row i: search i's steps, in probe order
+    return np.array(probes).T[by_search], by_search.sum(1)
 
 
 def select_ranks_two_sorted_many(
@@ -324,10 +327,10 @@ def select_ranks_two_sorted_many(
     ``b_sizes[p] >= 1`` entries of ``B``, staged at ``(staging_rows[p],
     staging_cols[p])``; row ``p`` of the ``(pairs, ranks)`` array ``ks``
     holds its 1-based ranks.  Every counter equals one
-    :func:`select_ranks_two_sorted` call per pair: all sample sorts run as
-    one segmented All-Pairs Sort, all probe chains as one relay charge, all
-    windows as one more segmented sort.  Returns ``(cut_a, cut_b, depth,
-    dist, where_rows, where_cols, used_fallback)``, each shaped like ``ks``.
+    :func:`select_ranks_two_sorted` call per pair.  Sorts every pair's
+    union once (:func:`merged_ranks`) and hands the ranks to
+    :func:`select_ranked`.  Returns ``(cut_a, cut_b, depth, dist,
+    where_rows, where_cols, used_fallback)``, each shaped like ``ks``.
     """
     if not machine.clean_fast:
         raise ValueError(
@@ -335,46 +338,52 @@ def select_ranks_two_sorted_many(
         )
     na = np.asarray(a_sizes, dtype=np.int64)
     nb = np.asarray(b_sizes, dtype=np.int64)
+    a_start, a_pair, a_pos = ragged(na)
+    b_start, b_pair, b_pos = ragged(nb)
+    b_start += len(A)  # B entries follow A's in the union layout U = A || B
+    U = concat_tracked([A, B])
+    rank = merged_ranks(
+        np.concatenate([A.payload[:, :key_cols], B.payload[:, :key_cols]]),
+        key_cols,
+        np.concatenate([a_pair, b_pair]),
+        np.repeat([False, True], [len(A), len(B)]),
+        np.concatenate([a_pos, b_pos]),
+        segment_starts(na + nb),
+    )
+    return select_ranked(
+        machine, U, rank, a_start, na, b_start, nb, ks, staging_rows, staging_cols
+    )
+
+
+def select_ranked(
+    machine: SpatialMachine,
+    U: TrackedArray,
+    rank: np.ndarray,
+    a_start: np.ndarray,
+    na: np.ndarray,
+    b_start: np.ndarray,
+    nb: np.ndarray,
+    ks: np.ndarray,
+    staging_rows: np.ndarray,
+    staging_cols: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The batched selection body, given every entry's merged rank.
+
+    ``A`` of pair ``p`` is ``U[a_start[p] : a_start[p] + na[p]]`` and ``B``
+    is ``U[b_start[p] : b_start[p] + nb[p]]``; ``rank[i]`` is entry ``i``'s
+    0-based rank in its pair's merged strict order (:func:`merged_ranks`).
+    Only ``U``'s cells and metadata are read: the ranks fix every order the
+    selection needs.  An entry at position ``p`` of its own side with rank
+    ``r`` has ``r - p`` entries of the other side below it, so the target's
+    A/B counts, the sample ranks and the window ranks are arithmetic, and
+    every All-Pairs Sort of the round (samples and windows: the windows
+    depend only on these host-known counts) is one segmented charge.  All
+    probe chains are one relay charge.  Returns what
+    :func:`select_ranks_two_sorted_many` returns.
+    """
     ks = np.asarray(ks, dtype=np.int64)
     npairs, nk = ks.shape
     n = na + nb
-    a_start, a_pair, a_pos = ragged(na)
-    b_start, b_pair, b_pos = ragged(nb)
-    b_start += len(A)  # B entries follow A's in the union layout below
-    kc = key_cols + 2  # strict keys: (user keys, which-array, index)
-
-    # the union U = A || B with its strict keys (user keys, which-array, index)
-    U_rows = np.concatenate([A.rows, B.rows])
-    U_cols = np.concatenate([A.cols, B.cols])
-    U_depth = np.concatenate([A.depth, B.depth])
-    U_dist = np.concatenate([A.dist, B.dist])
-    keys = np.empty((len(U_rows), kc), dtype=np.float64)
-    keys[: len(A), :key_cols] = A.payload[:, :key_cols]
-    keys[len(A) :, :key_cols] = B.payload[:, :key_cols]
-    keys[: len(A), key_cols] = 0.0
-    keys[len(A) :, key_cols] = 1.0
-    keys[: len(A), key_cols + 1] = a_pos
-    keys[len(A) :, key_cols + 1] = b_pos
-
-    def gather(idx: np.ndarray) -> TrackedArray:
-        return _tracked(machine, keys[idx], U_rows[idx], U_cols[idx], U_depth[idx], U_dist[idx])
-
-    def sort_segments(idx: np.ndarray, sizes: np.ndarray, pair: np.ndarray) -> TrackedArray:
-        """All-Pairs-Sort each segment onto the square at its own corner."""
-        part = gather(idx)
-        starts = segment_starts(sizes)
-        return allpairs_sort_many(
-            machine,
-            part,
-            sizes,
-            kc,
-            np.minimum.reduceat(part.rows, starts),
-            np.minimum.reduceat(part.cols, starts),
-            _subgrid_sides(sizes),
-            staging_rows[pair],
-            staging_cols[pair],
-        )
-
     step = _isqrt(n)
     big = (n > 16) & (step > 1)
     pair_k = np.repeat(np.arange(npairs, dtype=np.int64), nk)
@@ -383,102 +392,128 @@ def select_ranks_two_sorted_many(
     b = np.zeros(len(k), dtype=np.int64)
     depth = np.zeros(len(k), dtype=META_DTYPE)
     dist = np.zeros(len(k), dtype=META_DTYPE)
-    where_r = np.zeros(len(k), dtype=np.int64)
-    where_c = np.zeros(len(k), dtype=np.int64)
     if not npairs:
-        return a, b, depth, dist, where_r, where_c, np.zeros(0, dtype=bool)
+        z = np.zeros(0, dtype=np.int64)
+        return a, b, depth, dist, z, z, np.zeros(0, dtype=bool)
+
+    # -- 1: every big pair's deterministic sample A[::step] || B[::step];
+    #    side 0 is A, side 1 is B, and own = position within the side
+    bp = np.flatnonzero(big)
+    st_p = step[bp]
+    counts = np.stack([(na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p], 1)
+    s_sizes = counts.sum(1)
+    _, s_grp, s_i = ragged(counts.ravel())
+    s_step = st_p[s_grp // 2]
+    s_own = s_i * s_step
+    s_idx = np.stack([a_start[bp], b_start[bp]], 1).ravel()[s_grp] + s_own
+    # sample rank: i samples of its own side below it, and ceil(c / step) of
+    # the other side, whose first c = rank - own entries are below it
+    s_rank = s_i + (rank[s_idx] - s_own + s_step - 1) // s_step
+
+    # -- 3: the l-th ranked sample of each requested rank, and its A/B counts
+    s_start = segment_starts(s_sizes)
+    s_at = np.empty(len(s_idx), dtype=np.int64)  # sample slot of each sample rank
+    s_at[s_start[s_grp // 2] + s_rank] = np.arange(len(s_idx), dtype=np.int64)
+    slot = np.full(npairs, -1, dtype=np.int64)
+    slot[bp] = np.arange(len(bp), dtype=np.int64)
+    kb = np.flatnonzero(big[pair_k])
+    sp = slot[pair_k[kb]]
+    l = np.minimum((k[kb] - 1) // step[pair_k[kb]], s_sizes[sp])
+    none = l == 0
+    kt = kb[~none]
+    t = s_at[s_start[sp[~none]] + l[~none] - 1]
+    other = rank[s_idx[t]] - s_own[t]
+    from_b = (s_grp[t] & 1).astype(bool)
+    a[kt] = np.where(from_b, other, s_own[t])
+    b[kt] = np.where(from_b, s_own[t], other)
+    probe_a, probe_b = a[kt], b[kt]
+
+    # -- 5: windows of kp entries past the counts on each side (the sampling
+    #    guarantee bounds kp; a violation, impossible under the strict total
+    #    order, falls back to the full arrays)
+    kp = k - a - b
+    fallback = big[pair_k] & ((kp < 1) | (kp > 3 * step[pair_k] + 2))
+    a[fallback] = 0
+    b[fallback] = 0
+    kp[fallback] = k[fallback]
+    wa = np.minimum(na[pair_k], a + kp) - a
+    wb = np.minimum(nb[pair_k], b + kp) - b
+    w_sizes = wa + wb
+    _, w_grp, w_i = ragged(np.stack([wa, wb], 1).ravel())
+    w_k = w_grp // 2
+    w_b = (w_grp & 1).astype(bool)
+    lo = np.stack([a, b], 1)
+    w_own = lo.ravel()[w_grp] + w_i
+    w_idx = np.stack([a_start[pair_k], b_start[pair_k]], 1).ravel()[w_grp] + w_own
+    # window rank: its own side's window entries before it, plus the other
+    # side's window entries among the rank - own entries below it
+    other_lo = lo[w_k, (~w_b).astype(np.int64)]
+    other_n = np.where(w_b, wa[w_k], wb[w_k])
+    w_rank = w_i + np.clip(rank[w_idx] - w_own - other_lo, 0, other_n)
 
     with machine.phase("two_sorted_select"):
-        if big.any():
-            # -- 1-2: gather and All-Pairs-Sort every big pair's sample
-            bp = np.flatnonzero(big)
-            st_p = step[bp]
-            counts = np.stack([(na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p], 1)
-            _, grp, within = ragged(counts.ravel())
-            side_start = np.stack([a_start[bp], b_start[bp]], 1).ravel()
-            s_sizes = counts.sum(1)
-            sorted_s = sort_segments(side_start[grp] + within * st_p[grp // 2], s_sizes, bp)
-            s_start = segment_starts(s_sizes)
+        # -- 2, 6: one segmented All-Pairs Sort of every sample and window,
+        #    each sorted onto the square at its own corner
+        sizes = np.concatenate([s_sizes, w_sizes])
+        idx = np.concatenate([s_idx, w_idx])
+        seg_pair = np.concatenate([bp, pair_k])
+        starts = segment_starts(sizes)
+        rows, cols = U.rows[idx], U.cols[idx]
+        placed = _tracked(machine, np.empty((len(idx), 0)), rows, cols, U.depth[idx], U.dist[idx])
+        if len(sizes):  # no ranks requested of small pairs: nothing to sort
+            placed = allpairs_sort_ranked(
+                machine,
+                placed,
+                sizes,
+                np.concatenate([s_rank, w_rank]),
+                np.minimum.reduceat(rows, starts),
+                np.minimum.reduceat(cols, starts),
+                _subgrid_sides(sizes),
+                staging_rows[seg_pair],
+                staging_cols[seg_pair],
+            )
+        if none.any():
+            # no sample below the rank: the window waits for the whole sample sort
+            ns = len(s_idx)
+            depth[kb[none]] = np.maximum.reduceat(placed.depth[:ns], s_start)[sp[none]]
+            dist[kb[none]] = np.maximum.reduceat(placed.dist[:ns], s_start)[sp[none]]
+        if len(kt):
+            # -- 4: two-level probe chains from the target, A then B
+            #    (carrying A's end)
+            pt = pair_k[kt]
+            probes, hops = _probe_chains(
+                np.stack([na[pt], nb[pt]], 1).ravel(), np.stack([probe_a, probe_b], 1).ravel()
+            )
+            probe_at = probes + np.repeat(np.stack([a_start[pt], b_start[pt]], 1).ravel(), hops)
+            end_d, end_s = relay_flat(
+                machine,
+                np.repeat(placed.rows[t], 2),
+                np.repeat(placed.cols[t], 2),
+                U.rows[probe_at],
+                U.cols[probe_at],
+                hops,
+                np.stack([placed.depth[t], np.zeros_like(t)], 1).ravel(),
+                np.stack([placed.dist[t], np.zeros_like(t)], 1).ravel(),
+                np.tile([False, True], len(kt)),
+            )
+            depth[kt] = end_d[1::2]
+            dist[kt] = end_s[1::2]
 
-            # -- 3: the l-th ranked sample of each requested rank
-            slot = np.full(npairs, -1, dtype=np.int64)
-            slot[bp] = np.arange(len(bp))
-            kb = np.flatnonzero(big[pair_k])
-            sp = slot[pair_k[kb]]
-            l = np.minimum((k[kb] - 1) // step[pair_k[kb]], s_sizes[sp])
-            none = l == 0
-            if none.any():
-                # no sample below the rank: the windows start at 0 and wait
-                # for the whole sample sort
-                depth[kb[none]] = np.maximum.reduceat(sorted_s.depth, s_start)[sp[none]]
-                dist[kb[none]] = np.maximum.reduceat(sorted_s.dist, s_start)[sp[none]]
-            kt = kb[~none]
-            if len(kt):
-                t = s_start[sp[~none]] + l[~none] - 1
-                pt = pair_k[kt]
-                # strictly-below counts of the target in A and in B, from its
-                # position in its pair's merged (strict) order
-                u_pair = np.concatenate([a_pair, b_pair])
-                ue = np.flatnonzero(big[u_pair])
-                order = ue[np.lexsort((*(keys[ue, c] for c in range(kc - 1, -1, -1)),
-                                       u_pair[ue]))]
-                group_start = segment_starts(np.where(big, n, 0))
-                mrank = np.empty(len(keys), dtype=np.int64)
-                mrank[order] = np.arange(len(order)) - group_start[u_pair[order]]
-                from_b = sorted_s.payload[t, key_cols] == 1.0
-                own = np.rint(sorted_s.payload[t, key_cols + 1]).astype(np.int64)
-                u_idx = np.where(from_b, b_start[pt], a_start[pt]) + own
-                other = mrank[u_idx] - own
-                a[kt] = np.where(from_b, other, own)
-                b[kt] = np.where(from_b, own, other)
-
-                # -- 4: two-level probe chains, A then B (carrying A's end)
-                probes, hops = _probe_chains(
-                    np.stack([na[pt], nb[pt]], 1).ravel(), np.stack([a[kt], b[kt]], 1).ravel()
-                )
-                first = np.stack([a_start[pt], b_start[pt]], 1).ravel()
-                probe_at = probes + np.repeat(first, hops)
-                src_r = np.repeat(sorted_s.rows[t], 2)
-                src_c = np.repeat(sorted_s.cols[t], 2)
-                d0 = np.stack([sorted_s.depth[t], np.zeros_like(t)], 1).ravel()
-                s0 = np.stack([sorted_s.dist[t], np.zeros_like(t)], 1).ravel()
-                end_d, end_s = relay_flat(
-                    machine, src_r, src_c, U_rows[probe_at], U_cols[probe_at],
-                    hops, d0, s0, np.tile([False, True], len(kt)),
-                )
-                depth[kt] = end_d[1::2]
-                dist[kt] = end_s[1::2]
-
-        # -- 5-6: solve inside the windows (the sampling guarantee bounds
-        #    them; a violation, impossible under the strict total order, falls
-        #    back to the full arrays)
-        kp = k - a - b
-        limit = 3 * step[pair_k] + 2
-        fallback = big[pair_k] & ((kp < 1) | (kp > limit))
-        a[fallback] = 0
-        b[fallback] = 0
-        kp[fallback] = k[fallback]
-        cut_a = np.zeros(len(k), dtype=np.int64)
-        if len(k):
-            wa = np.minimum(na[pair_k], a + kp) - a
-            wb = np.minimum(nb[pair_k], b + kp) - b
-            _, grp, within = ragged(np.stack([wa, wb], 1).ravel())
-            side_start = np.stack([a_start[pair_k] + a, b_start[pair_k] + b], 1).ravel()
-            w_sizes = wa + wb
-            sorted_u = sort_segments(side_start[grp] + within, w_sizes, pair_k)
-            # the kp-th smallest of each window decides its rank
-            e = segment_starts(w_sizes) + kp - 1
-            depth = np.maximum(depth, sorted_u.depth[e])
-            dist = np.maximum(dist, sorted_u.dist[e])
-            where_r, where_c = sorted_u.rows[e], sorted_u.cols[e]
-            from_a = sorted_u.payload[e, key_cols] == 0.0
-            idx = np.rint(sorted_u.payload[e, key_cols + 1]).astype(np.int64)
-            cut_a = np.where(from_a, idx + 1, k - (idx + 1))
-        shape = ks.shape
-        return tuple(
-            v.reshape(shape)
-            for v in (cut_a, k - cut_a, depth, dist, where_r, where_c, fallback)
+    # -- 6: the kp-th smallest of each window decides its rank
+    w_start = segment_starts(w_sizes)
+    w_at = np.empty(len(w_idx), dtype=np.int64)
+    w_at[w_start[w_k] + w_rank] = np.arange(len(w_idx), dtype=np.int64)
+    e = w_at[w_start + kp - 1]
+    pe = len(s_idx) + e
+    depth = np.maximum(depth, placed.depth[pe])
+    dist = np.maximum(dist, placed.dist[pe])
+    cut_a = np.where(w_b[e], k - (w_own[e] + 1), w_own[e] + 1)
+    return tuple(
+        v.reshape(ks.shape)
+        for v in (
+            cut_a, k - cut_a, depth, dist, placed.rows[pe], placed.cols[pe], fallback
         )
+    )
 
 
 def select_rank_two_sorted(

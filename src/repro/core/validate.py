@@ -16,13 +16,22 @@ propagate through scans and comparators as silent garbage.
 
 ``inf`` is deliberately allowed — the sorters and selection use it as
 legitimate padding (see ``tests/test_sort_infinities``).
+
+NaN *keys* are refused on every machine by :func:`check_keys`: the merge
+tree needs a total order on its keys, and NaN compares false both ways.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_cells", "check_finite_values", "check_symmetric_adjacency", "misplaced"]
+__all__ = [
+    "check_cells",
+    "check_finite_values",
+    "check_keys",
+    "check_symmetric_adjacency",
+    "misplaced",
+]
 
 
 def misplaced(ta, region, rows: np.ndarray, cols: np.ndarray) -> int:
@@ -66,6 +75,23 @@ def check_finite_values(machine, values: np.ndarray, what: str) -> None:
             f"{what} contains NaN (first at flat index {idx}); strict mode "
             f"rejects NaN payloads because they poison comparators and "
             f"prefix sums — filter or impute them before placement"
+        )
+
+
+def check_keys(payload: np.ndarray, key_cols: int, what: str) -> None:
+    """Raise ``ValueError`` naming the first entry of ``payload`` (an
+    ``(n, k)`` sort payload) with NaN in one of its ``key_cols`` key columns.
+
+    Strict or not, fast or reference: the depth-first merge compares keys
+    as tuples and the batched one sorts them, and the two agree only on a
+    total order.  ``what`` names the argument, e.g. ``"merge_sorted_2d B"``.
+    """
+    bad = np.isnan(payload[:, :key_cols])
+    if bad.any():
+        i, c = divmod(int(bad.argmax()), bad.shape[1])
+        raise ValueError(
+            f"{what}[{i}] has NaN in key column {c}; sort keys must be totally "
+            "ordered, so NaN keys are rejected on every machine"
         )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,9 +149,10 @@ def default_bench_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "benchmarks"
 
 
-def _module_name(path: Path) -> str:
-    digest = hashlib.sha1(str(path.parent).encode("utf-8")).hexdigest()[:8]
-    return f"repro_bench_{digest}_{path.stem}"
+def _module_prefix(bench_dir: Path) -> str:
+    """Synthetic module-name prefix of the ``bench_*.py`` files in ``bench_dir``."""
+    digest = hashlib.sha1(str(bench_dir).encode("utf-8")).hexdigest()[:8]
+    return f"repro_bench_{digest}_"
 
 
 def load_suites(bench_dir: str | Path | None = None) -> dict[str, Suite]:
@@ -158,16 +160,22 @@ def load_suites(bench_dir: str | Path | None = None) -> dict[str, Suite]:
 
     Imports are cached in :data:`sys.modules` under a directory-scoped name,
     so calling this repeatedly (or inside a forked worker that inherited the
-    parent's modules) never re-executes module bodies.
+    parent's modules) never re-executes module bodies.  Every call lists the
+    directory again, so a file added since the last call is imported.
     """
     d = Path(bench_dir) if bench_dir is not None else default_bench_dir()
     if not d.is_dir():
         raise FileNotFoundError(f"benchmarks directory not found: {d}")
-    for path in sorted(d.glob("bench_*.py")):
-        mod_name = _module_name(path)
+    prefix = _module_prefix(d)
+    with os.scandir(d) as entries:
+        names = sorted(
+            e.name for e in entries if e.name.startswith("bench_") and e.name.endswith(".py")
+        )
+    for name in names:
+        mod_name = prefix + name[:-3]
         if mod_name in sys.modules:
             continue
-        spec = importlib.util.spec_from_file_location(mod_name, path)
+        spec = importlib.util.spec_from_file_location(mod_name, d / name)
         if spec is None or spec.loader is None:  # pragma: no cover - defensive
             continue
         module = importlib.util.module_from_spec(spec)

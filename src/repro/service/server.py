@@ -203,8 +203,9 @@ class SpatialService(HttpFront):
         and its ``stages`` so far.  An ``auto:`` request resolves its plan
         and is probed here first.  ``parent`` is the request's open
         ``server.request`` span when tracing is enabled (else None); the
-        batch wait and execution each get a child span, and their durations
-        join ``stages`` for the response's trace annotation."""
+        batch wait, the execution and the cache write each get a child span,
+        and their durations join ``stages`` for the response's trace
+        annotation."""
         plan_doc = None
         if request.is_auto:
             request, plan_doc = await self._resolve_auto(request)
@@ -239,7 +240,14 @@ class SpatialService(HttpFront):
                 espan.end()
                 stages["execute"] = round(espan.duration_ms, 3)
             self.metrics.execution_latency.observe(exec_s)
+            # written before the batch closes, so a later duplicate hits memory
+            cspan = None
+            if parent is not None:
+                cspan = self.obs.start_span("server.cache_write", parent=parent.ctx)
             self.cache.put(key, request, payload, exec_s)
+            if cspan is not None:
+                cspan.end()
+                stages["cache_write"] = round(cspan.duration_ms, 3)
             return payload
 
         bspan = None
@@ -252,9 +260,10 @@ class SpatialService(HttpFront):
                 batch_size=getattr(outcome, "batch_size", None),
             )
             bspan.end()
-            # a leader's batch span covers the execution too; its queue-side
-            # wait is what remains after the execute stage
+            # a leader's batch span covers the execution and the cache write
+            # too; its queue-side wait is what remains after those stages
             wait = bspan.duration_ms - stages.get("execute", 0.0)
+            wait -= stages.get("cache_write", 0.0)
             stages["batch_wait"] = round(max(0.0, wait), 3)
         if outcome.leader:
             if outcome.batched:

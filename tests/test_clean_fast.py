@@ -174,6 +174,15 @@ def _select_many(m):
     )
 
 
+def _sort_ranked(m):
+    ta = m.place_rowmajor(as_sort_payload(np.arange(4.0)[::-1]), Region(0, 0, 2, 2))
+    zero = np.zeros(1, dtype=np.int64)
+    ranks = np.arange(4)[::-1].copy()
+    allpairs.allpairs_sort_ranked(
+        m, ta, np.array([4]), ranks, zero, zero, np.array([2]), zero, zero
+    )
+
+
 def _merge_many(m):
     A, B = _sorted_halves(m)
     merge2d.merge_sorted_2d_many(
@@ -189,6 +198,7 @@ def _broadcast_many(m):
 #: public batched entry points, which charge closed forms only
 BATCHED = {
     "allpairs_sort_many": _sort_many,
+    "allpairs_sort_ranked": _sort_ranked,
     "select_ranks_two_sorted_many": _select_many,
     "merge_sorted_2d_many": _merge_many,
     "broadcast_many": _broadcast_many,

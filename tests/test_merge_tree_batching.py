@@ -10,12 +10,20 @@ level) really are batched.  Every point must match a
 depth and distance, :class:`MachineStats` and the phase tree.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.sorting.allpairs import _subgrid_side, _subgrid_sides
 from repro.core.sorting.merge2d import merge_sorted_2d, merge_sorted_2d_many
 from repro.core.sorting.mergesort2d import mergesort_2d
-from repro.core.sorting.two_sorted_select import select_ranks_two_sorted
+from repro.core.sorting.two_sorted_select import (
+    _isqrt,
+    _probe_chains,
+    _probe_plan,
+    select_ranks_two_sorted,
+)
 from repro.machine import Region, ReferenceMachine, SpatialMachine
 from repro.machine.machine import concat_tracked
 
@@ -206,3 +214,112 @@ def test_an_extra_round_is_caught(monkeypatch):
     monkeypatch.setattr(SpatialMachine, "_send_segments_fast", off_by_one)
     diffs = _diff(_mergesort(16, "uniform", 16))
     assert calls and any(d.startswith("stats") for d in diffs)
+
+
+# -- the batched body's pure helpers, pinned to their scalar forms -----------
+
+
+def test_probe_chains_match_probe_plan():
+    """Every search with ``n <= 300`` and every count ``0..n`` (45,450 of
+    them) probes exactly the indices of the scalar two-level search."""
+    n = np.concatenate([np.full(m + 1, m) for m in range(1, 301)])
+    count = np.concatenate([np.arange(m + 1) for m in range(1, 301)])
+    assert len(n) == 45_450
+    probes, hops = _probe_chains(n, count)
+    assert hops.sum() == len(probes)
+    chains = np.split(probes, np.cumsum(hops)[:-1])
+    m = SpatialMachine()
+    arrays = {}
+    for i, (size, below) in enumerate(zip(n.tolist(), count.tolist())):
+        arr = arrays.get(size)
+        if arr is None:
+            arr = arrays[size] = m.place(
+                np.arange(size, dtype=float)[:, None], np.zeros(size, int), np.arange(size)
+            )
+        got, want = _probe_plan(arr, np.array([below - 0.5]), 1)
+        assert got == below
+        np.testing.assert_array_equal(chains[i], want, err_msg=f"n={size} count={below}")
+
+
+def test_isqrt_matches_math_isqrt():
+    small = np.arange(100_000, dtype=np.int64)
+    roots = np.arange(1, 3_000_000, 997, dtype=np.int64)
+    near = np.concatenate([roots * roots + d for d in (-1, 0, 1)])
+    for n in (small, near):
+        want = [max(1, math.isqrt(int(v))) for v in n]
+        np.testing.assert_array_equal(_isqrt(n), want)
+
+
+def test_subgrid_sides_match_subgrid_side():
+    sizes = np.arange(1, 70_000, dtype=np.int64)
+    want = [_subgrid_side(int(v)) for v in sizes]
+    np.testing.assert_array_equal(_subgrid_sides(sizes), want)
+
+
+# -- more merge-tree points against the reference ---------------------------
+
+
+def test_side_64_mergesort():
+    assert _diff(_mergesort(64, "few_distinct", 16, seed=3)) == []
+
+
+def _explicit_pair(region: Region, a: np.ndarray, b: np.ndarray):
+    """Sorted keys ``a`` on the first row-major cells of ``region`` and
+    sorted keys ``b`` on the rest, each with two satellite columns."""
+    rng = np.random.default_rng(len(a))
+    rows, cols = region.rowmajor_coords()
+
+    def side(keys):
+        keys = np.sort(keys)
+        return np.column_stack([keys, rng.random(len(keys)), np.arange(len(keys), dtype=float)])
+
+    pa, pb = side(a), side(b)
+    na = len(a)
+
+    def place(m):
+        return m.place(pa, rows[:na], cols[:na]), m.place(pb, rows[na:], cols[na:])
+
+    return place
+
+
+#: (region, A keys, B keys): unequal sides whose chunks go one-sided, and
+#: keys tied across A and B
+EXPLICIT = {
+    "a_below_b": (Region(0, 0, 16, 16), np.arange(100.0), np.arange(100.0, 256.0)),
+    "b_below_a": (Region(0, 0, 16, 32), np.arange(56.0, 512.0), np.arange(56.0)),
+    "a_inside_b": (Region(0, 0, 16, 16), np.arange(100.0, 140.0), np.arange(216.0)),
+    "tied_equal_sides": (
+        Region(0, 0, 16, 16), np.repeat(np.arange(4.0), 32), np.repeat(np.arange(4.0), 32)
+    ),
+    "tied_unequal_sides": (Region(0, 0, 16, 16), np.full(37, 1.0), np.full(219, 1.0)),
+    "tied_runs": (
+        Region(0, 0, 32, 16), np.repeat(np.arange(8.0), 50), np.repeat(np.arange(8.0), 14)
+    ),
+}
+
+
+@pytest.mark.parametrize("base_case", [4, 16])
+@pytest.mark.parametrize("case", sorted(EXPLICIT))
+def test_explicit_merge(case, base_case):
+    region, a, b = EXPLICIT[case]
+    place = _explicit_pair(region, a, b)
+
+    def run(m):
+        A, B = place(m)
+        return merge_sorted_2d(m, A, B, region, base_case=base_case)
+
+    assert _diff(run) == []
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT))
+def test_explicit_select(case):
+    region, a, b = EXPLICIT[case]
+    place = _explicit_pair(region, a, b)
+    n = region.size
+    ks = [1, 2, len(a), len(a) + 1, n // 4, n // 2, 3 * n // 4, n - 1, n]
+
+    def run(m):
+        A, B = place(m)
+        return select_ranks_two_sorted(m, A, B, ks)
+
+    assert _diff(run) == []

@@ -380,12 +380,21 @@ class TestServerIntegration:
         assert doc["trace"]["trace_id"] == TID
         stages = doc["trace"]["stages_ms"]
         assert "total" in stages and "execute" in stages
+        # the cache write is a stage of its own, not part of the batch wait
+        assert stages["cache_write"] >= 0 and stages["batch_wait"] >= 0
         logs = load_trace_dir(tmp_path)
         reqs = [s for s in aligned_spans(logs) if s["name"] == "server.request"]
         assert len(reqs) == 1
         assert reqs[0]["trace"] == TID
         assert reqs[0]["parent"] == SID  # the client's span is our parent
         assert reqs[0]["attrs"]["status_code"] == 200
+        writes = [s for s in aligned_spans(logs) if s["name"] == "server.cache_write"]
+        assert len(writes) == 1
+        assert writes[0]["trace"] == TID
+        assert writes[0]["parent"] == reqs[0]["span"]
+        batch = next(s for s in aligned_spans(logs) if s["name"] == "server.batch")
+        # the write runs inside the batch, so a later duplicate hits memory
+        assert batch["start"] <= writes[0]["start"] <= writes[0]["end"] <= batch["end"]
 
     def test_disabled_tracing_emits_nothing(self, tmp_path):
         import asyncio

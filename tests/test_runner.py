@@ -5,7 +5,10 @@ directory so a crash/timeout/exception in a worker is exercised for real
 (separate processes), with tiny timeouts and backoffs to keep the suite fast.
 """
 
+import hashlib
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.runner import (
     SweepGrid,
     build_bench_result,
     canonical_json,
+    default_bench_dir,
     load_suites,
     run_points,
     spec_hash,
@@ -61,6 +65,17 @@ SYNTH_BENCH = textwrap.dedent(
         if params["n"] == 4:
             raise ValueError("only the middle point fails")
         return _metrics(params["n"])
+    """
+)
+
+
+LATE_BENCH = textwrap.dedent(
+    """
+    from repro.runner import register_suite
+
+    @register_suite("rt_late", grid={"n": [4]})
+    def _late(params, rng):
+        return {"late": True}
     """
 )
 
@@ -126,6 +141,22 @@ class TestRegistry:
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_suites(tmp_path / "nope")
+
+    def test_module_names_are_directory_scoped(self, synth_dir):
+        """Each file imports as ``repro_bench_<sha1(dir)[:8]>_<stem>``: the
+        names pool workers and earlier loads already hold in sys.modules."""
+        for d in (synth_dir, default_bench_dir()):
+            load_suites(d)
+            for path in sorted(Path(d).glob("bench_*.py")):
+                digest = hashlib.sha1(str(path.parent).encode("utf-8")).hexdigest()[:8]
+                assert f"repro_bench_{digest}_{path.stem}" in sys.modules
+
+    def test_file_added_after_first_load_is_imported(self, synth_dir):
+        assert "rt_late" not in load_suites(synth_dir)
+        (synth_dir / "bench_late.py").write_text(LATE_BENCH)
+        late = load_suites(synth_dir)["rt_late"]
+        assert late.fn({}, None) == {"late": True}
+        assert load_suites(synth_dir)["rt_late"].fn is late.fn  # imported once
 
 
 class TestCache:
