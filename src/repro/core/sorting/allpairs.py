@@ -406,7 +406,7 @@ def allpairs_sort_many(
     ``(ws_rows[i], ws_cols[i])``.  Every counter equals one
     :func:`allpairs_sort` call per segment.  Returns the segments in order,
     each sorted (ties by input position, as the tie-break column orders
-    them).
+    them); no segment at all returns an empty array and charges nothing.
     """
     if not machine.clean_fast:
         raise ValueError("allpairs_sort_many charges closed forms: clean fast machines only")
@@ -444,6 +444,8 @@ def allpairs_sort_ranked(
     """
     if not machine.clean_fast:
         raise ValueError("allpairs_sort_ranked charges closed forms: clean fast machines only")
+    if not len(sizes):
+        return ta[:0]  # no segment: nothing moves and nothing is charged
     with machine.phase("allpairs"):
         starts, seg, _ = ragged(sizes)
         src = ta

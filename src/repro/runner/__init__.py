@@ -7,15 +7,17 @@ declarative, fault-tolerant, cached sweep runner:
   descriptions of (suite, sizes, seeds, repeats) with canonical hashing;
 * :mod:`repro.runner.registry` — the :func:`register_suite` decorator every
   bench file uses, plus suite discovery;
-* :mod:`repro.runner.executor` — a process-pool executor with per-task
-  timeouts, bounded crash retry with backoff, and graceful degradation;
+* :mod:`repro.runner.executor` — runs a sweep's points on a worker pool
+  with per-task timeouts, bounded crash retry with backoff, and graceful
+  degradation (or in-process at ``jobs=0``);
 * :mod:`repro.runner.cachekey` — the single source of truth for cache-key
   derivation (point identity + code version, ``+profile`` salting), shared
   by the executor, the CLI, and the serving layer;
 * :mod:`repro.runner.cache` — a content-addressed on-disk result cache keyed
   by :func:`~repro.runner.cachekey.point_key`;
 * :mod:`repro.runner.pool` — a bounded pool of *persistent* worker processes
-  (imports warm, one pipe round-trip per task) used by ``repro serve``;
+  (imports warm, one pipe round-trip per task): the one process model of
+  ``repro bench run``, the tuner and ``repro serve``;
 * :mod:`repro.runner.result` — the unified ``BenchResult`` JSON schema
   (``BENCH_<suite>.json``);
 * :mod:`repro.runner.compare` — the energy/depth regression gate behind
@@ -27,8 +29,8 @@ See ``docs/BENCHMARKS.md`` for the full workflow.
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .cachekey import PROFILE_SALT, code_version, point_key, suite_code_version
 from .compare import GATED_METRICS, CompareReport, collect_results, compare_results
-from .executor import RunConfig, mp_context, run_points
-from .pool import PoolCrash, PoolError, PoolTaskError, PoolTimeout, WorkerPool
+from .executor import RunConfig, run_points
+from .pool import PoolCrash, PoolError, PoolTaskError, PoolTimeout, WorkerPool, mp_context
 from .registry import (
     REGISTRY,
     Suite,

@@ -1,29 +1,31 @@
-"""Parallel sweep execution with timeouts, retry, and graceful degradation.
+"""Sweep execution with timeouts, retry, and graceful degradation.
 
-The executor fans a suite's sweep points out across worker *processes* (one
-process per point, at most ``jobs`` alive at once) so a segfaulting or
-runaway point can never take the parent — or the rest of the sweep — down:
+The executor runs a suite's uncached points on one
+:class:`~repro.runner.pool.WorkerPool` of ``min(jobs, points)`` worker
+*processes*, one calling thread each, so a segfaulting or runaway point can
+never take the parent — or the rest of the sweep — down:
 
-* **per-task timeout** — a point that exceeds its deadline is terminated and
-  recorded as ``status: "failed"`` (``error: "timeout ..."``);
+* **per-task timeout** — a point that exceeds its deadline has its worker
+  killed and is recorded as ``status: "failed"`` (``error: "timeout ..."``);
 * **bounded retry with backoff** — a worker that dies without reporting
-  (crash, OOM-kill) is retried up to ``retries`` times with exponential
-  backoff; exhaustion records a failure.  Exceptions *inside* the point
-  function are deterministic and are not retried;
+  (crash, OOM-kill) is replaced and the point retried up to ``retries``
+  times with exponential backoff; exhaustion records a failure.  Exceptions
+  *inside* the point function are deterministic and are not retried;
 * **graceful degradation** — every failure becomes a failed
   :class:`PointResult`; the sweep always runs to completion.
 
+``jobs=0`` runs the points in-process instead (no fork, no deadline).
 Completed points are stored in the :class:`~repro.runner.cache.ResultCache`
 (when one is given) so re-running an unchanged spec only replays JSON reads.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from collections import deque
+import traceback
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -31,12 +33,13 @@ import numpy as np
 
 from .cache import ResultCache
 from .cachekey import point_key
+from .pool import PoolCrash, PoolTaskError, PoolTimeout, WorkerPool
 from .registry import Suite
 from .result import PointResult
 from .spec import PointSpec
-from .worker import worker_entry
+from .worker import run_suite_point
 
-__all__ = ["RunConfig", "mp_context", "retry_delay", "run_points"]
+__all__ = ["RunConfig", "retry_delay", "run_points"]
 
 
 @dataclass(frozen=True)
@@ -70,26 +73,13 @@ def retry_delay(config: RunConfig, point_seed: int, index: int, attempt: int) ->
     return base * (1.0 + config.jitter * float(rng.random()))
 
 
-def mp_context():
-    """The multiprocessing context shared by the executor and the worker pool.
-
-    fork keeps the (already imported) registry warm in children; fall back
-    to spawn where fork does not exist.
-    """
+def _run_here(bench_dir: str, suite_name: str, params: dict, seed: int,
+              profile: bool, *, timeout: float) -> dict:
+    """:meth:`WorkerPool.run` in the calling process (``timeout`` unused)."""
     try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix
-        return multiprocessing.get_context("spawn")
-
-
-@dataclass
-class _Running:
-    proc: object
-    index: int
-    point: PointSpec
-    attempt: int
-    started: float
-    deadline: float
+        return run_suite_point(bench_dir, suite_name, params, seed, profile)
+    except Exception:
+        raise PoolTaskError(traceback.format_exc(limit=30)) from None
 
 
 def run_points(
@@ -102,152 +92,75 @@ def run_points(
     bench_dir: str | Path = "",
     log: Callable[[str], None] | None = None,
 ) -> list[PointResult]:
-    """Execute ``points`` of ``suite``; return one PointResult per point, in order."""
+    """Execute ``points`` of ``suite``; return one PointResult per point, in order.
+
+    An exception raised while points run (by ``log``, say) stops the sweep
+    and propagates once every worker has been stopped.
+    """
     say = log if log is not None else (lambda _msg: None)
     timeout = suite.timeout if suite.timeout is not None else config.timeout
-    results: dict[int, PointResult] = {}
-    pending: deque[tuple[int, PointSpec, int, float]] = deque()
-
+    use_cache = config.use_cache and cache is not None
+    results: list[PointResult | None] = [None] * len(points)
+    todo: list[int] = []
     for i, pt in enumerate(points):
-        if config.use_cache and cache is not None:
-            hit = cache.get(point_key(pt, code_ver))
-            if hit is not None:
-                results[i] = hit
-                say(f"  [{suite.name}] {pt.label()}: cached")
-                continue
-        pending.append((i, pt, 0, 0.0))
+        results[i] = cache.get(point_key(pt, code_ver)) if use_cache else None
+        if results[i] is None:
+            todo.append(i)
+        else:
+            say(f"  [{suite.name}] {pt.label()}: cached")
 
-    ctx = mp_context()
-    running: dict[object, _Running] = {}
-
-    def _finish(i: int, res: PointResult, pt: PointSpec) -> None:
-        results[i] = res
-        if res.ok and cache is not None and config.use_cache:
+    def execute(run, i: int) -> None:
+        """Run point ``i`` through ``run`` until it reports, fails for good,
+        or exhausts its crash retries; record and cache the outcome."""
+        pt = points[i]
+        for attempt in range(config.retries + 1):
+            started = time.monotonic()
+            try:
+                out = run(suite.name, pt.params, pt.seed, config.profile, timeout=timeout)
+            except PoolTimeout:
+                outcome = dict(status="failed", error=f"timeout after {timeout:.1f}s")
+            except PoolTaskError as exc:
+                outcome = dict(status="failed", error=str(exc))
+            except PoolCrash as exc:
+                if attempt < config.retries:
+                    delay = retry_delay(config, pt.seed, i, attempt)
+                    say(
+                        f"  [{suite.name}] {pt.label()}: {exc}, "
+                        f"retry {attempt + 1}/{config.retries} in {delay:.2f}s"
+                    )
+                    time.sleep(delay)
+                    continue
+                outcome = dict(status="failed", error=f"{exc} on all {attempt + 1} attempts")
+            else:
+                outcome = dict(
+                    status="ok",
+                    metrics=out["metrics"],
+                    phases=out.get("phases", []),
+                    extra=out.get("extra", {}),
+                    profile=out.get("profile"),
+                )
+            break
+        res = results[i] = PointResult(
+            params=dict(pt.params),
+            seed=pt.seed,
+            repeat=pt.repeat,
+            attempts=attempt + 1,
+            wall_time_s=time.monotonic() - started,
+            **outcome,
+        )
+        if res.ok and use_cache:
             cache.put(point_key(pt, code_ver), res)
         state = "ok" if res.ok else f"FAILED ({(res.error or '?').splitlines()[-1][:80]})"
         say(f"  [{suite.name}] {pt.label()}: {state} in {res.wall_time_s:.2f}s")
 
-    def _launch(i: int, pt: PointSpec, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=worker_entry,
-            args=(
-                child_conn,
-                str(bench_dir),
-                suite.name,
-                dict(pt.params),
-                pt.seed,
-                config.profile,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        now = time.monotonic()
-        running[parent_conn] = _Running(proc, i, pt, attempt, now, now + timeout)
-
-    try:
-        while pending or running:
-            now = time.monotonic()
-            # fill free worker slots with eligible tasks
-            while pending and len(running) < max(1, config.jobs):
-                i, pt, attempt, eligible = pending[0]
-                if eligible > now:
-                    break  # only backoff-delayed retries remain at the front
-                pending.popleft()
-                _launch(i, pt, attempt)
-            if not running:
-                if pending:  # everything left is waiting out a backoff
-                    time.sleep(max(0.0, pending[0][3] - time.monotonic()))
-                continue
-            next_deadline = min(r.deadline for r in running.values())
-            wait_for = min(max(0.0, next_deadline - time.monotonic()), 0.5)
-            ready = mp_connection.wait(list(running), timeout=wait_for)
-            for conn in ready:
-                r = running.pop(conn)
-                try:
-                    kind, payload = conn.recv()
-                except (EOFError, OSError):
-                    kind, payload = "crash", None
-                conn.close()
-                r.proc.join(timeout=5)
-                wall = time.monotonic() - r.started
-                base = dict(
-                    params=dict(r.point.params),
-                    seed=r.point.seed,
-                    repeat=r.point.repeat,
-                    attempts=r.attempt + 1,
-                    wall_time_s=wall,
-                )
-                if kind == "ok":
-                    _finish(
-                        r.index,
-                        PointResult(
-                            status="ok",
-                            metrics=payload["metrics"],
-                            phases=payload.get("phases", []),
-                            extra=payload.get("extra", {}),
-                            profile=payload.get("profile"),
-                            **base,
-                        ),
-                        r.point,
-                    )
-                elif kind == "error":
-                    _finish(
-                        r.index,
-                        PointResult(status="failed", error=str(payload), **base),
-                        r.point,
-                    )
-                else:  # crash: the worker died without reporting
-                    code = getattr(r.proc, "exitcode", None)
-                    if r.attempt < config.retries:
-                        delay = retry_delay(config, r.point.seed, r.index, r.attempt)
-                        say(
-                            f"  [{suite.name}] {r.point.label()}: worker crashed "
-                            f"(exit {code}), retry {r.attempt + 1}/{config.retries} "
-                            f"in {delay:.2f}s"
-                        )
-                        pending.append(
-                            (r.index, r.point, r.attempt + 1, time.monotonic() + delay)
-                        )
-                    else:
-                        _finish(
-                            r.index,
-                            PointResult(
-                                status="failed",
-                                error=(
-                                    f"worker crashed (exit code {code}) on all "
-                                    f"{r.attempt + 1} attempts"
-                                ),
-                                **base,
-                            ),
-                            r.point,
-                        )
-            # enforce per-task deadlines
-            now = time.monotonic()
-            for conn in [c for c, r in running.items() if r.deadline <= now]:
-                r = running.pop(conn)
-                r.proc.terminate()
-                r.proc.join(timeout=5)
-                conn.close()
-                _finish(
-                    r.index,
-                    PointResult(
-                        params=dict(r.point.params),
-                        seed=r.point.seed,
-                        repeat=r.point.repeat,
-                        status="failed",
-                        attempts=r.attempt + 1,
-                        wall_time_s=now - r.started,
-                        error=f"timeout after {timeout:.1f}s",
-                    ),
-                    r.point,
-                )
-    finally:
-        for r in running.values():  # pragma: no cover - interrupt path
-            try:
-                r.proc.terminate()
-            except Exception:
-                pass
-
-    return [results[i] for i in range(len(points))]
+    if config.jobs <= 0:
+        for i in todo:
+            execute(partial(_run_here, str(bench_dir)), i)
+    elif todo:
+        n = min(config.jobs, len(todo))
+        # leaving the pool first kills the points in flight, so the threads
+        # return at once when the sweep unwinds
+        with ThreadPoolExecutor(n) as threads, WorkerPool(n, str(bench_dir)) as pool:
+            for done in as_completed([threads.submit(execute, pool.run, i) for i in todo]):
+                done.result()
+    return results

@@ -1,13 +1,12 @@
 """A bounded pool of persistent worker processes.
 
-The batch executor forks one process per sweep point — the right trade for
-long-running points where isolation dominates.  A serving layer answering
-many small simulation requests needs the opposite trade: workers that stay
-alive (imports warm, registry loaded) and cost one pipe round-trip per task
-instead of one fork.  :class:`WorkerPool` provides that, reusing the same
-multiprocessing context (:func:`~repro.runner.executor.mp_context`) and the
-same child protocol (:func:`~repro.runner.worker.pool_worker_main`, built on
-the executor's :func:`~repro.runner.worker.run_suite_point`).
+Every simulation that runs out of process runs here: the sweep points of
+``repro bench run`` and the tuner (:func:`~repro.runner.executor.run_points`)
+and the requests of ``repro serve`` (:mod:`repro.service.executor`).
+Workers stay alive (imports warm, registry loaded) and cost one pipe
+round-trip per task instead of one fork; the child protocol is
+:func:`~repro.runner.worker.pool_worker_main`, built on
+:func:`~repro.runner.worker.run_suite_point`.
 
 Failure semantics:
 
@@ -15,11 +14,13 @@ Failure semantics:
   replaced; the caller sees :class:`PoolTimeout`.  The timeout covers the
   task only: a freshly spawned replacement finishes its warm-up handshake
   first;
-* a worker that dies mid-task (segfault, OOM-kill) is replaced; the caller
-  sees :class:`PoolCrash`;
+* a worker that dies mid-task (segfault, OOM-kill) is joined and replaced;
+  the caller sees :class:`PoolCrash`, whose message names the exit code;
 * a deterministic exception inside the point function travels back as a
   formatted traceback and raises :class:`PoolTaskError` — the worker stays
-  alive.
+  alive;
+* :meth:`WorkerPool.close` stops the idle workers and kills the busy ones,
+  whose callers see :class:`PoolError`; a closed pool spawns no worker.
 
 :meth:`WorkerPool.run` blocks and is thread-safe; async callers wrap it in
 ``asyncio.to_thread`` (see :mod:`repro.service.executor`).  Workers are
@@ -29,19 +30,31 @@ an event loop.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
-from .executor import mp_context
 from .worker import pool_worker_main
 
-__all__ = ["PoolError", "PoolTimeout", "PoolCrash", "PoolTaskError", "WorkerPool"]
+__all__ = ["PoolError", "PoolTimeout", "PoolCrash", "PoolTaskError", "WorkerPool", "mp_context"]
 
 #: seconds a new worker may take to start before it counts as crashed
 STARTUP_TIMEOUT = 60.0
 
 
+def mp_context():
+    """The multiprocessing context of every worker process.
+
+    fork keeps the (already imported) registry warm in children; fall back
+    to spawn where fork does not exist.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix
+        return multiprocessing.get_context("spawn")
+
+
 class PoolError(RuntimeError):
-    """Base class for pool-side failures."""
+    """Base class for pool-side failures; a closed pool raises it directly."""
 
 
 class PoolTimeout(PoolError):
@@ -113,6 +126,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(self.size)
         self._closed = False
+        self._busy: set[_Worker] = set()
         self._idle = [self._spawn() for _ in range(self.size)]
         #: lifetime counters (read under no lock; informational only)
         self.tasks = 0
@@ -138,43 +152,58 @@ class WorkerPool:
         enabled ignore it.  Thread-safe: at most ``size`` tasks execute
         concurrently, excess callers wait on the slot semaphore.
         """
-        if self._closed:
-            raise PoolError("worker pool is closed")
         self._slots.acquire()
         with self._lock:
+            if self._closed:
+                self._slots.release()
+                raise PoolError("worker pool is closed")
             worker = self._idle.pop()
+            self._busy.add(worker)
         self.tasks += 1
-        replace = False
+        answer = None  # the worker's (kind, payload), once it reported
+        timed_out = False
         try:
-            try:
-                # a replacement worker may still be starting; its start-up
-                # is not part of this task's execution deadline
-                if not worker.consume_ready(STARTUP_TIMEOUT):
-                    raise EOFError("pool worker never finished starting")
+            # a replacement worker may still be starting; its start-up
+            # is not part of this task's execution deadline
+            if worker.consume_ready(STARTUP_TIMEOUT):
                 worker.conn.send(
                     (suite_name, dict(params), int(seed), bool(profile), trace)
                 )
-                if not worker.conn.poll(timeout):
-                    replace = True
-                    raise PoolTimeout(f"no result within {timeout:.1f}s")
-                kind, payload = worker.conn.recv()
-            except PoolTimeout:
-                raise
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                replace = True
-                code = getattr(worker.proc, "exitcode", None)
-                raise PoolCrash(f"pool worker died mid-task (exit {code})") from exc
+                if worker.conn.poll(timeout):
+                    answer = worker.conn.recv()
+                else:
+                    timed_out = True
+        except (EOFError, OSError):
+            worker.proc.join(timeout=1)  # reap it: the exit code is final
         finally:
-            if replace:
-                worker.stop(graceful=False)
-                self.replaced += 1
-                worker = self._spawn()
-            with self._lock:
-                self._idle.append(worker)
-            self._slots.release()
+            self._release(worker, dead=answer is None)
+        if timed_out:
+            raise PoolTimeout(f"no result within {timeout:.1f}s")
+        if answer is None:
+            if self._closed:
+                raise PoolError("worker pool closed mid-task")
+            raise PoolCrash(f"pool worker died mid-task (exit code {worker.proc.exitcode})")
+        kind, payload = answer
         if kind == "error":
             raise PoolTaskError(str(payload))
         return payload
+
+    def _release(self, worker: _Worker, dead: bool) -> None:
+        """Hand a worker back after a task: idle again, or stopped (and
+        replaced while the pool is open) when it hung or died."""
+        if dead:
+            worker.stop(graceful=False)
+        with self._lock:
+            self._busy.discard(worker)
+            keep = not self._closed
+            if keep:
+                if dead:
+                    worker = self._spawn()
+                    self.replaced += 1
+                self._idle.append(worker)
+        if not keep and not dead:
+            worker.stop()
+        self._slots.release()
 
     def ready(self) -> bool:
         """True once every worker has completed its warm-up handshake.
@@ -193,12 +222,16 @@ class WorkerPool:
         return warm + busy == self.size
 
     def close(self) -> None:
-        """Stop every worker; in-flight tasks should be drained first."""
+        """Stop every worker.  A task still running has its worker killed
+        (its caller sees :class:`PoolError`); drain first to avoid that."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             workers, self._idle = self._idle, []
+            busy = list(self._busy)
+        for w in busy:
+            w.proc.kill()  # its caller reaps it
         for w in workers:
             w.stop()
 

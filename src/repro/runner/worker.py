@@ -1,28 +1,23 @@
-"""Child-process entry points for the sweep executor and the worker pool.
+"""The execution core of a sweep point and the worker process around it.
 
-Workers never receive function objects: a task is ``(bench_dir, suite name,
-params, seed, profile?)``, and the child re-resolves the suite through
+Workers never receive function objects: a task is ``(suite name, params,
+seed, profile[, trace])`` and the child re-resolves the suite through
 :func:`~repro.runner.registry.load_suites` (a no-op after fork, a fresh
-import under spawn).  Two process shapes share the same execution core
-(:func:`run_suite_point`):
-
-* :func:`worker_entry` — one-shot: run a single task, report over a one-shot
-  pipe, exit.  Used by the batch executor, where per-task process isolation
-  is the point (a segfault kills only that point).
-* :func:`pool_worker_main` — persistent: loop over tasks arriving on a
-  duplex pipe until told to stop.  Used by the serving layer's
-  :class:`~repro.runner.pool.WorkerPool`, where fork-per-request would
-  dominate small-simulation latency.
+import under spawn).  :func:`run_suite_point` executes one point; it runs
+in-process for perfbench, the service's inline backend and ``run_points``
+at ``jobs=0``, and inside :func:`pool_worker_main`, the persistent child
+of :class:`~repro.runner.pool.WorkerPool` that loops over tasks arriving
+on a duplex pipe until told to stop.
 
 A worker that dies without sending anything is treated as a crash by the
-parent (retried by the executor; respawned by the pool).
+pool (replaced; the executor retries the point).
 """
 
 from __future__ import annotations
 
 import traceback
 
-__all__ = ["run_suite_point", "worker_entry", "pool_worker_main"]
+__all__ = ["run_suite_point", "pool_worker_main"]
 
 #: lazily created per-process tracer for pool workers (None until first task
 #: with trace context; NullTracer when REPRO_TRACE_DIR is unset)
@@ -78,30 +73,6 @@ def run_suite_point(
             "point_from_machine() dict"
         )
     return out
-
-
-def worker_entry(
-    conn,
-    bench_dir: str,
-    suite_name: str,
-    params: dict,
-    seed: int,
-    profile: bool = False,
-) -> None:
-    """One-shot executor child: run the task, send the outcome, exit."""
-    try:
-        out = run_suite_point(bench_dir, suite_name, params, seed, profile)
-        conn.send(("ok", out))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=30)))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover
-            pass
 
 
 def pool_worker_main(conn, bench_dir: str) -> None:

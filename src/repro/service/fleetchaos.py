@@ -12,6 +12,9 @@ tier.  The harness runs the same seeded request multiset twice through a
    hangs another on a *different* shard (SIGSTOP), restarts the killed
    replica on its old port mid-run (slow start: the gateway must not route
    to it until its worker pool is warm), and finally resumes the hung one.
+   The event after the restart first holds new requests at the gateway
+   until the restarted replica is ready and its breaker may probe, so the
+   rest of the load re-admits it.
 
 Because every shard keeps at least one live replica throughout, the gates
 are exact, not statistical:
@@ -21,7 +24,8 @@ are exact, not statistical:
 * hedged duplicate executions bounded by the configured hedge rate;
 * at least one circuit breaker ``-> open`` transition in the gateway's
   ``/metrics`` during chaos;
-* surviving replicas drain cleanly on SIGTERM (banner grep).
+* surviving replicas drain cleanly on SIGTERM (banner grep);
+* the restarted replica served requests and its breaker ended ``closed``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,8 +115,21 @@ def _spawn_fleet(
     return procs
 
 
+class _HeldGateway(FleetGateway):
+    """A gateway that holds new ``/run`` requests while ``admit`` is clear."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.admit = asyncio.Event()
+        self.admit.set()
+
+    async def serve_run(self, body: bytes, headers: dict) -> tuple[int, dict, list]:
+        await self.admit.wait()
+        return await super().serve_run(body, headers)
+
+
 async def _controller(
-    gateway: FleetGateway,
+    gateway: _HeldGateway,
     procs: dict[str, ShardProcess],
     retired: list[ShardProcess],
     schedule: list[ChaosEvent],
@@ -124,10 +142,26 @@ async def _controller(
     def finished() -> int:
         return gateway.metrics.latency.count
 
+    restarted = ""
     for event in schedule:
         threshold = event.fraction * total
         while finished() < threshold:
             await asyncio.sleep(0.05)
+        if restarted:
+            # hold the rest of the load until the restarted replica is ready
+            # and its breaker may probe (30 s: inside the client timeout)
+            st = next(b for group in gateway.shards for b in group if b.name == restarted)
+            gateway.admit.clear()
+            since = time.monotonic()
+            while not (st.ready and gateway.breakers[restarted].would_allow()):
+                if time.monotonic() - since > 30.0:
+                    break
+                await asyncio.sleep(0.05)
+            gateway.admit.set()
+            held = round(time.monotonic() - since, 3)
+            fired.append({"action": "readmit", "target": restarted, "held_s": held})
+            print(f"fleet-chaos: readmit {restarted} after holding the load {held}s", flush=True)
+            restarted = ""
         proc = procs[event.target]
         if event.action == "kill":
             proc.kill()
@@ -150,6 +184,7 @@ async def _controller(
             # don't block the controller on the slow start: the point is that
             # the gateway keeps routing around the replica while it warms
             asyncio.get_running_loop().run_in_executor(None, _start)
+            restarted = event.target
         fired.append(
             {
                 "action": event.action,
@@ -179,7 +214,7 @@ async def _drive(
     gw_tracer=None,
     lg_tracer=None,
 ) -> tuple[dict, dict, list[dict]]:
-    gateway = FleetGateway(config, groups, tracer=gw_tracer)
+    gateway = _HeldGateway(config, groups, tracer=gw_tracer)
     await gateway.start()
     deadline = time.monotonic() + 60.0
     while not all(st.ready for group in gateway.shards for st in group):
@@ -315,7 +350,7 @@ def _run_scenario(
     return report, metrics, fired, logs
 
 
-def _gate(args, clean: dict, chaos: dict, metrics: dict, logs: dict) -> list[str]:
+def _gate(args, clean: dict, chaos: dict, metrics: dict, logs: dict, schedule) -> list[str]:
     """The exact invariants; returns a list of failure strings."""
     failures = []
     if clean["dropped"] or clean["ok"] != clean["requests"]:
@@ -356,6 +391,14 @@ def _gate(args, clean: dict, chaos: dict, metrics: dict, logs: dict) -> list[str
     ]
     if not drained:
         failures.append("no surviving shard logged a clean drain")
+    for name in [e.target for e in schedule if e.action == "restart"]:
+        banner = re.findall(r"drained cleanly after (\d+) request", "\n".join(logs.get(name, [])))
+        if banner[-1:] in ([], ["0"]):
+            seen = f"drained after {banner[-1]} request(s)" if banner else "no drain banner"
+            failures.append(f"restarted replica {name} took no load ({seen})")
+        state = metrics.get("breakers", {}).get(name, {}).get("state")
+        if state != "closed":
+            failures.append(f"restarted replica {name}'s breaker ended {state}, not closed")
     return failures
 
 
@@ -452,7 +495,7 @@ def fleet_chaos_main(args) -> int:
         "chaos", args, str(out_dir / "cache_chaos"), schedule, trace_dir=chaos_trace
     )
 
-    failures = _gate(args, clean_report, chaos_report, chaos_metrics, chaos_logs)
+    failures = _gate(args, clean_report, chaos_report, chaos_metrics, chaos_logs, schedule)
     if tracing:
         failures += _trace_gate(clean_trace, clean_metrics, out_dir, "clean")
         failures += _trace_gate(chaos_trace, chaos_metrics, out_dir, "chaos")

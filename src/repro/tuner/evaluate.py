@@ -2,30 +2,26 @@
 
 The tuner never measures a configuration itself — every evaluation is a
 sweep point of the registered ``tuner`` suite (``benchmarks/bench_tuner.py``),
-keyed through :mod:`repro.runner.cachekey` exactly like ``repro bench run``
-and the serving layer.  Consequences:
+run by :func:`repro.runner.executor.run_points` and keyed through
+:mod:`repro.runner.cachekey` exactly like ``repro bench run`` and the
+serving layer.  Consequences:
 
-* parallel evaluation reuses :func:`repro.runner.executor.run_points`
-  (process isolation, timeouts, retries) with zero new machinery;
+* ``jobs > 0`` evaluates on the runner's worker pool (process isolation,
+  timeouts, retries) with zero new machinery, and ``jobs=0`` in-process,
+  for hosts that must not fork (the service's planner runs on event-loop
+  threads) and for tiny grids; both write the same cache entries;
 * the content-addressed cache is shared — a config measured by the CLI
   warms ``plan_for`` and the ``/plan`` endpoint, and vice versa;
 * PlanDB staleness falls out of ``suite_code_version``: any source change
   re-keys every evaluation.
-
-The inline path exists for hosts that must not fork (the service's planner
-runs on event-loop threads) and for tiny grids where process spin-up would
-dominate; it produces byte-identical cache entries.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
-import numpy as np
-
 from ..runner.cache import ResultCache
-from ..runner.cachekey import point_key, suite_code_version
+from ..runner.cachekey import suite_code_version
 from ..runner.executor import RunConfig, run_points
 from ..runner.registry import Suite, load_suites
 from ..runner.result import PointResult
@@ -60,77 +56,27 @@ class Evaluator:
                 "is benchmarks/bench_tuner.py present?"
             ) from None
         self.cache = cache
-        self.jobs = int(jobs)  # 0 => inline (in-process, no forking)
+        self.jobs = int(jobs)  # 0 => in-process, no forking
         self.timeout = float(timeout)
         self.log = log
         self.code_version = suite_code_version(self.suite)
         self.executed = 0
         self.cache_hits = 0
 
-    def point_for(self, config: TuneConfig, n: int, seed: int) -> PointSpec:
-        return PointSpec(suite=TUNER_SUITE, params=config.params(n), seed=seed)
-
     def evaluate(
         self, configs: list[TuneConfig], n: int, seed: int
     ) -> list[PointResult]:
         """Measure ``configs`` at ``(n, seed)``; one PointResult per config."""
-        if not configs:
-            return []
-        points = [self.point_for(c, n, seed) for c in configs]
-        if self.jobs > 0:
-            return self._evaluate_parallel(points)
-        return [self._evaluate_inline(pt) for pt in points]
-
-    # -- parallel: the runner's process-per-point executor ---------------
-    def _evaluate_parallel(self, points: list[PointSpec]) -> list[PointResult]:
-        config = RunConfig(
-            jobs=self.jobs,
-            timeout=self.timeout,
-            use_cache=self.cache is not None,
-        )
-        before = self.cache.hits if self.cache is not None else 0
         results = run_points(
             self.suite,
-            points,
-            config,
+            [PointSpec(suite=TUNER_SUITE, params=c.params(n), seed=seed) for c in configs],
+            RunConfig(jobs=self.jobs, timeout=self.timeout, use_cache=self.cache is not None),
             cache=self.cache,
             code_ver=self.code_version,
             bench_dir=self.bench_dir,
             log=self.log,
         )
-        if self.cache is not None:
-            self.cache_hits += self.cache.hits - before
-        self.executed += sum(1 for r in results if not r.cached)
+        hits = sum(1 for r in results if r.cached)
+        self.cache_hits += hits
+        self.executed += len(results) - hits
         return results
-
-    # -- inline: same identity, no processes -----------------------------
-    def _evaluate_inline(self, pt: PointSpec) -> PointResult:
-        key = point_key(pt, self.code_version)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
-        started = time.monotonic()
-        base = dict(params=dict(pt.params), seed=pt.seed, repeat=pt.repeat)
-        try:
-            payload = self.suite.fn(dict(pt.params), np.random.default_rng(pt.seed))
-        except Exception as exc:
-            return PointResult(
-                status="failed",
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time_s=time.monotonic() - started,
-                **base,
-            )
-        self.executed += 1
-        result = PointResult(
-            status="ok",
-            wall_time_s=time.monotonic() - started,
-            metrics=payload["metrics"],
-            phases=payload.get("phases", []),
-            extra=payload.get("extra", {}),
-            **base,
-        )
-        if self.cache is not None:
-            self.cache.put(key, result)
-        return result

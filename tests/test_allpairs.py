@@ -94,3 +94,27 @@ class TestAllPairsCosts:
         for n in (16, 64, 256):
             m, out = _run(rng.random(n))
             assert out.max_dist() <= 8 * n
+
+
+class TestAllPairsEmptyBatch:
+    """A batch of zero segments returns an empty array and charges nothing."""
+
+    @pytest.mark.parametrize("ranked", (False, True))
+    def test_no_segments(self, ranked):
+        from repro.core.sorting.allpairs import allpairs_sort_many, allpairs_sort_ranked
+
+        m = SpatialMachine(fast=True, strict=False)
+        assert m.clean_fast
+        region = Region(0, 0, 4, 4)
+        allpairs_sort(m, m.place_rowmajor(as_sort_payload(np.arange(16.0)[::-1]), region),
+                      out_region=region)
+        stats, tree = m.stats, m.cost_tree.as_dict()
+        ta = m.place_rowmajor(as_sort_payload(np.arange(4.0)), Region(0, 0, 2, 2))[:0]
+        z = np.zeros(0, dtype=np.int64)
+        if ranked:
+            out = allpairs_sort_ranked(m, ta, z, z, z, z, z, z, z)
+        else:
+            out = allpairs_sort_many(m, ta, z, 1, z, z, z, z, z)
+        assert len(out) == 0
+        assert m.stats == stats
+        assert m.cost_tree.as_dict() == tree

@@ -409,3 +409,114 @@ class TestRetryJitter:
         res = run_points(suite, pts, cfg, bench_dir=synth_dir)
         assert all(r.status == "failed" for r in res)
         assert all(r.attempts == 3 for r in res)
+
+
+PID_BENCH = textwrap.dedent(
+    """
+    import os
+    import time
+
+    from repro.runner import register_suite
+
+    @register_suite("rt_pid", grid={"nap": [0.0]})
+    def _pid(params, rng):
+        time.sleep(params["nap"])
+        return {
+            "metrics": {"energy": 1, "messages": 1, "rounds": 1,
+                        "max_depth": 1, "max_distance": 1},
+            "phases": [],
+            "extra": {"pid": os.getpid()},
+        }
+    """
+)
+
+
+@pytest.fixture
+def pid_dir(tmp_path):
+    (tmp_path / "bench_pid.py").write_text(PID_BENCH)
+    return tmp_path
+
+
+def _naps(*naps):
+    return [PointSpec(suite="rt_pid", params={"nap": nap, "i": i}, seed=0)
+            for i, nap in enumerate(naps)]
+
+
+class TestPooledExecution:
+    """Sweep points run on one WorkerPool; jobs=0 runs them in-process."""
+
+    def test_warm_workers_are_reused(self, pid_dir):
+        suite = load_suites(pid_dir)["rt_pid"]
+        results = run_points(suite, _naps(*[0.0] * 6), RunConfig(jobs=2, **FAST),
+                             bench_dir=pid_dir)
+        assert [r.status for r in results] == ["ok"] * 6
+        assert len({r.extra["pid"] for r in results}) <= 2
+
+    def test_log_exception_leaves_no_live_worker(self, pid_dir):
+        import multiprocessing
+        import time
+
+        suite = load_suites(pid_dir)["rt_pid"]
+
+        def log(msg):
+            if ": ok" in msg:
+                raise RuntimeError("log sink failed")
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="log sink failed"):
+            run_points(suite, _naps(0.0, 60.0, 60.0), RunConfig(jobs=2, timeout=120.0),
+                       bench_dir=pid_dir, log=log)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30.0  # the napping point was killed
+
+    def test_more_workers_than_cores_fill_every_result(self, pid_dir):
+        suite = load_suites(pid_dir)["rt_pid"]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_points(suite, _naps(*[0.0] * 16), RunConfig(jobs=4, **FAST),
+                                 bench_dir=pid_dir)
+        finally:
+            sys.setswitchinterval(switch)
+        assert [r.params["i"] for r in results if r.ok] == list(range(16))
+        assert len({r.extra["pid"] for r in results}) <= 4
+
+    def test_closed_pool_kills_busy_worker_and_spawns_none(self, pid_dir):
+        import multiprocessing
+        import threading
+        import time
+
+        from repro.runner import PoolError, WorkerPool
+
+        pool = WorkerPool(1, str(pid_dir))
+        raised = []
+
+        def call():
+            try:
+                pool.run("rt_pid", {"nap": 60.0}, 0, timeout=120.0)
+            except PoolError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while pool._idle and time.monotonic() < deadline:
+                caller.join(0.01)
+            assert not pool._idle, "the task never reached the worker"
+        finally:
+            pool.close()
+        caller.join(10.0)
+        assert not caller.is_alive()
+        assert [type(e) for e in raised] == [PoolError]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(PoolError, match="closed"):
+            pool.run("rt_pid", {"nap": 0.0}, 0)
+
+    def test_in_process_points_record_failures_without_retry(self, synth, synth_dir):
+        results = run_points(synth["rt_mixed"], synth["rt_mixed"].spec().points(),
+                             RunConfig(jobs=0, **FAST), bench_dir=synth_dir)
+        assert [r.status for r in results] == ["ok", "failed", "ok"]
+        assert results[1].attempts == 1
+        assert "only the middle point fails" in results[1].error
+        assert "Traceback" in results[1].error

@@ -462,3 +462,13 @@ class TestRunConfig:
         m = payload["metrics"]
         assert payload["extra"]["edp"] == m["energy"] * m["max_depth"]
         assert payload["extra"]["config"] == TuneConfig("scan", "tree", "zorder").as_dict()
+
+
+class TestEvaluatorProcessModels:
+    def test_in_process_and_pooled_evaluations_agree(self):
+        configs = SearchSpace.for_request("sort", 16).configs
+        here = Evaluator(jobs=0).evaluate(configs, 16, 0)
+        pooled = Evaluator(jobs=2).evaluate(configs, 16, 0)
+        assert [r.status for r in here] == ["ok"] * len(configs)
+        assert [r.metrics for r in here] == [r.metrics for r in pooled]
+        assert [r.extra for r in here] == [r.extra for r in pooled]
