@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.collectives import all_reduce, broadcast
+from ..core.collectives import all_reduce, broadcast_onto
 from ..core.ops import ADD
 from ..core.selection import rank_select
 from ..machine.geometry import Region
@@ -96,8 +96,7 @@ def trimmed_mean(
     hi = rank_select(machine, ta, region, hi_k, rng).value
 
     cuts = machine.place(np.array([[lo, hi]]), [region.row], [region.col])
-    blanket = broadcast(machine, cuts, region)
-    ta = ta.depending_on(blanket[region.rowmajor_index(ta.rows, ta.cols)])
+    ta = broadcast_onto(machine, cuts, region, ta)
 
     vals = ta.payload.reshape(n, -1)[:, 0]
     keep = (vals >= lo) & (vals <= hi)
@@ -119,8 +118,7 @@ def median_absolute_deviation(
     n = len(ta)
     med = median(machine, ta, region, rng)
     center = machine.place(np.array([med]), [region.row], [region.col])
-    blanket = broadcast(machine, center, region)
-    ta = ta.depending_on(blanket[region.rowmajor_index(ta.rows, ta.cols)])
+    ta = broadcast_onto(machine, center, region, ta)
     vals = ta.payload.reshape(n, -1)[:, 0]
     deviations = ta.with_payload(np.abs(vals - med))
     return median(machine, deviations, region, rng)
@@ -150,8 +148,7 @@ def top_k(
         raise ValueError(f"k={k} out of range 1..{n}")
     cut = rank_select(machine, ta, region, n - k + 1, rng).value
     cut_ta = machine.place(np.array([cut]), [region.row], [region.col])
-    blanket = broadcast(machine, cut_ta, region)
-    ta = ta.depending_on(blanket[region.rowmajor_index(ta.rows, ta.cols)])
+    ta = broadcast_onto(machine, cut_ta, region, ta)
 
     vals = ta.payload.reshape(n, -1)[:, 0]
     above = vals > cut

@@ -6,8 +6,12 @@
   quadrant-corner scheme; tall grids first run a binary-tree broadcast down
   the first column and then a square broadcast inside each ``w x w`` block.
 * ``reduce`` — the exact reverse communication pattern (Corollary IV.2).
-* ``all_reduce`` — reduce followed by broadcast; used by the randomized
-  selection of Section VI.
+* ``all_reduce`` — reduce followed by broadcast: every cell receives a copy
+  of the total.
+* ``broadcast_onto`` — a broadcast used as a control gate: each element
+  depends on the copy that reached its own cell.  The randomized selection
+  of Section VI counts with ``reduce`` plus ``broadcast_onto``, since its
+  elements only need the count's dependency, not a copy.
 
 On a square subgrid this is a ``Θ(log n)``-factor energy improvement over the
 ``O(log n)``-depth binary-tree reduce of prior work, which we implement in
@@ -31,6 +35,7 @@ __all__ = [
     "broadcast_1d",
     "broadcast_2d",
     "broadcast_many",
+    "broadcast_onto",
     "reduce",
     "reduce_2d",
     "all_reduce",
@@ -300,11 +305,8 @@ def broadcast(machine: SpatialMachine, value: TrackedArray, region: Region) -> T
     order of the region.  A clean fast machine charges the closed form of
     :func:`broadcast_many`.
     """
+    _check_root(value, region)
     h, w = region.height, region.width
-    if not (is_power_of_two(h) and is_power_of_two(w)):
-        raise ValueError(f"broadcast needs power-of-two sides, got {region}")
-    if len(value) != 1:
-        raise ValueError("broadcast expects a single root value")
     if _closed_form_ok(machine, value, region):
         offsets = broadcast_many(machine, h, w, value.depth, value.dist)
         return _corner_copies(machine, value, region, *offsets)
@@ -326,6 +328,34 @@ def broadcast(machine: SpatialMachine, value: TrackedArray, region: Region) -> T
         corners = rowvals[corner_idx]
         out = broadcast_2d(machine, corners, Region(region.row, region.col, h, h))
         return _order_rowmajor(out, region)
+
+
+def _check_root(value: TrackedArray, region: Region) -> None:
+    if not (is_power_of_two(region.height) and is_power_of_two(region.width)):
+        raise ValueError(f"broadcast needs power-of-two sides, got {region}")
+    if len(value) != 1:
+        raise ValueError("broadcast expects a single root value")
+
+
+def broadcast_onto(
+    machine: SpatialMachine, value: TrackedArray, region: Region, ta: TrackedArray
+) -> TrackedArray:
+    """Broadcast ``value`` over ``region`` as a control gate on ``ta``.
+
+    Charges exactly what :func:`broadcast` charges and returns ``ta`` (whose
+    entries lie in ``region``) with each entry depending on the copy that
+    reached its own cell.  Where :func:`broadcast` takes its closed form,
+    that copy's metadata is the root's plus the shape's per-cell offset, so
+    no copy is built.
+    """
+    _check_root(value, region)
+    cells = region.rowmajor_index(ta.rows, ta.cols)
+    if not _closed_form_ok(machine, value, region):
+        return ta.depending_on(broadcast(machine, value, region)[cells])
+    depth_off, dist_off = broadcast_many(
+        machine, region.height, region.width, value.depth, value.dist
+    )
+    return ta.depending_on_meta(value.depth[0] + depth_off[cells], value.dist[0] + dist_off[cells])
 
 
 def _order_rowmajor(ta: TrackedArray, region: Region) -> TrackedArray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..machine.geometry import Region
 from ..machine.machine import SpatialMachine, TrackedArray
-from .collectives import broadcast
+from .collectives import broadcast_onto
 from .ops import ADD
 from .scan import scan
 
@@ -62,7 +62,6 @@ def gather_masked(
         corner_total = machine.send(
             res.total, np.array([region.row]), np.array([region.col])
         )
-        total_bc = broadcast(machine, corner_total, region)
         count = int(round(float(np.asarray(res.total.payload).reshape(-1)[0])))
         if staging is None:
             staging = staging_square(count, region)
@@ -70,8 +69,7 @@ def gather_masked(
         picked = elems[mask]
         slot = np.rint(res.inclusive.payload[mask]).astype(np.int64) - 1
         picked = picked.depending_on(res.inclusive[mask])
-        cell_idx = region.rowmajor_index(picked.rows, picked.cols)
-        picked = picked.depending_on(total_bc[cell_idx])
+        picked = broadcast_onto(machine, corner_total, region, picked)
         return machine.send(picked, rows[slot], cols[slot])
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..machine.geometry import Region
 from ..machine.machine import SpatialMachine, TrackedArray, concat_tracked
-from .collectives import all_reduce, broadcast
+from .collectives import broadcast_onto, reduce
 from .gather import gather_masked as _gather_compact_impl
 from .gather import staging_square as _staging_square_impl
 from .ops import ADD
@@ -182,24 +182,19 @@ def rank_select(
                 piv_payload = np.concatenate([s_l, s_r])[None, :]
                 piv = sorted_s[r - 1 : r].with_payload(piv_payload)
                 corner = machine.send(piv, np.array([region.row]), np.array([region.col]))
-                blanket = broadcast(machine, corner, region)
+                elems = broadcast_onto(machine, corner, region, elems)
 
             # -- 5: all-reduce the counts below/above the pivots
-            elems = elems.depending_on(
-                blanket[region.rowmajor_index(elems.rows, elems.cols)]
-            )
             below = active & lex_less(payload, np.broadcast_to(s_l, payload.shape), 2)
             above = active & lex_less(np.broadcast_to(s_r, payload.shape), payload, 2)
             counts = elems.with_payload(
                 np.stack([below.astype(np.float64), above.astype(np.float64)], axis=1)
             )
-            with machine.phase("count"):
-                totals = all_reduce(machine, counts, region, ADD)
+            with machine.phase("count"), machine.phase("all_reduce"):
+                totals = reduce(machine, counts, region, ADD)
+                elems = broadcast_onto(machine, totals, region, elems)
             n_below = int(round(totals.payload[0, 0]))
             n_above = int(round(totals.payload[0, 1]))
-            elems = elems.depending_on(
-                totals[region.rowmajor_index(elems.rows, elems.cols)]
-            )
 
             if n_below >= k or n_above >= N - k:
                 with machine.phase("fallback_sort"):
@@ -213,12 +208,10 @@ def rank_select(
 
             # -- 7: all-reduce the new N, flip the order if k is in the top half
             live = elems.with_payload(active.astype(np.float64))
-            with machine.phase("count"):
-                n_live = all_reduce(machine, live, region, ADD)
+            with machine.phase("count"), machine.phase("all_reduce"):
+                n_live = reduce(machine, live, region, ADD)
+                elems = broadcast_onto(machine, n_live, region, elems)
             N = int(round(n_live.payload[0]))
-            elems = elems.depending_on(
-                n_live[region.rowmajor_index(elems.rows, elems.cols)]
-            )
             if k > (N + 1) // 2:
                 sign = -sign
                 payload = -payload

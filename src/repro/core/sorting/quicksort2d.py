@@ -35,7 +35,7 @@ import numpy as np
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, concat_tracked
 from ...machine.zorder import is_power_of_two, zorder_coords
-from ..collectives import all_reduce, broadcast
+from ..collectives import broadcast_onto, reduce
 from ..ops import ADD
 from ..scan import scan
 from ..validate import check_finite_values
@@ -119,8 +119,7 @@ def _rec(
     # ---- 2: broadcast the pivots; elements classify themselves locally
     piv_ta = machine.place(np.array([1.0]), [region.row], [region.col])
     piv_ta = piv_ta.depending_on_meta(sel_depth, sel_dist)
-    blanket = broadcast(machine, piv_ta, region)
-    ta = ta.depending_on(blanket[region.rowmajor_index(ta.rows, ta.cols)])
+    ta = broadcast_onto(machine, piv_ta, region, ta)
 
     # tie-indicator scan: Z-position rank among elements tied with each pivot
     tie_cols = np.stack([(vals == p).astype(np.float64) for p in pivots], axis=1)
@@ -130,9 +129,10 @@ def _rec(
     # global strictly-below counts per pivot: an all-reduce, so every element
     # learns how many tied elements each cut still needs
     less_cols = np.stack([(vals < p).astype(np.float64) for p in pivots], axis=1)
-    totals = all_reduce(machine, ta.with_payload(less_cols), region, ADD)
+    with machine.phase("all_reduce"):
+        totals = reduce(machine, ta.with_payload(less_cols), region, ADD)
+        ta = broadcast_onto(machine, totals, region, ta)
     counts_less = np.rint(totals.payload[0]).astype(np.int64)
-    ta = ta.depending_on(totals[region.rowmajor_index(ta.rows, ta.cols)])
     in_first = np.zeros((n, 3), dtype=bool)
     for i, p in enumerate(pivots):
         need = i + 1

@@ -189,8 +189,11 @@ class TrackedArray:
             np.maximum(self.dist, cs),
         )
 
-    def depending_on_meta(self, depth: int, dist: int) -> "TrackedArray":
-        """Like :meth:`depending_on` with raw scalar metadata."""
+    def depending_on_meta(
+        self, depth: int | np.ndarray, dist: int | np.ndarray
+    ) -> "TrackedArray":
+        """Like :meth:`depending_on` with raw metadata: scalars, or arrays
+        with one entry per element (a closed-form broadcast's copies)."""
         return _tracked(
             self.machine,
             self.payload,

@@ -96,6 +96,11 @@ class _Worker:
         return self.warm
 
     def stop(self, graceful: bool = True) -> None:
+        self.ask_stop(graceful)
+        self.reap()
+
+    def ask_stop(self, graceful: bool = True) -> None:
+        """Tell the worker to exit without waiting for it (see :meth:`reap`)."""
         if graceful:
             try:
                 self.conn.send(None)
@@ -110,6 +115,9 @@ class _Worker:
             self.conn.close()
         except OSError:
             pass
+
+    def reap(self) -> None:
+        """Join the worker, terminating it if it has not exited in 2 s."""
         self.proc.join(timeout=2)
         if self.proc.is_alive():
             self.proc.terminate()
@@ -232,8 +240,12 @@ class WorkerPool:
             busy = list(self._busy)
         for w in busy:
             w.proc.kill()  # its caller reaps it
+        # every idle worker hears its stop before the first join, so they
+        # exit side by side
         for w in workers:
-            w.stop()
+            w.ask_stop()
+        for w in workers:
+            w.reap()
 
     def __enter__(self) -> WorkerPool:
         return self

@@ -3,12 +3,12 @@
 ``SpatialMachine.clean_fast`` is true only for a fast, non-strict machine
 with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_many``, the quadrant pair, ``broadcast_1d``,
-``broadcast``, the all-pairs rank, the level-synchronous merge tree:
-mergesort levels, merge levels and batched selection, and the per-shape
-closed forms of the bitonic network and the scan) must take it on
-a clean machine and fall back to its reference loop or depth-first body
-when any single clause is turned off.  The public batched entry points have
-no reference loop and refuse such machines.
+``broadcast``, ``broadcast_onto``, the all-pairs rank, the
+level-synchronous merge tree: mergesort levels, merge levels and batched
+selection, and the per-shape closed forms of the bitonic network and the
+scan) must take it on a clean machine and fall back to its reference loop
+or depth-first body when any single clause is turned off.  The public
+batched entry points have no reference loop and refuse such machines.
 """
 
 import importlib
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import collectives
+from repro.core.selection import rank_select
 from repro.core.sorting import allpairs, bitonic, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
 from repro.machine import FaultPlan, Region, SpatialMachine
@@ -64,6 +65,12 @@ def _broadcast_1d(m):
 def _broadcast(m):
     value = m.place(np.array([1.0]), np.array([0]), np.array([0]))
     collectives.broadcast(m, value, Region(0, 0, 4, 8))
+
+
+def _broadcast_onto(m):
+    value = m.place(np.array([1.0]), np.array([0]), np.array([0]))
+    region = Region(0, 0, 4, 8)
+    collectives.broadcast_onto(m, value, region, m.place_rowmajor(np.arange(32.0), region))
 
 
 def _allpairs_rank(m):
@@ -114,6 +121,7 @@ SITES = {
     "quadrant_reduce": (machine_mod, "quadrant_reduce_fast", _quadrant_reduce),
     "broadcast_1d": (collectives, "_charge_broadcasts", _broadcast_1d),
     "broadcast": (collectives, "_charge_broadcasts", _broadcast),
+    "broadcast_onto": (collectives, "_charge_broadcasts", _broadcast_onto),
     "allpairs_rank": (allpairs, "_rank_segments", _allpairs_rank),
     "mergesort_levels": (mergesort2d, "_sort_levels", _mergesort_levels),
     "merge_levels": (merge2d, "_merge_level", _merge_levels),
@@ -219,3 +227,23 @@ def test_batched_entry_point_refuses_other_machines(entry, clause):
     with pytest.raises(ValueError, match="clean fast machines only"):
         BATCHED[entry](m)
     assert m.stats.energy == 0
+
+
+def test_clean_selection_builds_no_broadcast_copies(monkeypatch):
+    """A clean-fast selection gates its elements on the pivot and count
+    broadcasts through their closed form and materializes no copies."""
+    copies = []
+    body = collectives._corner_copies
+
+    def spy(*args):
+        copies.append(1)
+        return body(*args)
+
+    monkeypatch.setattr(collectives, "_corner_copies", spy)
+    region = Region(0, 0, 32, 32)
+    x = np.random.default_rng(0).standard_normal(1024)
+    m = SpatialMachine(fast=True, strict=False)
+    res = rank_select(m, m.place_zorder(x, region), region, 512, np.random.default_rng(1))
+    assert res.value == np.sort(x)[511]
+    assert res.iterations >= 1 and not res.fell_back
+    assert copies == []

@@ -14,14 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.statistics import median_absolute_deviation, quantile, top_k, trimmed_mean
 from repro.core.collectives import (
     all_reduce,
     broadcast,
     broadcast_1d,
     broadcast_2d,
+    broadcast_onto,
     reduce,
     reduce_2d,
 )
+from repro.core.selection import rank_select
+from repro.core.sorting.quicksort2d import quicksort_2d
 from repro.core.ops import ADD, MAX, Monoid
 from repro.core.scan import scan, segmented_broadcast, segmented_scan
 from repro.core.sorting.bitonic import bitonic_merge, bitonic_sort
@@ -517,6 +521,140 @@ class TestReduceClosedForm:
         ms, mo = ReferenceMachine(), ReferenceMachine()
         assert_tracked_equal(run(ms, skip=True), run(mo, skip=False))
         assert_machines_equal(ms, mo)
+
+
+# ---------------------------------------------------------------------------
+# broadcast_onto: a broadcast as a control gate, and every caller of it
+# ---------------------------------------------------------------------------
+ONTO_REGIONS = (
+    [(s, s) for s in (1, 2, 4, 8, 16, 32, 64)]
+    + [(s, 2 * s) for s in (1, 2, 4, 8, 16, 32)]
+    + [(2 * s, s) for s in (1, 2, 4, 8, 16, 32)]
+    + [(1, 8), (8, 1), (4, 16), (16, 4)]
+)
+#: (h, w, target layout); Z-order covers squares and 2:1 rectangles only
+ONTO_CASES = [
+    (h, w, layout)
+    for h, w in ONTO_REGIONS
+    for layout in ("zorder", "rowmajor", "subset")
+    if layout != "zorder" or max(h, w) <= 2 * min(h, w)
+]
+
+
+def _onto_target(m, layout, region, seed):
+    """Entries on ``region`` in ``layout`` order with skewed metadata."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((region.size, 2))
+    if layout == "zorder":
+        ta = m.place_zorder(x, region)
+    else:
+        ta = m.place_rowmajor(x, region)
+        if layout == "subset":
+            keep = np.flatnonzero(rng.random(region.size) < 0.4)
+            ta = ta[rng.permutation(keep)]
+    return _skewed(ta, rng)
+
+
+class TestBroadcastOnto:
+    """``broadcast_onto`` against the reference's broadcast + gather."""
+
+    @pytest.mark.parametrize("h, w, layout", ONTO_CASES)
+    def test_matches_reference(self, h, w, layout):
+        region = Region(3, 5, h, w)
+
+        def run(m):
+            ta = _onto_target(m, layout, region, [h, w])
+            # a root value with nonzero metadata, moved onto the corner
+            v = m.send(m.place(np.array([[7.0, 2.0]]), [0], [0]), [3], [5])
+            with m.phase("gate"):
+                return broadcast_onto(m, v, region, ta)
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        assert_tracked_equal(run(mr), run(mf))
+        assert_machines_equal(mr, mf)
+
+    def test_returns_the_target_gated_by_its_own_cell(self):
+        """On the reference, each entry takes the max with the broadcast
+        copy at its own cell; the payload and coordinates are the target's."""
+        region = Region(0, 0, 4, 8)
+        m = ReferenceMachine()
+        ta = _onto_target(m, "subset", region, 5)
+        v = m.place(np.array([1.0]), [0], [0])
+        copies = broadcast(ReferenceMachine(), v, region)
+        out = broadcast_onto(m, v, region, ta)
+        cells = region.rowmajor_index(ta.rows, ta.cols)
+        assert out.payload is ta.payload
+        np.testing.assert_array_equal(out.rows, ta.rows)
+        np.testing.assert_array_equal(out.depth, np.maximum(ta.depth, copies.depth[cells]))
+        np.testing.assert_array_equal(out.dist, np.maximum(ta.dist, copies.dist[cells]))
+
+    def test_input_checks_match_broadcast(self):
+        for m in (ReferenceMachine(), fast_machine()):
+            ta = m.place_rowmajor(np.arange(12.0), Region(0, 0, 3, 4))
+            two = m.place(np.array([1.0, 2.0]), [0, 0], [0, 1])
+            with pytest.raises(ValueError, match="power-of-two sides"):
+                broadcast_onto(m, two[:1], Region(0, 0, 3, 4), ta)
+            with pytest.raises(ValueError, match="single root value"):
+                broadcast_onto(m, two, Region(0, 0, 4, 4), ta[:4])
+            assert m.stats.energy == 0
+
+
+def _same_run(run):
+    """Run ``run(machine)`` on the reference and a clean fast machine; the
+    results and every counter must agree."""
+    mr, mf = ReferenceMachine(), fast_machine()
+    ref, fast = run(mr), run(mf)
+    assert_machines_equal(mr, mf)
+    return ref, fast
+
+
+class TestBroadcastOntoCallers:
+    """Every site that gates elements on a broadcast, fast vs reference."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("k", ("first", "middle", "last"))
+    @pytest.mark.parametrize("n", (16, 64, 256, 1024, 4096, 16384))
+    def test_rank_select(self, n, k, seed):
+        x = np.random.default_rng([n, seed]).standard_normal(n)
+        rank = {"first": 1, "middle": n // 2, "last": n}[k]
+        side = int(np.sqrt(n))
+        region = Region(0, 0, side, side)
+
+        def run(m):
+            ta = m.place_zorder(x, region)
+            return rank_select(m, ta, region, rank, np.random.default_rng(seed))
+
+        ref, fast = _same_run(run)
+        assert ref == fast
+        assert fast.value == np.sort(x)[rank - 1]
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_statistics(self, seed):
+        x = np.random.default_rng(seed).standard_normal(1024)
+        region = Region(0, 0, 32, 32)
+
+        def run(m):
+            rng = np.random.default_rng(seed)
+            out = []
+            for stat in (
+                lambda ta: quantile(m, ta, region, 0.9, rng),
+                lambda ta: trimmed_mean(m, ta, region, 0.1, rng),
+                lambda ta: median_absolute_deviation(m, ta, region, rng),
+                lambda ta: top_k(m, ta, region, 20, rng).tobytes(),
+            ):
+                out.append(stat(m.place_zorder(x, region)))
+            return out
+
+        ref, fast = _same_run(run)
+        assert ref == fast
+
+    @pytest.mark.parametrize("side", (8, 16, 32))
+    def test_quicksort2d(self, side):
+        x = np.random.default_rng(side).standard_normal(side * side)
+        region = Region(0, 0, side, side)
+        ref, fast = _same_run(lambda m: quicksort_2d(m, x, region, np.random.default_rng(3)))
+        assert_tracked_equal(ref, fast)
+        np.testing.assert_array_equal(fast.payload, np.sort(x))
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,40 @@ class TestPooledExecution:
         with pytest.raises(PoolError, match="closed"):
             pool.run("rt_pid", {"nap": 0.0}, 0)
 
+    def test_close_stops_every_idle_worker_before_the_first_join(self, pid_dir):
+        import multiprocessing
+
+        from repro.runner import WorkerPool
+
+        events = []
+
+        class Recorded:
+            """Delegates to a worker's pipe or process, logging stops and joins."""
+
+            def __init__(self, inner, i):
+                self._inner, self._i = inner, i
+
+            def send(self, obj):
+                if obj is None:
+                    events.append(("stop", self._i))
+                return self._inner.send(obj)
+
+            def join(self, *args, **kwargs):
+                events.append(("join", self._i))
+                return self._inner.join(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        pool = WorkerPool(3, str(pid_dir))
+        for i, w in enumerate(pool._idle):
+            w.conn, w.proc = Recorded(w.conn, i), Recorded(w.proc, i)
+        pool.close()
+        # all three stops go out before the first join
+        assert [kind for kind, _ in events[:3]] == ["stop"] * 3, events
+        assert sorted(i for kind, i in events if kind == "stop") == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+
     def test_in_process_points_record_failures_without_retry(self, synth, synth_dir):
         results = run_points(synth["rt_mixed"], synth["rt_mixed"].spec().points(),
                              RunConfig(jobs=0, **FAST), bench_dir=synth_dir)
