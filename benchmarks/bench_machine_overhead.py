@@ -1,8 +1,9 @@
 """Machine overhead — the fast path's wall-clock win over the reference oracle.
 
-The fast machine replaces per-call scalar accounting with vectorized
-kernels and closed-form charging; the :class:`ReferenceMachine` keeps the
-original per-call implementations as the executable specification.  This
+The fast machine replaces loops of ``send`` calls with vectorized kernels
+and closed-form charging; the :class:`ReferenceMachine` keeps those loops
+and the depth-first bodies, on the same ``send``, as the executable
+specification.  This
 bench times both on the Figure-2 sorting workload (Bitonic Sort + 2D
 Mergesort per grid) **in-process** — the sweep runner forks a worker per
 point, and ~25 ms of interpreter start-up would drown the small sides and

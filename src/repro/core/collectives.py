@@ -343,13 +343,24 @@ def broadcast_onto(
     """Broadcast ``value`` over ``region`` as a control gate on ``ta``.
 
     Charges exactly what :func:`broadcast` charges and returns ``ta`` (whose
-    entries lie in ``region``) with each entry depending on the copy that
-    reached its own cell.  Where :func:`broadcast` takes its closed form,
-    that copy's metadata is the root's plus the shape's per-cell offset, so
-    no copy is built.
+    entries must lie in ``region``) with each entry depending on the copy
+    that reached its own cell.  Where :func:`broadcast` takes its closed
+    form, that copy's metadata is the root's plus the shape's per-cell
+    offset, so no copy is built.  An entry outside ``region`` has no copy
+    at its cell and raises ``ValueError`` before any charge.
     """
     _check_root(value, region)
-    cells = region.rowmajor_index(ta.rows, ta.cols)
+    r, c = ta.rows - region.row, ta.cols - region.col
+    # viewed unsigned, a negative offset is huge: one max bounds both sides
+    if len(ta) and (
+        r.view(np.uint64).max() >= region.height or c.view(np.uint64).max() >= region.width
+    ):
+        i = int(np.argmin(region.contains(ta.rows, ta.cols)))
+        raise ValueError(
+            f"broadcast_onto gates entries of {region}: entry {i} sits "
+            f"outside it at ({int(ta.rows[i])}, {int(ta.cols[i])})"
+        )
+    cells = r * region.width + c
     if not _closed_form_ok(machine, value, region):
         return ta.depending_on(broadcast(machine, value, region)[cells])
     depth_off, dist_off = broadcast_many(

@@ -1,18 +1,12 @@
 """Vectorized fast-path kernels for :class:`~repro.machine.machine.SpatialMachine`.
 
-The machine's fast mode charges batched operations through flat array
-programs instead of per-call Python.  The contract (enforced by
-``repro conformance`` and ``tests/test_fast_conformance.py``) is *exact*
-equivalence with the per-call reference path: identical counters and cost
-trees, identical recovery stats, identical tracer/profiler feeds, and —
-critically — an identical rng stream under a seeded
-:class:`~repro.machine.faults.FaultPlan`.
-
-The rng contract shapes the one remaining Python loop here:
-``sample_failures`` draws twice per *call*, and the reference path calls it
-once per communicating chain in chain order, so the batched kernel must do
-the same.  Everything rng-free (hop distances, sparing and detour extras,
-segment sums, maxima) is computed flat over a ``(chain, hop)`` layout.
+A clean fast machine (:attr:`~repro.machine.machine.SpatialMachine.clean_fast`)
+charges batched operations through flat array programs instead of loops of
+``send`` and ``relay`` calls.  The contract (enforced by ``repro
+conformance`` and ``tests/test_fast_conformance.py``) is *exact* equivalence
+with those loops: identical counters, cost trees and returned metadata.  The
+kernels record no trace, profile or recovery, which is why only clean
+machines reach them.
 
 Segment reductions use cumulative sums rather than ``np.add.reduceat``:
 ``reduceat`` returns ``arr[start]`` — not 0 — for an empty segment, and
@@ -23,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .faults import backoff_ticks, detour_extras, sample_failures, spare_extras
 from .metrics import META_DTYPE
 
 __all__ = [
@@ -34,7 +27,6 @@ __all__ = [
     "quadrant_reduce_fast",
     "ragged",
     "relay_flat",
-    "relay_many_fast",
     "segment_starts",
     "segment_sums",
 ]
@@ -201,149 +193,41 @@ def quadrant_reduce_fast(machine, payload, depth, dist, side, combine):
     return payload, depth, dist
 
 
-def relay_many_fast(machine, chains, carry=None):
-    """Batched :meth:`SpatialMachine.relay` over a list of chains.
-
-    See :meth:`SpatialMachine.relay_many` for the API.  Flattens the chains
-    and charges them through :func:`relay_flat`.
-    """
-    K = len(chains)
-    src_r = np.zeros(K, dtype=np.int64)
-    src_c = np.zeros(K, dtype=np.int64)
-    depth0 = np.zeros(K, dtype=META_DTYPE)
-    dist0 = np.zeros(K, dtype=META_DTYPE)
-    hops = np.zeros(K, dtype=np.int64)
-    stops_r: list[np.ndarray] = []
-    stops_c: list[np.ndarray] = []
-    for i, (src, stop_rows, stop_cols, d0, s0) in enumerate(chains):
-        stop_rows, stop_cols = machine._coerce_coords(stop_rows, stop_cols, "relay")
-        src_r[i], src_c[i] = src
-        depth0[i], dist0[i] = d0, s0
-        hops[i] = len(stop_rows)
-        stops_r.append(stop_rows)
-        stops_c.append(stop_cols)
-    empty = np.zeros(0, dtype=np.int64)
-    depth, dist = relay_flat(
-        machine,
-        src_r,
-        src_c,
-        np.concatenate(stops_r) if K else empty,
-        np.concatenate(stops_c) if K else empty,
-        hops,
-        depth0,
-        dist0,
-        None if carry is None else np.asarray(carry, dtype=bool),
-    )
-    return list(zip(depth.tolist(), dist.tolist()))
-
-
 def relay_flat(machine, src_r, src_c, stop_r, stop_c, hops, depth0, dist0, carry=None):
     """The relay kernel: charge ``len(hops)`` chains from one flat hop layout.
 
     Chain ``i`` starts at ``(src_r[i], src_c[i])`` with metadata
     ``(depth0[i], dist0[i])`` and visits the next ``hops[i]`` entries of
     ``stop_r``/``stop_c`` in order; ``carry`` links chains as in
-    :meth:`SpatialMachine.relay_many`.  Performs all of the charging
-    (stats, cost tree, recovery, tracer, profiler) and returns the chains'
-    end ``(depth, dist)`` arrays.
+    :meth:`SpatialMachine.relay_many`.  Charges the stats and the cost tree
+    exactly as that loop of ``relay`` calls would and returns the chains'
+    end ``(depth, dist)`` arrays.  It is the batched selection's kernel
+    (:func:`~repro.core.sorting.two_sorted_select.select_ranked`), so it
+    runs on clean fast machines only and refuses any other before charging.
     """
-    st = machine.stats
-    node = machine._phase_node
+    if not machine.clean_fast:
+        raise ValueError(
+            "relay_flat charges unobserved fault-free chains: clean fast machines only"
+        )
     K = len(hops)
     hop_start = segment_starts(hops)
     has_hops = hops > 0
     # hop endpoints: the previous stop, or the chain's source for its first hop
-    to_r, to_c = stop_r, stop_c
     fr_r = np.empty_like(stop_r)
     fr_c = np.empty_like(stop_c)
     fr_r[1:], fr_c[1:] = stop_r[:-1], stop_c[:-1]
     first = hop_start[has_hops]
     fr_r[first], fr_c[first] = src_r[has_hops], src_c[has_hops]
-    d = np.abs(to_r - fr_r) + np.abs(to_c - fr_c)
-    nz = d > 0
+    d = np.abs(stop_r - fr_r) + np.abs(stop_c - fr_c)
 
-    messages_per = segment_sums(nz, hop_start)
-    total_messages = int(messages_per.sum())
+    # a clean chain's depth grows by its messages and its distance by its
+    # energy; sums and round counts distribute over chains
+    inc_d = segment_sums(d > 0, hop_start)
+    inc_s = segment_sums(d, hop_start)
+    machine._charge(int(inc_s.sum()), int(inc_d.sum()), int(np.count_nonzero(inc_d)))
 
-    # ---- fault recovery, flat (rng-free parts) + per-chain rng sampling
-    plan = machine.faults
-    spare_per = np.zeros(K, dtype=np.int64)
-    detour_per = np.zeros(K, dtype=np.int64)
-    retries_per = np.zeros(K, dtype=np.int64)
-    retry_e_per = np.zeros(K, dtype=np.int64)
-    hop_failures = None
-    d_eff = d
-    if plan is not None and plan.injects_faults and total_messages:
-        rec = machine.recovery
-        if plan.dead_regions:
-            from_extra, _ = spare_extras(plan, fr_r, fr_c)
-            to_extra, to_spared = spare_extras(plan, to_r, to_c)
-            # each hop pays for both of its endpoints' spares
-            sp = from_extra + to_extra
-            sp[~nz] = 0
-            spare_per = segment_sums(sp, hop_start)
-            spare_total = int(spare_per.sum())
-            if spare_total:
-                d_eff = d_eff + sp
-                rec.spared += int((to_spared & nz).sum())
-                rec.spare_energy += spare_total
-            extra = detour_extras(plan.dead_regions, fr_r, fr_c, to_r, to_c)
-            extra[~nz] = 0
-            detour_per = segment_sums(extra, hop_start)
-            detour_total = int(detour_per.sum())
-            if detour_total:
-                d_eff = d_eff + extra
-                rec.detoured += int((extra > 0).sum())
-                rec.detour_energy += detour_total
-        if plan.failure_prob > 0.0:
-            # one sample_failures call per communicating chain, in chain
-            # order: the rng stream must match the sequential relay loop
-            fail_flat = np.zeros(len(d), dtype=META_DTYPE)
-            any_fail = False
-            for j in np.flatnonzero(messages_per).tolist():
-                f, dropped, corrupted = sample_failures(plan, int(messages_per[j]))
-                if not f.any():
-                    continue
-                any_fail = True
-                seg = slice(int(hop_start[j]), int(hop_start[j] + hops[j]))
-                view = fail_flat[seg]
-                view[nz[seg]] = f
-                rj = int(f.sum())
-                retries_per[j] = rj
-                rec.dropped += int(dropped.sum())
-                rec.corrupted += int(corrupted.sum())
-                rec.retries += rj
-                rec.backoff_ticks += backoff_ticks(plan, f)
-                rec.max_attempts = max(rec.max_attempts, int(f.max()) + 1)
-            if any_fail:
-                hop_failures = fail_flat
-                retry_e_per = segment_sums(d_eff * fail_flat, hop_start)
-                rec.retry_energy += int(retry_e_per.sum())
-
-    # ---- flat counters (sums and round counts distribute over chains)
-    energy_per = segment_sums(d, hop_start)
-    deff_per = energy_per + spare_per + detour_per
-    energy_total = int(energy_per.sum())
-    retries_total = int(retries_per.sum())
-    st.energy += (
-        energy_total
-        + int(spare_per.sum())
-        + int(detour_per.sum())
-        + int(retry_e_per.sum())
-    )
-    st.messages += total_messages + retries_total
-    comm = messages_per > 0
-    ncomm = int(np.count_nonzero(comm))
-    st.rounds += ncomm
-    if node is not None:
-        node.energy += energy_total
-        node.messages += total_messages
-        node.sends += ncomm
-
-    # ---- carry resolution: chain i ends at start_i + inc_i, and a carrying
-    #      chain starts where the previous one ended ((0, 0) before chain 0)
-    inc_d = messages_per + retries_per
-    inc_s = deff_per + retry_e_per
+    # carry resolution: chain i ends at start_i + inc_i, and a carrying chain
+    # starts where the previous one ended ((0, 0) before chain 0)
     own_d = np.asarray(depth0, dtype=META_DTYPE)
     own_s = np.asarray(dist0, dtype=META_DTYPE)
     if carry is not None and K:
@@ -357,38 +241,6 @@ def relay_flat(machine, src_r, src_c, stop_r, stop_c, hops, depth0, dist0, carry
         end_s = own_s + inc_s
     if has_hops.any():
         machine.observe_maxima(int(end_d[has_hops].max()), int(end_s[has_hops].max()))
-
-    tracer = machine.tracer
-    profiler = machine.profiler
-    if tracer is not None or profiler is not None:
-        # chain j's round id as the sequential loop would have assigned it
-        round_ids = (st.rounds - ncomm) + np.cumsum(comm)
-        phase = machine.current_phase
-        start_d, start_s = end_d - inc_d, end_s - inc_s
-        for j in np.flatnonzero(has_hops).tolist():
-            seg = slice(int(hop_start[j]), int(hop_start[j] + hops[j]))
-            if tracer is not None:
-                tracer.record(
-                    fr_r[seg], fr_c[seg], to_r[seg], to_c[seg],
-                    int(round_ids[j]), phase=phase, kind="relay",
-                )
-            if profiler is not None and messages_per[j]:
-                att = nz[seg].astype(META_DTYPE)
-                per_hop_dist = d_eff[seg]
-                hf = None
-                if hop_failures is not None and retries_per[j]:
-                    hf = hop_failures[seg]
-                    att = att + hf
-                    per_hop_dist = d_eff[seg] * (1 + hf)
-                profiler.record_send(
-                    fr_r[seg], fr_c[seg], to_r[seg], to_c[seg],
-                    d_eff[seg], hf, nz[seg],
-                    int(start_d[j]) + np.cumsum(att), int(start_s[j]) + np.cumsum(per_hop_dist),
-                    phase, "relay", int(round_ids[j]),
-                )
-    rec_energy = spare_per + detour_per + retry_e_per
-    for j in np.flatnonzero(rec_energy | retries_per).tolist():
-        machine._charge_recovery(int(rec_energy[j]), int(retries_per[j]), None)
     return end_d, end_s
 
 

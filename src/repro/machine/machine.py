@@ -24,19 +24,19 @@ decision of iteration t arrived") are threaded with
 :meth:`TrackedArray.depending_on`, so the measured depth reflects the true
 dependency structure of iterative algorithms.
 
-Two interchangeable execution paths implement the charging rules
-(``docs/PERFORMANCE.md``):
+Every machine runs the same ``send`` and ``relay``.  Two interchangeable
+bodies implement the batched operations (``docs/PERFORMANCE.md``):
 
-* the **fast path** (default) runs single-pass vectorized kernels and the
-  batched :meth:`SpatialMachine.relay_many` / :meth:`SpatialMachine.send_many`
-  APIs;
-* the **reference path** (:class:`ReferenceMachine`, or ``REPRO_REFERENCE=1``)
-  keeps the original per-call implementations as the conformance oracle.
+* the **batched bodies and closed forms** run on a :attr:`clean_fast
+  <SpatialMachine.clean_fast>` machine (the default, unless strict, traced,
+  profiled or faulted);
+* the **reference bodies** (every other machine; :class:`ReferenceMachine`
+  or ``REPRO_REFERENCE=1`` pins them) are the defining loops of ``send`` and
+  ``relay`` calls, kept as the conformance oracle.
 
 The two are required to agree *exactly* — bit-identical payloads, equal
-counters, equal cost trees, equal recovery stats, identical rng streams under
-a seeded :class:`~repro.machine.faults.FaultPlan`.  ``repro conformance`` and
-``tests/test_fast_conformance.py`` enforce the contract.
+counters, equal cost trees, equal recovery stats.  ``repro conformance``
+and ``tests/test_fast_conformance.py`` enforce the contract.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ from .faults import (
     spare_extras,
     sample_failures,
 )
-from .fastpath import (
-    quadrant_reduce_fast,
-    relay_many_fast,
-    segment_starts,
-    segment_sums,
-)
+from .fastpath import quadrant_reduce_fast, segment_sums
 from .geometry import Region, manhattan_arrays
 from .metrics import META_DTYPE, CostReport, CostTree, MachineStats, combine_meta
 from .profiler import SpatialProfiler
@@ -353,13 +348,15 @@ class SpatialMachine:
         Optional fabric rectangle.  In strict mode, any placement or send
         targeting a cell outside it fails fast with an actionable error.
     fast:
-        Select the vectorized fast execution path (``True``, the default) or
-        the per-call reference oracle (``False``; what
-        :class:`ReferenceMachine` pins).  ``None`` consults the
-        ``REPRO_REFERENCE`` environment flag, so a whole run — tests, bench
-        sweeps, the service — can be flipped onto the oracle without code
-        changes.  Both paths charge identically; the fast path is only
-        allowed to be faster (``docs/PERFORMANCE.md``).
+        Allow the batched bodies and closed forms (``True``, the default) or
+        pin the reference bodies, the conformance oracle (``False``; what
+        :class:`ReferenceMachine` pins).  It is read only by
+        :attr:`clean_fast`; ``send`` and ``relay`` are the same either way.
+        ``None`` consults the ``REPRO_REFERENCE`` environment flag, so a
+        whole run — tests, bench sweeps, the service — can be flipped onto
+        the oracle without code changes.  Both bodies charge identically;
+        the batched one is only allowed to be faster
+        (``docs/PERFORMANCE.md``).
     """
 
     def __init__(
@@ -614,111 +611,6 @@ class SpatialMachine:
         The extra charges are attributed to the ``recovery`` phase of
         :attr:`cost_tree` (flat totals include them too).
         """
-        if self.fast:
-            return self._send_fast(ta, rows, cols)
-        return self._send_reference(ta, rows, cols)
-
-    def _send_reference(
-        self, ta: TrackedArray, rows: np.ndarray, cols: np.ndarray
-    ) -> TrackedArray:
-        """The original per-call ``send`` implementation (conformance oracle)."""
-        rows, cols = self._coerce_coords(rows, cols, "send")
-        if len(rows) != len(ta) or len(cols) != len(ta):
-            raise ValueError("destination arrays must match value count")
-        plan = self.faults
-        d = manhattan_arrays(ta.rows, ta.cols, rows, cols)
-        moved = d > 0
-        messages = int(moved.sum())
-        if self.strict and messages:
-            self._check_fan_in(rows, cols, moved)
-
-        # ---- fault recovery: sparing taxes, detours, retransmissions
-        failures = None
-        detour_energy = spare_energy = retry_energy = retries = 0
-        d_eff = d
-        if plan is not None and plan.injects_faults and messages:
-            if plan.dead_regions:
-                src_extra, _ = spare_extras(plan, ta.rows, ta.cols)
-                dst_extra, dst_spared = spare_extras(plan, rows, cols)
-                sp = src_extra + dst_extra
-                sp[~moved] = 0
-                spare_energy = int(sp.sum())
-                if spare_energy:
-                    d_eff = d_eff + sp
-                    self.recovery.spared += int((dst_spared & moved).sum())
-                    self.recovery.spare_energy += spare_energy
-                extra = detour_extras(plan.dead_regions, ta.rows, ta.cols, rows, cols)
-                extra[~moved] = 0
-                detour_energy = int(extra.sum())
-                if detour_energy:
-                    d_eff = d_eff + extra
-                    self.recovery.detoured += int((extra > 0).sum())
-                    self.recovery.detour_energy += detour_energy
-            if plan.failure_prob > 0.0:
-                f, dropped, corrupted = sample_failures(plan, messages)
-                if f.any():
-                    failures = np.zeros(len(ta), dtype=META_DTYPE)
-                    failures[moved] = f
-                    retries = int(f.sum())
-                    retry_energy = int((d_eff * failures).sum())
-                    rec = self.recovery
-                    rec.dropped += int(dropped.sum())
-                    rec.corrupted += int(corrupted.sum())
-                    rec.retries += retries
-                    rec.retry_energy += retry_energy
-                    rec.backoff_ticks += backoff_ticks(plan, f)
-                    rec.max_attempts = max(rec.max_attempts, int(f.max()) + 1)
-
-        energy = int(d.sum())
-        self.stats.energy += energy + spare_energy + detour_energy + retry_energy
-        self.stats.messages += messages + retries
-        if messages:
-            # an all-self-send batch performs no communication: not a round
-            self.stats.rounds += 1
-        node = self._phase_node
-        if node is not None:
-            node.energy += energy
-            node.messages += messages
-            if messages:
-                node.sends += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                ta.rows, ta.cols, rows, cols, self.stats.rounds,
-                phase=self.current_phase,
-            )
-            if failures is not None:
-                idx = np.nonzero(failures)[0]
-                idx = np.repeat(idx, failures[idx])
-                self.tracer.record(
-                    ta.rows[idx], ta.cols[idx], rows[idx], cols[idx],
-                    self.stats.rounds, phase=self.current_phase, kind="resend",
-                )
-        if failures is None:
-            depth = ta.depth + moved
-            dist = ta.dist + d_eff
-        else:
-            depth = ta.depth + moved + failures
-            dist = ta.dist + d_eff * (1 + failures)
-        if self.profiler is not None and messages:
-            self.profiler.record_send(
-                ta.rows, ta.cols, rows, cols, d_eff, failures, moved,
-                depth, dist, self.current_phase, "send", self.stats.rounds,
-            )
-        out = TrackedArray(self, ta.payload, rows, cols, depth, dist)
-        self.observe(out.depth, out.dist)
-        self._charge_recovery(spare_energy + detour_energy + retry_energy, retries, out)
-        return out
-
-    def _send_fast(
-        self, ta: TrackedArray, rows: np.ndarray, cols: np.ndarray
-    ) -> TrackedArray:
-        """Single-pass vectorized ``send`` kernel.
-
-        Counter-identical to :meth:`_send_reference` (conformance-enforced):
-        same strict checks, same fault accounting, same rng draws, same
-        tracer/profiler feeds — fused into one pass with in-place distance
-        arithmetic and the unchecked :func:`_tracked` constructor.
-        """
         rows, cols = self._coerce_coords(rows, cols, "send")
         n = len(ta)
         if len(rows) != n or len(cols) != n:
@@ -733,6 +625,7 @@ class SpatialMachine:
         if self.strict and messages:
             self._check_fan_in(rows, cols, moved)
 
+        # ---- fault recovery: sparing taxes, detours, retransmissions
         plan = self.faults
         failures = None
         detour_energy = spare_energy = retry_energy = retries = 0
@@ -775,6 +668,7 @@ class SpatialMachine:
         st.energy += energy + spare_energy + detour_energy + retry_energy
         st.messages += messages + retries
         if messages:
+            # an all-self-send batch performs no communication: not a round
             st.rounds += 1
         node = self._phase_node
         if node is not None:
@@ -782,29 +676,14 @@ class SpatialMachine:
             node.messages += messages
             if messages:
                 node.sends += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                ta.rows, ta.cols, rows, cols, st.rounds,
-                phase=self.current_phase,
-            )
-            if failures is not None:
-                idx = np.nonzero(failures)[0]
-                idx = np.repeat(idx, failures[idx])
-                self.tracer.record(
-                    ta.rows[idx], ta.cols[idx], rows[idx], cols[idx],
-                    st.rounds, phase=self.current_phase, kind="resend",
-                )
         if failures is None:
             depth = ta.depth + moved
             dist = ta.dist + d_eff
         else:
             depth = ta.depth + moved + failures
             dist = ta.dist + d_eff * (1 + failures)
-        if self.profiler is not None and messages:
-            self.profiler.record_send(
-                ta.rows, ta.cols, rows, cols, d_eff, failures, moved,
-                depth, dist, self.current_phase, "send", st.rounds,
-            )
+        if self.tracer is not None or self.profiler is not None:
+            self._feed(ta.rows, ta.cols, rows, cols, d_eff, failures, moved, depth, dist, "send")
         out = _tracked(self, ta.payload, rows, cols, depth, dist)
         self.observe(depth, dist)
         if retries or spare_energy or detour_energy:
@@ -821,58 +700,37 @@ class SpatialMachine:
     ) -> list[TrackedArray] | TrackedArray:
         """Issue several independent ``send`` batches, each its own round.
 
-        Defined as — and on the reference path literally executed as — the
-        sequential loop ``[send(ta, rows, cols) for ta, rows, cols in
-        batches]``.  The quadrant reduce uses this to charge one recursion
-        level (three child-to-parent sends) per call; the fast path fuses
-        the distance arithmetic over one concatenated layout.
+        Defined as — and executed as — the sequential loop ``[send(ta,
+        rows, cols) for ta, rows, cols in batches]``.  The quadrant reduce's
+        level loop uses this to charge one recursion level (three
+        child-to-parent sends) per call.
 
         With ``starts``, ``batches`` is one flat ``(ta, rows, cols)`` triple
         cut into segments: segment ``i`` holds entries ``starts[i]`` up to
         ``starts[i + 1]`` (the last runs to the end), and the result is one
         array in the same flat order.  Each segment is one ``send``; an empty
         or all-self-send segment adds no round.  The level-synchronous merge
-        tree charges a whole recursion level per call this way.
+        tree charges a whole recursion level per call this way, and a clean
+        fast machine charges every segment through one flat kernel.
         """
-        if starts is not None:
-            ta, rows, cols = batches
-            rows = np.asarray(rows, dtype=np.int64)
-            cols = np.asarray(cols, dtype=np.int64)
-            starts = np.asarray(starts, dtype=np.int64)
-            if self.clean_fast:
-                depth, dist = self._send_segments_fast(
-                    ta.rows, ta.cols, rows, cols, ta.depth, ta.dist, starts
-                )
-                return _tracked(self, ta.payload, rows, cols, depth, dist)
-            ends = np.append(starts[1:], len(ta))
-            parts = [
-                self.send(ta[a:b], rows[a:b], cols[a:b])
-                for a, b in zip(starts.tolist(), ends.tolist())
-                if b > a
-            ]
-            return concat_tracked(parts) if parts else ta[0:0]
-        batches = list(batches)
-        if not batches:
-            return []
-        if not self.clean_fast:
+        if starts is None:
             return [self.send(ta, rows, cols) for ta, rows, cols in batches]
-        starts = segment_starts([len(b[0]) for b in batches])
-        dst_r = [np.asarray(b[1], dtype=np.int64) for b in batches]
-        dst_c = [np.asarray(b[2], dtype=np.int64) for b in batches]
-        depth, dist = self._send_segments_fast(
-            np.concatenate([b[0].rows for b in batches]),
-            np.concatenate([b[0].cols for b in batches]),
-            np.concatenate(dst_r),
-            np.concatenate(dst_c),
-            np.concatenate([b[0].depth for b in batches]),
-            np.concatenate([b[0].dist for b in batches]),
-            starts,
-        )
-        bounds = np.append(starts, len(depth)).tolist()
-        return [
-            _tracked(self, ta.payload, dst_r[i], dst_c[i], depth[a:b], dist[a:b])
-            for i, ((ta, _, _), a, b) in enumerate(zip(batches, bounds, bounds[1:]))
+        ta, rows, cols = batches
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        if self.clean_fast:
+            depth, dist = self._send_segments_fast(
+                ta.rows, ta.cols, rows, cols, ta.depth, ta.dist, starts
+            )
+            return _tracked(self, ta.payload, rows, cols, depth, dist)
+        ends = np.append(starts[1:], len(ta))
+        parts = [
+            self.send(ta[a:b], rows[a:b], cols[a:b])
+            for a, b in zip(starts.tolist(), ends.tolist())
+            if b > a
         ]
+        return concat_tracked(parts) if parts else ta[0:0]
 
     def _send_segments_fast(
         self,
@@ -942,12 +800,13 @@ class SpatialMachine:
 
         ``ta`` holds ``side * side`` entries per block in block-local Z-order
         (blocks contiguous); ``combine`` folds two payload arrays and must be
-        associative.  Defined as — and on the reference path literally
-        executed as — the level loop: split ``cur`` into the four quadrant
-        strides, send quadrants 1-3 onto quadrant 0's cells, fold payloads in
-        the fixed order ``((c0 . c1) . c2) . c3``.  Returns one entry per
-        block at the block corner.  The fast path runs the same loop over the
-        raw field arrays, skipping per-level TrackedArray bookkeeping.
+        associative.  Defined as the level loop: split ``cur`` into the four
+        quadrant strides, send quadrants 1-3 onto quadrant 0's cells with one
+        ``send_many``, fold payloads in the fixed order ``((c0 . c1) . c2) .
+        c3``.  Returns one entry per block at the block corner.  A clean fast
+        machine charges a non-empty input in closed form from per-side offset
+        tables (:func:`~repro.machine.fastpath.quadrant_reduce_fast`) and
+        folds the payloads in the same order; every other run takes the loop.
         """
         side = int(side)
         if side <= 1:
@@ -984,6 +843,36 @@ class SpatialMachine:
             rec.max_depth = max(rec.max_depth, int(out.depth.max()))
             rec.max_distance = max(rec.max_distance, int(out.dist.max()))
 
+    def _feed(self, src_r, src_c, dst_r, dst_c, wire, failures, moved, depth, dist, kind):
+        """Hand one charged batch of ``send`` or ``relay`` to the observers.
+
+        Called while a tracer or a profiler is attached.  The tracer records
+        the batch, then each failed attempt as one ``kind="resend"``
+        message, so a trace stays a complete message log.  The profiler
+        folds the batch with its effective ``wire`` distances, its
+        per-message ``failures`` (``None`` when nothing failed) and the
+        ``(depth, dist)`` each message leaves behind.  All arrays are
+        aligned to the batch; ``moved`` masks the messages that
+        communicated.  Both observers tag the batch with the round just
+        charged.
+        """
+        tracer, profiler = self.tracer, self.profiler
+        rnd = self.stats.rounds
+        phase = self.current_phase
+        if tracer is not None:
+            tracer.record(src_r, src_c, dst_r, dst_c, rnd, phase=phase, kind=kind)
+            if failures is not None:
+                idx = np.repeat(np.arange(len(failures)), failures)
+                tracer.record(
+                    src_r[idx], src_c[idx], dst_r[idx], dst_c[idx], rnd,
+                    phase=phase, kind="resend",
+                )
+        if profiler is not None:
+            profiler.record_send(
+                src_r, src_c, dst_r, dst_c, wire, failures, moved, depth, dist,
+                phase, kind, rnd,
+            )
+
     def relay(
         self,
         src: tuple[int, int],
@@ -1010,8 +899,9 @@ class SpatialMachine:
             return int(depth0), int(dist0)
         chain_r = np.concatenate([[src[0]], stop_rows])
         chain_c = np.concatenate([[src[1]], stop_cols])
+        fr_r, fr_c, to_r, to_c = chain_r[:-1], chain_c[:-1], chain_r[1:], chain_c[1:]
         plan = self.faults
-        d = manhattan_arrays(chain_r[:-1], chain_c[:-1], chain_r[1:], chain_c[1:])
+        d = manhattan_arrays(fr_r, fr_c, to_r, to_c)
         nz = d > 0
         messages = int(nz.sum())
 
@@ -1030,9 +920,7 @@ class SpatialMachine:
                     d_eff = d_eff + sp
                     self.recovery.spared += int((node_spared[1:] & nz).sum())
                     self.recovery.spare_energy += spare_energy
-                extra = detour_extras(
-                    plan.dead_regions, chain_r[:-1], chain_c[:-1], chain_r[1:], chain_c[1:]
-                )
+                extra = detour_extras(plan.dead_regions, fr_r, fr_c, to_r, to_c)
                 extra[~nz] = 0
                 detour_energy = int(extra.sum())
                 if detour_energy:
@@ -1065,32 +953,17 @@ class SpatialMachine:
             node.messages += messages
             if messages:
                 node.sends += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                chain_r[:-1], chain_c[:-1], chain_r[1:], chain_c[1:],
-                self.stats.rounds, phase=self.current_phase, kind="relay",
-            )
-        if self.profiler is not None and messages:
-            # per-hop cumulative chain metadata: hop i's depth/distance as
-            # the relayed value leaves stop i (matches the returned totals)
-            att = nz.astype(META_DTYPE)
-            per_hop_dist = d_eff
-            if hop_failures is not None:
-                att = att + hop_failures
-                per_hop_dist = d_eff * (1 + hop_failures)
-            self.profiler.record_send(
-                chain_r[:-1], chain_c[:-1], chain_r[1:], chain_c[1:],
-                d_eff, hop_failures, nz,
-                depth0 + np.cumsum(att), dist0 + np.cumsum(per_hop_dist),
-                self.current_phase, "relay", self.stats.rounds,
+        if self.tracer is not None or self.profiler is not None:
+            # the chain's metadata as the relayed value reaches each stop
+            hops = nz if hop_failures is None else nz + hop_failures
+            path = d_eff if hop_failures is None else d_eff * (1 + hop_failures)
+            self._feed(
+                fr_r, fr_c, to_r, to_c, d_eff, hop_failures, nz,
+                depth0 + np.cumsum(hops), dist0 + np.cumsum(path), "relay",
             )
         depth = depth0 + messages + retries
         dist = dist0 + int(d_eff.sum()) + retry_energy
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-        self.stats.max_distance = max(self.stats.max_distance, dist)
-        if node is not None:
-            node.max_depth = max(node.max_depth, depth)
-            node.max_distance = max(node.max_distance, dist)
+        self.observe_maxima(depth, dist)
         self._charge_recovery(spare_energy + detour_energy + retry_energy, retries, None)
         return depth, dist
 
@@ -1110,24 +983,13 @@ class SpatialMachine:
         metadata into the B-array search this way.  ``carry[0]`` falls back
         to ``(0, 0)``.  Returns one ``(depth, dist)`` pair per chain.
 
-        Semantics are *defined* as the sequential loop of :meth:`relay`
-        calls (the reference path runs exactly that loop, drawing one
-        ``sample_failures`` per communicating chain in order).  The fast
-        path charges every chain through one flattened ``(chain, hop)``
-        layout with identical counters, rng stream, and trace records.
+        Defined as — and executed as — the sequential loop of :meth:`relay`
+        calls.  The batched selection charges its chains through the flat
+        kernel :func:`~repro.machine.fastpath.relay_flat` instead.
         """
         chains = list(chains)
         if carry is not None and len(carry) != len(chains):
             raise ValueError("carry must have one entry per chain")
-        if not self.fast:
-            return self._relay_many_reference(chains, carry)
-        return relay_many_fast(self, chains, carry)
-
-    def _relay_many_reference(
-        self,
-        chains: Sequence[tuple],
-        carry: Sequence[bool] | None = None,
-    ) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
         prev = (0, 0)
         for i, (src, stop_rows, stop_cols, depth0, dist0) in enumerate(chains):
@@ -1163,13 +1025,15 @@ class SpatialMachine:
 
 
 class ReferenceMachine(SpatialMachine):
-    """A :class:`SpatialMachine` pinned to the per-call reference path.
+    """A :class:`SpatialMachine` pinned to the reference bodies.
 
-    The conformance oracle: ``send`` and ``relay`` run the original scalar
-    implementations, and every batched API (``send_many``,
-    ``relay_many``) degrades to its defining sequential loop.  Constructing
-    a plain ``SpatialMachine`` under ``REPRO_REFERENCE=1`` resolves to the
-    same behavior; this class pins it regardless of the environment.
+    The conformance oracle: it is never :attr:`~SpatialMachine.clean_fast`,
+    so ``send_many``'s segmented form runs its defining loop of ``send``
+    calls and every core primitive its depth-first body instead of a
+    batched body or closed form.  ``send``, ``relay`` and ``relay_many``
+    are the same as on every machine.  Constructing a plain
+    ``SpatialMachine`` under ``REPRO_REFERENCE=1`` resolves to the same
+    behavior; this class pins it regardless of the environment.
     """
 
     def __init__(self, *args, **kwargs) -> None:

@@ -2,9 +2,10 @@
 
 Every conformance point runs one :mod:`repro.workloads` entry **twice with
 the same input seed and the same fault-plan seed** — once on a
-:class:`ReferenceMachine` (per-call scalar sends and relays, the executable
-specification) and once on a fast :class:`SpatialMachine` (vectorized
-kernels, closed-form charging) — and demands *exact* agreement:
+:class:`ReferenceMachine` (loops of ``send`` and ``relay`` calls and the
+depth-first bodies, the executable specification) and once on a fast
+:class:`SpatialMachine` (batched kernels, closed-form charging) — and
+demands *exact* agreement:
 
 - **payloads** bit-identical (``tobytes()``), same shape and dtype, and
   each one accepted by the entry's host oracle;
@@ -18,8 +19,9 @@ even one energy unit — is a hard failure.
 Profiles extend the chaos grid with a fault-free point (see
 :data:`CONFORMANCE_PROFILES`): ``clean`` runs without a fault plan; the
 rest reuse :func:`~repro.runner.chaos.chaos_plan` with identically seeded
-plans on both machines, so the retry/detour/sparing streams are replayed
-against both implementations.
+plans on both machines.  A fault-injecting plan sends the fast machine to
+the reference bodies too, so those profiles compare one body with itself:
+they still run every host oracle under faults and pin determinism.
 
 Strict mode interacts asymmetrically: ``REPRO_STRICT=1`` (or
 ``strict=True``) forces the reference path, so a "strict fast" machine

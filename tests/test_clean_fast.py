@@ -43,7 +43,7 @@ def _row(m):
 
 def _send_many(m):
     ta = _row(m)
-    m.send_many([(ta, ta.rows + 1, ta.cols)])
+    m.send_many((ta, ta.rows + 1, ta.cols), starts=np.array([0]))
 
 
 def _quadrant_broadcast(m):

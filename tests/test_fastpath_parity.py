@@ -29,7 +29,7 @@ from repro.core.sorting.quicksort2d import quicksort_2d
 from repro.core.ops import ADD, MAX, Monoid
 from repro.core.scan import scan, segmented_broadcast, segmented_scan
 from repro.core.sorting.bitonic import bitonic_merge, bitonic_sort
-from repro.machine import Region, ReferenceMachine, SpatialMachine
+from repro.machine import MachineStats, Region, ReferenceMachine, SpatialMachine
 
 GRID = 16
 coord = st.integers(min_value=0, max_value=GRID - 1)
@@ -597,6 +597,21 @@ class TestBroadcastOnto:
             with pytest.raises(ValueError, match="single root value"):
                 broadcast_onto(m, two, Region(0, 0, 4, 4), ta[:4])
             assert m.stats.energy == 0
+
+    @pytest.mark.parametrize("stray", [(1, 2), (1, 8), (-1, 5), (4, 5)])
+    def test_refuses_entries_outside_the_region(self, stray):
+        """An entry outside the region has no copy at its cell: one left of
+        the region would take the row-major copy of the row above."""
+        region = Region(0, 4, 4, 4)
+        rows, cols = region.rowmajor_coords()
+        rows, cols = np.insert(rows, 5, stray[0]), np.insert(cols, 5, stray[1])
+        for m in (ReferenceMachine(), fast_machine()):
+            ta = m.place(np.arange(17.0), rows, cols)
+            v = m.place(np.array([1.0]), [0], [4])
+            where = rf"entry 5 sits outside it at \({stray[0]}, {stray[1]}\)"
+            with pytest.raises(ValueError, match=where):
+                broadcast_onto(m, v, region, ta)
+            assert m.stats == MachineStats()
 
 
 def _same_run(run):

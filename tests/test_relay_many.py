@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import FaultPlan, ReferenceMachine, SpatialMachine
+from repro.machine import FaultPlan, MachineStats, ReferenceMachine, SpatialMachine
+from repro.machine.fastpath import relay_flat
 
 GRID = 32
 
@@ -191,3 +192,78 @@ class TestRelayEdgeCases:
         assert dist == 5
         assert m.stats.energy == 5
         assert m.stats.messages == 1
+
+
+# ``relay_many`` runs its loop of ``relay`` calls on every machine, so the
+# flat kernel the batched selection charges its chains through is pinned here
+def _flatten(chains):
+    """``relay_flat``'s arguments for ``chains`` (relay argument tuples)."""
+    empty = np.zeros(0, dtype=np.int64)
+    return (
+        np.array([c[0][0] for c in chains], dtype=np.int64),
+        np.array([c[0][1] for c in chains], dtype=np.int64),
+        np.concatenate([empty, *(c[1] for c in chains)]),
+        np.concatenate([empty, *(c[2] for c in chains)]),
+        np.array([len(c[1]) for c in chains], dtype=np.int64),
+        np.array([c[3] for c in chains], dtype=np.int64),
+        np.array([c[4] for c in chains], dtype=np.int64),
+    )
+
+
+class TestRelayFlat:
+    @settings(max_examples=80, deadline=None)
+    @given(chain_batches())
+    def test_matches_the_reference_relay_loop(self, batch):
+        chains, carry = batch
+        mr = ReferenceMachine(strict=False)
+        ref = mr.relay_many(chains, carry)
+        mf = SpatialMachine(fast=True, strict=False)
+        end_d, end_s = relay_flat(
+            mf, *_flatten(chains), None if carry is None else np.array(carry, dtype=bool)
+        )
+        assert list(zip(end_d.tolist(), end_s.tolist())) == ref
+        assert mf.stats == mr.stats
+        assert mf.cost_tree.as_dict() == mr.cost_tree.as_dict()
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(strict=True),
+            dict(trace=True),
+            dict(profile=True),
+            dict(faults=FaultPlan.seeded(0, drop_prob=0.05)),
+        ],
+        ids=["strict", "tracer", "profiler", "faults"],
+    )
+    def test_refuses_any_other_machine_before_charging(self, kw):
+        rows = np.array([0, 3, 3], dtype=np.int64)
+        cols = np.array([2, 2, 5], dtype=np.int64)
+        m = SpatialMachine(**{"fast": True, "strict": False, **kw})
+        with pytest.raises(ValueError, match="clean fast machines only"):
+            relay_flat(m, *_flatten([((0, 0), rows, cols, 0, 0)]))
+        assert m.stats == MachineStats()
+        assert m.cost_tree.as_dict() == SpatialMachine().cost_tree.as_dict()
+
+
+class TestRelayTraces:
+    @pytest.mark.parametrize("mclass", (SpatialMachine, ReferenceMachine))
+    def test_relay_resends_are_traced(self, mclass):
+        """A traced relay under drops logs every attempt, as ``send`` does."""
+        m = mclass(trace=True, strict=False, faults=FaultPlan.seeded(3, drop_prob=0.5))
+        m.relay((0, 0), np.array([0, 2, 2, 5]), np.array([3, 3, 6, 6]))
+        assert m.stats.messages > 4  # some hops failed and were resent
+        assert m.tracer.total_messages() == m.stats.messages
+        assert m.tracer.total_energy() == m.stats.energy
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_batches(), st.integers(min_value=0, max_value=2**31))
+    def test_traces_match_counters_under_drops_and_corruption(self, batch, plan_seed):
+        """Without dead regions (whose detour extras stay out of traces by
+        design), a trace's totals equal the flat counters."""
+        chains, carry = batch
+        for mclass in (SpatialMachine, ReferenceMachine):
+            plan = FaultPlan.seeded(plan_seed, drop_prob=0.3, corrupt_prob=0.1)
+            m = mclass(trace=True, strict=False, faults=plan)
+            m.relay_many(chains, carry)
+            assert m.tracer.total_messages() == m.stats.messages
+            assert m.tracer.total_energy() == m.stats.energy
