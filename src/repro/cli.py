@@ -31,6 +31,7 @@ import numpy as np
 from . import workloads
 from .analysis import make_workload, render_table
 from .machine import SpatialMachine
+from .machine.profiler import CELL_METRICS
 from .workloads import Keys, OracleError
 
 __all__ = ["main"]
@@ -218,22 +219,53 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _sweep(args, run, *, name, title, headers, row, ok, describe, failure) -> int:
+    """The body of ``repro chaos`` and ``repro conformance``: ``run`` the grid
+    over ``--algos``, print one table ``row`` per report, dump the reports to
+    ``--out``, then ``describe`` each report whose ``ok`` field is false on
+    stderr and close with ``failure`` (formatted with their count); the exit
+    code is 1 if any point failed."""
     import json
 
-    from .runner.chaos import CHAOS_PROFILES, run_chaos_grid
-
     algos = list(workloads.WORKLOADS) if args.algos == "all" else args.algos.split(",")
-    profiles = list(CHAOS_PROFILES) if args.profiles == "all" else args.profiles.split(",")
-    seeds = tuple(range(args.seed, args.seed + args.plans))
     try:
-        reports = run_chaos_grid(algos, profiles, side=args.side, seeds=seeds)
+        reports = run(algos)
     except ValueError as e:
         # unknown algo/profile names: exit with a usage error, not a traceback
         raise SystemExit(str(e))
+    print(
+        render_table(
+            headers,
+            [row(r) for r in reports],
+            title=f"{title} (side={args.side}, {len(reports)} points)",
+        )
+    )
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(reports, fh, indent=2)
+        print(f"wrote {len(reports)} {name} reports to {args.out}")
+    bad = [r for r in reports if not r[ok]]
+    if bad:
+        for r in bad:
+            print(f"  {describe(r)}", file=sys.stderr)
+        print(failure.format(len(bad)), file=sys.stderr)
+        return 1
+    return 0
 
-    rows = [
-        [
+
+def _cmd_chaos(args) -> int:
+    from .runner.chaos import CHAOS_PROFILES, run_chaos_grid
+
+    profiles = list(CHAOS_PROFILES) if args.profiles == "all" else args.profiles.split(",")
+    seeds = tuple(range(args.seed, args.seed + args.plans))
+    return _sweep(
+        args,
+        lambda algos: run_chaos_grid(algos, profiles, side=args.side, seeds=seeds),
+        name="chaos",
+        title="chaos sweep",
+        headers=["algo", "profile", "seed", "result", "E infl", "D infl",
+                 "retries", "detours", "spared", "recovery E"],
+        row=lambda r: [
             r["algo"],
             r["profile"],
             r["seed"],
@@ -244,80 +276,37 @@ def _cmd_chaos(args) -> int:
             r["recovery"]["detoured"],
             r["recovery"]["spared"],
             r["recovery_phase_energy"],
-        ]
-        for r in reports
-    ]
-    print(
-        render_table(
-            ["algo", "profile", "seed", "result", "E infl", "D infl",
-             "retries", "detours", "spared", "recovery E"],
-            rows,
-            title=f"chaos sweep (side={args.side}, {len(reports)} points)",
-        )
+        ],
+        ok="exact_match",
+        describe=lambda r: f"{r['algo']}/{r['profile']}/seed={r['seed']}: "
+                           "output differs from the fault-free run",
+        failure="FAULT-RECOVERY FAILURE: {} point(s) diverged from the fault-free run",
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(reports, fh, indent=2)
-        print(f"wrote {len(reports)} chaos reports to {args.out}")
-    bad = [r for r in reports if not r["exact_match"]]
-    if bad:
-        print(f"FAULT-RECOVERY FAILURE: {len(bad)} point(s) diverged from the "
-              f"fault-free run", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_conformance(args) -> int:
-    import json
+    from .runner.conformance import diff_point, run_conformance_grid
 
-    from .runner.conformance import CONFORMANCE_PROFILES, diff_point, run_conformance_grid
-
-    algos = list(workloads.WORKLOADS) if args.algos == "all" else args.algos.split(",")
-    profiles = (
-        list(CONFORMANCE_PROFILES) if args.profiles == "all" else args.profiles.split(",")
-    )
     seeds = tuple(range(args.seed, args.seed + args.seeds))
-    try:
-        reports = run_conformance_grid(algos, profiles, side=args.side, seeds=seeds)
-    except ValueError as e:
-        raise SystemExit(str(e))
-
-    rows = [
-        [
+    return _sweep(
+        args,
+        lambda algos: run_conformance_grid(algos, side=args.side, seeds=seeds),
+        name="conformance",
+        title="fast-vs-reference conformance",
+        headers=["algo", "seed", "result", "payload", "stats", "cost tree", "energy"],
+        row=lambda r: [
             r["algo"],
-            r["profile"],
             r["seed"],
             "ok" if r["conformant"] else "MISMATCH",
             "=" if r["payload_equal"] else "DIFF",
             "=" if r["stats_equal"] else "DIFF",
             "=" if r["cost_tree_equal"] else "DIFF",
-            "=" if r["recovery_equal"] else "DIFF",
             r["fast_stats"]["energy"],
-        ]
-        for r in reports
-    ]
-    print(
-        render_table(
-            ["algo", "profile", "seed", "result", "payload", "stats",
-             "cost tree", "recovery", "energy"],
-            rows,
-            title=f"fast-vs-reference conformance (side={args.side}, "
-                  f"{len(reports)} points)",
-        )
+        ],
+        ok="conformant",
+        describe=lambda r: f"{r['algo']}/seed={r['seed']}: {diff_point(r)}",
+        failure="CONFORMANCE FAILURE: {} point(s) diverged from the reference oracle",
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(reports, fh, indent=2)
-        print(f"wrote {len(reports)} conformance reports to {args.out}")
-    bad = [r for r in reports if not r["conformant"]]
-    if bad:
-        for r in bad:
-            print(f"  {r['algo']}/{r['profile']}/seed={r['seed']}: {diff_point(r)}",
-                  file=sys.stderr)
-        print(f"CONFORMANCE FAILURE: {len(bad)} point(s) diverged from the "
-              f"reference oracle", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -387,13 +376,7 @@ def _cmd_profile(args) -> int:
             print("  WARNING: witness replay disagrees with MachineStats.max_distance",
                   file=sys.stderr)
 
-    grids = {
-        "energy": prof.cell_energy,
-        "sent": lambda: prof.sent,
-        "received": lambda: prof.received,
-        "links": prof.link_load,
-    }
-    cells = grids[args.metric]()
+    cells = prof.cell_grid(args.metric)
     if args.ascii:
         print()
         print(render_ascii(cells, title=f"{label} — {args.metric} per cell"))
@@ -528,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("algo", choices=workloads.names(),
                     help="which registry workload to profile")
     common(sp, 1024)
-    sp.add_argument("--metric", default="energy",
-                    choices=("energy", "sent", "received", "links"),
+    sp.add_argument("--metric", default="energy", choices=CELL_METRICS,
                     help="cell metric for hotspots/heatmaps (default: wire energy)")
     sp.add_argument("--top", type=int, default=8, help="hotspot cells to list")
     sp.add_argument("--witness", default="both",
@@ -596,17 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "conformance",
-        help="differential check: fast machine vs per-call reference oracle",
+        help="fault-free differential: clean fast machine vs the reference oracle",
     )
     sp.add_argument("--algos", default="all",
                     help="comma-separated algorithm names, or 'all'")
-    sp.add_argument("--profiles", default="all",
-                    help="comma-separated profiles (clean, drops, corruption, "
-                    "dead, mixed), or 'all'")
     sp.add_argument("--side", type=int, default=8, help="working-set square side")
-    sp.add_argument("--seed", type=int, default=0, help="first algorithm/plan seed")
+    sp.add_argument("--seed", type=int, default=0, help="first algorithm seed")
     sp.add_argument("--seeds", type=int, default=1,
-                    help="number of consecutive seeds per (algo, profile)")
+                    help="number of consecutive seeds per algorithm")
     sp.add_argument("--out", default="", help="also dump the JSON reports here")
     sp.set_defaults(func=_cmd_conformance)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..machine.fastpath import quad_broadcast_energy, quad_offsets
 from ..machine.geometry import Region
-from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
+from ..machine.machine import SpatialMachine, TrackedArray, _tracked
 from ..machine.metrics import META_DTYPE
 from ..machine.zorder import is_power_of_two, zorder_cells, zorder_encode
 from .ops import Monoid
@@ -60,8 +60,44 @@ def broadcast_2d(machine: SpatialMachine, value: TrackedArray, region: Region) -
     return machine.quadrant_broadcast(value, side)
 
 
+# the binary tree of the 1D broadcast, keyed by length: per level, the
+# (parent, first child, second child or -1) arrays; the shape is fixed by n
+_BC1D_TREE: dict[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
+
+
+def _bc1d_tree(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The levels of the binary tree over a line of ``n`` cells, root first.
+
+    A node at ``lo`` rooting the cells ``lo..hi`` hands the value to ``lo +
+    1``, which roots the first half (rounded up) of the remainder, and to the
+    cell after that half, if any, which roots the rest (paper, Section
+    IV.A).  Level ``k`` lists the nodes that send in it, in sending order.
+    """
+    levels = _BC1D_TREE.get(n)
+    if levels is not None:
+        return levels
+    tree = []
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, n - 1, dtype=np.int64)
+    while True:
+        rem = hi - lo
+        active = rem > 0
+        if not active.any():
+            break
+        lo_a, hi_a = lo[active], hi[active]
+        s1 = (rem[active] + 1) // 2  # first subtree size (ceil)
+        child_a = lo_a + 1
+        child_b = lo_a + s1 + 1
+        has_b = child_b <= hi_a
+        tree.append((lo_a, child_a, np.where(has_b, child_b, -1)))
+        lo = np.concatenate([child_a, child_b[has_b]])
+        hi = np.concatenate([lo_a + s1, hi_a[has_b]])
+    levels = _BC1D_TREE[n] = tuple(tree)
+    return levels
+
+
 # per-element (depth, dist) offsets plus flat counters of the binary-tree
-# 1D broadcast, keyed by length; the tree shape is fixed by n alone
+# 1D broadcast, keyed by length
 _BC1D_CACHE: dict[int, tuple[np.ndarray, np.ndarray, int, int, int, int, int]] = {}
 
 
@@ -78,40 +114,22 @@ def _bc1d_tables(n: int) -> tuple[np.ndarray, np.ndarray, int, int, int, int, in
     depth_off = np.zeros(n, dtype=META_DTYPE)
     dist_off = np.zeros(n, dtype=META_DTYPE)
     energy = messages = sends = 0
-    lo = np.zeros(1, dtype=np.int64)
-    hi = np.full(1, n - 1, dtype=np.int64)
-    while True:
-        rem = hi - lo
-        active = rem > 0
-        if not active.any():
-            break
-        lo_a, hi_a = lo[active], hi[active]
-        s1 = (rem[active] + 1) // 2
-
-        child_a = lo_a + 1  # hop distance 1 from the segment root at lo
-        depth_off[child_a] = depth_off[lo_a] + 1
-        dist_off[child_a] = dist_off[lo_a] + 1
+    for parent, child_a, child_b in _bc1d_tree(n):
+        # hop distance 1 from the segment root
+        depth_off[child_a] = depth_off[parent] + 1
+        dist_off[child_a] = dist_off[parent] + 1
         energy += len(child_a)
         messages += len(child_a)
         sends += 1
-        new_lo = [child_a]
-        new_hi = [lo_a + s1]
-
-        has_b = lo_a + s1 + 1 <= hi_a
+        has_b = child_b >= 0
         if has_b.any():
-            src_b = lo_a[has_b]
-            child_b = (lo_a + s1 + 1)[has_b]
+            src_b, child_b = parent[has_b], child_b[has_b]
             d = child_b - src_b
             depth_off[child_b] = depth_off[src_b] + 1
             dist_off[child_b] = dist_off[src_b] + d
             energy += int(d.sum())
             messages += len(child_b)
             sends += 1
-            new_lo.append(child_b)
-            new_hi.append(hi_a[has_b])
-
-        lo = np.concatenate(new_lo)
-        hi = np.concatenate(new_hi)
     tables = (
         depth_off,
         dist_off,
@@ -258,44 +276,23 @@ def broadcast_1d(machine: SpatialMachine, value: TrackedArray, region: Region) -
             return region.row + idx, np.full_like(idx, region.col)
         return np.full_like(idx, region.row), region.col + idx
 
-    received: list[TrackedArray] = [value]
-    indices: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    lo = np.zeros(1, dtype=np.int64)
-    hi = np.full(1, n - 1, dtype=np.int64)
-    frontier = value
-    while True:
-        rem = hi - lo
-        active = rem > 0
-        if not active.any():
-            break
-        lo_a, hi_a, f_a = lo[active], hi[active], frontier[active]
-        s1 = (rem[active] + 1) // 2  # first subtree size (ceil)
-
-        child_a = lo_a + 1
-        a_vals = machine.send(f_a, *coords(child_a))
-        new_lo = [child_a]
-        new_hi = [lo_a + s1]
-        new_frontier = [a_vals]
-        received.append(a_vals)
-        indices.append(child_a)
-
-        has_b = lo_a + s1 + 1 <= hi_a
+    out = value[np.zeros(n, dtype=np.int64)]  # the root's copy, then each child's
+    for parent, child_a, child_b in _bc1d_tree(n):
+        _scatter(out, child_a, machine.send(out[parent], *coords(child_a)))
+        has_b = child_b >= 0
         if has_b.any():
-            child_b = (lo_a + s1 + 1)[has_b]
-            b_vals = machine.send(f_a[has_b], *coords(child_b))
-            new_lo.append(child_b)
-            new_hi.append(hi_a[has_b])
-            new_frontier.append(b_vals)
-            received.append(b_vals)
-            indices.append(child_b)
+            child_b = child_b[has_b]
+            _scatter(out, child_b, machine.send(out[parent[has_b]], *coords(child_b)))
+    return out
 
-        lo = np.concatenate(new_lo)
-        hi = np.concatenate(new_hi)
-        frontier = concat_tracked(new_frontier)
 
-    out = concat_tracked(received)
-    order = np.argsort(np.concatenate(indices), kind="stable")
-    return out[order]
+def _scatter(acc: TrackedArray, idx: np.ndarray, sub: TrackedArray) -> None:
+    """Store ``sub`` as the values of ``acc`` at ``idx`` (bookkeeping only)."""
+    acc.payload[idx] = sub.payload
+    acc.rows[idx] = sub.rows
+    acc.cols[idx] = sub.cols
+    acc.depth[idx] = sub.depth
+    acc.dist[idx] = sub.dist
 
 
 def broadcast(machine: SpatialMachine, value: TrackedArray, region: Region) -> TrackedArray:
@@ -474,25 +471,6 @@ def _tree_reduce_1d(
             return line.row + idx, np.full_like(idx, line.col)
         return np.full_like(idx, line.row), line.col + idx
 
-    # plan the broadcast tree levels (pure index arithmetic, no messages)
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    lo = np.zeros(1, dtype=np.int64)
-    hi = np.full(1, n - 1, dtype=np.int64)
-    while True:
-        rem = hi - lo
-        active = rem > 0
-        if not active.any():
-            break
-        lo_a, hi_a = lo[active], hi[active]
-        s1 = (rem[active] + 1) // 2
-        child_a = lo_a + 1
-        child_b_full = lo_a + s1 + 1
-        has_b = child_b_full <= hi_a
-        child_b = np.where(has_b, child_b_full, -1)
-        levels.append((lo_a, child_a, child_b))
-        lo = np.concatenate([child_a, child_b_full[has_b]])
-        hi = np.concatenate([lo_a + s1, hi_a[has_b]])
-
     # accumulator over all n line cells: block sums or identity
     acc_payload = monoid.identity(n, like=blocks.payload)
     acc_rows, acc_cols = coords(np.arange(n, dtype=np.int64))
@@ -504,12 +482,7 @@ def _tree_reduce_1d(
     acc_dist[block_idx] = blocks.dist
     acc = TrackedArray(machine, acc_payload, acc_rows, acc_cols, acc_depth, acc_dist)
 
-    def scatter(idx: np.ndarray, sub: TrackedArray) -> None:
-        acc.payload[idx] = sub.payload
-        acc.depth[idx] = sub.depth
-        acc.dist[idx] = sub.dist
-
-    for parents, child_a, child_b in reversed(levels):
+    for parents, child_a, child_b in reversed(_bc1d_tree(n)):
         a = machine.send(acc[child_a], *coords(parents))
         p = acc[parents]
         payload = monoid(p.payload, a.payload)
@@ -521,10 +494,10 @@ def _tree_reduce_1d(
             cb = combined[has_b]
             payload_b = monoid(cb.payload, b.payload)
             merged_b = cb.combined_with(b, payload=payload_b)
-            scatter(pb, merged_b)
-            scatter(parents[~has_b], combined[~has_b])
+            _scatter(acc, pb, merged_b)
+            _scatter(acc, parents[~has_b], combined[~has_b])
         else:
-            scatter(parents, combined)
+            _scatter(acc, parents, combined)
     return acc[np.zeros(1, dtype=np.int64)]
 
 

@@ -35,8 +35,9 @@ bodies implement the batched operations (``docs/PERFORMANCE.md``):
   ``relay`` calls, kept as the conformance oracle.
 
 The two are required to agree *exactly* — bit-identical payloads, equal
-counters, equal cost trees, equal recovery stats.  ``repro conformance``
-and ``tests/test_fast_conformance.py`` enforce the contract.
+counters, equal cost trees.  ``repro conformance`` and
+``tests/test_fast_conformance.py`` enforce the contract on fault-free runs;
+a faulted machine always runs the reference bodies.
 """
 
 from __future__ import annotations
@@ -628,44 +629,16 @@ class SpatialMachine:
         # ---- fault recovery: sparing taxes, detours, retransmissions
         plan = self.faults
         failures = None
-        detour_energy = spare_energy = retry_energy = retries = 0
+        tax = retries = 0
         d_eff = d
         if plan is not None and plan.injects_faults and messages:
-            if plan.dead_regions:
-                src_extra, _ = spare_extras(plan, ta.rows, ta.cols)
-                dst_extra, dst_spared = spare_extras(plan, rows, cols)
-                sp = src_extra + dst_extra
-                sp[~moved] = 0
-                spare_energy = int(sp.sum())
-                if spare_energy:
-                    d_eff = d_eff + sp
-                    self.recovery.spared += int((dst_spared & moved).sum())
-                    self.recovery.spare_energy += spare_energy
-                extra = detour_extras(plan.dead_regions, ta.rows, ta.cols, rows, cols)
-                extra[~moved] = 0
-                detour_energy = int(extra.sum())
-                if detour_energy:
-                    d_eff = d_eff + extra
-                    self.recovery.detoured += int((extra > 0).sum())
-                    self.recovery.detour_energy += detour_energy
-            if plan.failure_prob > 0.0:
-                f, dropped, corrupted = sample_failures(plan, messages)
-                if f.any():
-                    failures = np.zeros(n, dtype=META_DTYPE)
-                    failures[moved] = f
-                    retries = int(f.sum())
-                    retry_energy = int((d_eff * failures).sum())
-                    rec = self.recovery
-                    rec.dropped += int(dropped.sum())
-                    rec.corrupted += int(corrupted.sum())
-                    rec.retries += retries
-                    rec.retry_energy += retry_energy
-                    rec.backoff_ticks += backoff_ticks(plan, f)
-                    rec.max_attempts = max(rec.max_attempts, int(f.max()) + 1)
+            d_eff, failures, tax, retries = self._fault_tax(
+                ta.rows, ta.cols, rows, cols, d, moved, messages
+            )
 
         energy = int(np.add.reduce(d))
         st = self.stats
-        st.energy += energy + spare_energy + detour_energy + retry_energy
+        st.energy += energy + tax
         st.messages += messages + retries
         if messages:
             # an all-self-send batch performs no communication: not a round
@@ -686,10 +659,8 @@ class SpatialMachine:
             self._feed(ta.rows, ta.cols, rows, cols, d_eff, failures, moved, depth, dist, "send")
         out = _tracked(self, ta.payload, rows, cols, depth, dist)
         self.observe(depth, dist)
-        if retries or spare_energy or detour_energy:
-            self._charge_recovery(
-                spare_energy + detour_energy + retry_energy, retries, out
-            )
+        if tax:
+            self._charge_recovery(tax, retries, out)
         return out
 
     def send_many(
@@ -831,6 +802,57 @@ class SpatialMachine:
             remaining //= 4
         return cur
 
+    def _fault_tax(self, src_r, src_c, dst_r, dst_c, d, moved, messages):
+        """Recovery surcharges of one batch under a fault-injecting plan.
+
+        ``d`` holds the batch's Manhattan distances and ``moved`` masks its
+        ``messages`` communicating ones.  Messages touching dead cells pay
+        the wire to and from their spares, routes crossing dead rectangles
+        pay their detours, and one :func:`sample_failures` draw per call
+        decides the resends, each re-paying the surcharged wire.  Adds every
+        charge to :attr:`recovery`; returns ``(d_eff, failures, tax,
+        retries)``: the surcharged distances, the failed attempts per message
+        (``None`` when none failed), the extra energy and the resend count.
+        """
+        plan = self.faults
+        rec = self.recovery
+        d_eff = d
+        failures = None
+        tax = retries = 0
+        if plan.dead_regions:
+            src_extra, _ = spare_extras(plan, src_r, src_c)
+            dst_extra, dst_spared = spare_extras(plan, dst_r, dst_c)
+            sp = src_extra + dst_extra
+            sp[~moved] = 0
+            spare_energy = int(sp.sum())
+            if spare_energy:
+                d_eff = d_eff + sp
+                rec.spared += int((dst_spared & moved).sum())
+                rec.spare_energy += spare_energy
+            extra = detour_extras(plan.dead_regions, src_r, src_c, dst_r, dst_c)
+            extra[~moved] = 0
+            detour_energy = int(extra.sum())
+            if detour_energy:
+                d_eff = d_eff + extra
+                rec.detoured += int((extra > 0).sum())
+                rec.detour_energy += detour_energy
+            tax = spare_energy + detour_energy
+        if plan.failure_prob > 0.0:
+            f, dropped, corrupted = sample_failures(plan, messages)
+            if f.any():
+                failures = np.zeros(len(d), dtype=META_DTYPE)
+                failures[moved] = f
+                retries = int(f.sum())
+                retry_energy = int((d_eff * failures).sum())
+                rec.dropped += int(dropped.sum())
+                rec.corrupted += int(corrupted.sum())
+                rec.retries += retries
+                rec.retry_energy += retry_energy
+                rec.backoff_ticks += backoff_ticks(plan, f)
+                rec.max_attempts = max(rec.max_attempts, int(f.max()) + 1)
+                tax += retry_energy
+        return d_eff, failures, tax, retries
+
     def _charge_recovery(self, energy: int, retries: int, out: TrackedArray | None) -> None:
         """Attribute recovery charges to the dedicated ``recovery`` phase."""
         if (not energy and not retries) or self._phase_node is None:
@@ -906,44 +928,16 @@ class SpatialMachine:
         messages = int(nz.sum())
 
         # ---- fault recovery (same accounting as ``send``, per hop)
-        detour_energy = spare_energy = retry_energy = retries = 0
+        tax = retries = 0
         hop_failures = None
         d_eff = d
         if plan is not None and plan.injects_faults and messages:
-            if plan.dead_regions:
-                node_extra, node_spared = spare_extras(plan, chain_r, chain_c)
-                # each hop pays for both of its endpoints' spares
-                sp = node_extra[:-1] + node_extra[1:]
-                sp[~nz] = 0
-                spare_energy = int(sp.sum())
-                if spare_energy:
-                    d_eff = d_eff + sp
-                    self.recovery.spared += int((node_spared[1:] & nz).sum())
-                    self.recovery.spare_energy += spare_energy
-                extra = detour_extras(plan.dead_regions, fr_r, fr_c, to_r, to_c)
-                extra[~nz] = 0
-                detour_energy = int(extra.sum())
-                if detour_energy:
-                    d_eff = d_eff + extra
-                    self.recovery.detoured += int((extra > 0).sum())
-                    self.recovery.detour_energy += detour_energy
-            if plan.failure_prob > 0.0:
-                f, dropped, corrupted = sample_failures(plan, messages)
-                if f.any():
-                    hop_failures = np.zeros(len(d), dtype=META_DTYPE)
-                    hop_failures[nz] = f
-                    retries = int(f.sum())
-                    retry_energy = int((d_eff * hop_failures).sum())
-                    rec = self.recovery
-                    rec.dropped += int(dropped.sum())
-                    rec.corrupted += int(corrupted.sum())
-                    rec.retries += retries
-                    rec.retry_energy += retry_energy
-                    rec.backoff_ticks += backoff_ticks(plan, f)
-                    rec.max_attempts = max(rec.max_attempts, int(f.max()) + 1)
+            d_eff, hop_failures, tax, retries = self._fault_tax(
+                fr_r, fr_c, to_r, to_c, d, nz, messages
+            )
 
         energy = int(d.sum())
-        self.stats.energy += energy + spare_energy + detour_energy + retry_energy
+        self.stats.energy += energy + tax
         self.stats.messages += messages + retries
         if messages:
             self.stats.rounds += 1
@@ -962,9 +956,10 @@ class SpatialMachine:
                 depth0 + np.cumsum(hops), dist0 + np.cumsum(path), "relay",
             )
         depth = depth0 + messages + retries
-        dist = dist0 + int(d_eff.sum()) + retry_energy
+        # every hop's (surcharged) wire, once per attempt
+        dist = dist0 + energy + tax
         self.observe_maxima(depth, dist)
-        self._charge_recovery(spare_energy + detour_energy + retry_energy, retries, None)
+        self._charge_recovery(tax, retries, None)
         return depth, dist
 
     def relay_many(

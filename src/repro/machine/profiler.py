@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SpatialProfiler",
+    "CELL_METRICS",
     "CellGrid",
     "HopFrame",
     "Witness",
@@ -56,6 +57,9 @@ __all__ = [
     "gini",
     "grid_to_dense",
 ]
+
+#: the per-cell metrics :meth:`SpatialProfiler.cell_grid` serves
+CELL_METRICS: tuple[str, ...] = ("energy", "sent", "received", "links")
 
 #: default cap on hop records retained for witness extraction (~65 bytes per
 #: message); the traffic grids are unaffected by the cap.
@@ -641,19 +645,25 @@ class SpatialProfiler:
                 out[cell] = out.get(cell, 0) + v
         return out
 
+    def cell_grid(self, by: str = "energy") -> Mapping[tuple[int, int], int]:
+        """The per-cell grid of one of :data:`CELL_METRICS`: wire ``energy``
+        (:meth:`cell_energy`), ``sent`` or ``received`` message attempts, or
+        ``links`` (:meth:`link_load`).  Any other name raises ``ValueError``."""
+        if by == "energy":
+            return self.cell_energy()
+        if by == "sent":
+            return self.sent
+        if by == "received":
+            return self.received
+        if by == "links":
+            return self.link_load()
+        raise ValueError(f"unknown cell metric {by!r}; one of {sorted(CELL_METRICS)}")
+
     def top_cells(
         self, k: int = 8, by: str = "energy"
     ) -> list[tuple[tuple[int, int], int]]:
         """The ``k`` heaviest cells, descending (ties broken by coordinate)."""
-        grids = {
-            "energy": self.cell_energy,
-            "sent": lambda: self.sent,
-            "received": lambda: self.received,
-            "links": self.link_load,
-        }
-        if by not in grids:
-            raise ValueError(f"unknown cell metric {by!r}; one of {sorted(grids)}")
-        cells = grids[by]()
+        cells = self.cell_grid(by)
         return sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def hotspot_stats(self, by: str = "energy") -> dict:
@@ -663,13 +673,7 @@ class SpatialProfiler:
         zero cells included) quantify congestion: a spatially flat algorithm
         (the 2D scan) sits near 0 / 1, tree patterns concentrate load.
         """
-        cells = {
-            "energy": self.cell_energy,
-            "sent": lambda: self.sent,
-            "received": lambda: self.received,
-            "links": self.link_load,
-        }[by]()
-        dense, origin = grid_to_dense(cells)
+        dense, origin = grid_to_dense(self.cell_grid(by))
         flat = dense.ravel()
         if not flat.size or flat.sum() == 0:
             return {

@@ -189,6 +189,53 @@ class TestChaosCommand:
         # three seeded plans, all bit-identical
         assert capsys.readouterr().out.count(" ok ") >= 3
 
+    def test_chaos_mismatch_names_the_point_and_exits_1(self, monkeypatch, capsys):
+        from repro.runner import chaos
+
+        real = chaos.run_chaos_grid
+        monkeypatch.setattr(chaos, "run_chaos_grid", lambda *a, **k: [
+            dict(r, exact_match=False) for r in real(*a, **k)
+        ])
+        assert main(["chaos", "--algos", "scan", "--profiles", "drops",
+                     "--side", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "MISMATCH" in captured.out
+        assert "scan/drops/seed=0: output differs" in captured.err
+        assert "FAULT-RECOVERY FAILURE: 1 point(s)" in captured.err
+
+
+class TestConformanceCommand:
+    def test_conformance_sweep_passes(self, tmp_path, capsys):
+        import json
+
+        out_file = tmp_path / "conformance.json"
+        assert main(["conformance", "--algos", "scan,select", "--side", "4",
+                     "--seeds", "2", "--out", str(out_file)]) == 0
+        assert "fast-vs-reference conformance (side=4, 4 points)" in capsys.readouterr().out
+        reports = json.loads(out_file.read_text())
+        assert [(r["algo"], r["seed"]) for r in reports] == [
+            ("scan", 0), ("scan", 1), ("select", 0), ("select", 1)
+        ]
+        assert all(r["conformant"] for r in reports)
+
+    def test_conformance_has_no_profiles_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conformance", "--profiles", "clean"])
+        assert exc.value.code == 2
+        assert "--profiles" in capsys.readouterr().err
+
+    def test_conformance_drift_names_the_point_and_exits_1(self, monkeypatch, capsys):
+        from repro.runner import conformance
+
+        real = conformance.run_conformance_grid
+        monkeypatch.setattr(conformance, "run_conformance_grid", lambda *a, **k: [
+            dict(r, conformant=False, cost_tree_equal=False) for r in real(*a, **k)
+        ])
+        assert main(["conformance", "--algos", "scan", "--side", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "scan/seed=0: cost tree differs" in err
+        assert "CONFORMANCE FAILURE: 1 point(s)" in err
+
 
 class TestGraphCommand:
     def test_cc_per_round(self, capsys):

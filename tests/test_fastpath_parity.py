@@ -1,12 +1,15 @@
-"""Fast-kernel parity: every batched machine API against its defining loop.
+"""Fast-kernel parity: the batched bodies and closed forms against their
+defining loops.
 
-Each batched primitive (``send_many``, ``quadrant_broadcast``,
-``quadrant_reduce``, the 1D/2D broadcasts) is *defined* as a sequential
-composition of reference operations; the vectorized fast path must
-reproduce payloads, per-value metadata, and every machine counter exactly.
-These tests drive the pairs directly at the machine/collective layer —
-below the algorithm level the conformance grid covers — so a divergence
-pinpoints the kernel at fault.
+``send_many``'s segmented form, the quadrant broadcast and reduce, the
+1D/2D broadcasts, ``broadcast_onto``, the bitonic network, the scan and
+the reduce each have a body that a clean fast machine runs and a reference
+body that every other machine runs; the fast body must reproduce payloads,
+per-value metadata, and every machine counter exactly.  ``send_many``'s
+list form has no fast body: it is its loop of ``send`` calls on every
+machine, and its cases pin that definition.  These tests drive the pairs
+directly at the machine/collective layer — below the algorithm level the
+conformance grid covers — so a divergence pinpoints the body at fault.
 """
 
 import numpy as np

@@ -119,6 +119,14 @@ class TestGrids:
         with pytest.raises(ValueError, match="unknown cell metric"):
             _run("scan").profiler.top_cells(3, by="nope")
 
+    def test_unknown_metric_is_a_value_error_everywhere(self):
+        prof = _run("scan").profiler
+        for call in (lambda: prof.top_cells(3, by="nope"),
+                     lambda: prof.hotspot_stats("nope"),
+                     lambda: prof.cell_grid("nope")):
+            with pytest.raises(ValueError, match="unknown cell metric 'nope'"):
+                call()
+
 
 class TestCellGrid:
     def test_mapping_view_and_growth(self):

@@ -1,11 +1,15 @@
-"""Property-based tests of the batched relay (hypothesis).
+"""Property-based tests of relayed chains (hypothesis).
 
-``relay_many`` is *defined* as the sequential loop of ``relay`` calls; the
-fast path must reproduce that loop's counters, returned metadata, and —
-under seeded fault plans — its rng stream exactly.  Hypothesis drives the
-equivalence over arbitrary chain batches, including the degenerate shapes
-(no chains, empty chains, zero-length hops, carry links) that the
-selection search emits in practice.
+``relay_many`` is its sequential loop of ``relay`` calls on every machine.
+These cases pin that loop's own definition (carry links thread one chain's
+end metadata into the next), its determinism under seeded fault plans (a
+reference and a fast machine given identically seeded plans return the
+same metadata, counters, cost tree and recovery accounting), its clean
+totals, complete traces of relay resends, and ``relay_flat``, the flat
+kernel the batched selection charges its chains through, against the
+loop.  Hypothesis drives them over arbitrary chain batches, including the
+degenerate shapes (no chains, empty chains, zero-length hops, carry links)
+that the selection search emits in practice.
 """
 
 import numpy as np
@@ -57,7 +61,8 @@ def _machine_state(m):
 
 
 def _run_pair(chains, carry, plan_seed=None, **plan_kw):
-    """Run the same batch on the reference loop and the fast kernel."""
+    """Run the same batch on a reference and a fast machine, each with its
+    own plan seeded from ``plan_seed`` (no plan without one)."""
     mr = ReferenceMachine(
         faults=FaultPlan.seeded(plan_seed, **plan_kw) if plan_seed is not None else None
     )
@@ -83,9 +88,9 @@ class TestRelayManyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(chain_batches(), st.integers(min_value=0, max_value=2**31))
     def test_faulty_matches_sequential_loop(self, batch, plan_seed):
-        """Under drops + corruption the fast path must consume the plan's
-        rng stream exactly as the loop does: one draw per communicating
-        chain, in chain order."""
+        """Under drops + corruption the loop is deterministic: both machines
+        draw from identically seeded plans, one draw per communicating
+        chain in chain order, and end in the same state."""
         chains, carry = batch
         ref, fast, mr, mf = _run_pair(
             chains, carry, plan_seed=plan_seed, drop_prob=0.2, corrupt_prob=0.1

@@ -102,7 +102,7 @@ def test_a_new_entry_reaches_chaos_conformance_and_the_cli(monkeypatch):
     assert build_parser().parse_args(["report", "--algo", "toy_scan"]).algo == "toy_scan"
     report = chaos.run_chaos_point("toy_scan", "drops", side=4)
     assert report["exact_match"]
-    report = conformance.run_conformance_point("toy_scan", "clean", side=4)
+    report = conformance.run_conformance_point("toy_scan", side=4)
     assert report["conformant"]
     assert "toy_scan" in _grid_names(monkeypatch, chaos, "run_chaos_point", "run_chaos_grid")
 
@@ -129,7 +129,7 @@ _PERTURBED_PATHS = textwrap.dedent(
         "cli": lambda: main(["scan", "--n", "64"]),
         "suite": lambda: run_suite_point("", "table1_scan", {"n": 64}, 0),
         "chaos": lambda: run_chaos_point("scan", "drops", side=4),
-        "conformance": lambda: run_conformance_point("scan", "clean", side=4),
+        "conformance": lambda: run_conformance_point("scan", side=4),
     }
     for name, call in paths.items():
         try:
