@@ -16,10 +16,11 @@ Two guarantees ride along:
   payload bytes, :class:`MachineStats`, and the per-phase cost tree (the
   fast path is an optimization, never an approximation);
 * **speed** — at the largest side the fast machine must win by at least
-  :data:`MIN_SPEEDUP_LARGEST`x (measured ~66x at side 32, the median of
+  :data:`MIN_SPEEDUP_LARGEST`x (measured ~87x at side 32, the median of
   three runs on a 2-core x86 host, with the merge tree run level by level
-  from one merged order per merge; the gate leaves a wide noise margin
-  below the measurement but still fails any real regression).
+  from one merged order per merge and per-shape merge plans; the gate
+  leaves a wide noise margin below the measurement but still fails any
+  real regression).
 
 A second test gates rank selection the same way at ``n =``
 :data:`SELECT_N`: each iteration runs a gather scan, a bitonic sample sort

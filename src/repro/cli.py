@@ -361,20 +361,22 @@ def _cmd_profile(args) -> int:
     for cell, v in prof.top_cells(args.top, by=args.metric):
         print(f"  {cell}: {v}")
 
-    if args.witness in ("depth", "both"):
-        w = prof.depth_witness()
+    disagrees = False
+    for metric, want in (("depth", s.max_depth), ("distance", s.max_distance)):
+        if args.witness not in (metric, "both"):
+            continue
+        w = prof.depth_witness() if metric == "depth" else prof.distance_witness()
         print()
+        if w is None:
+            print(f"{metric} witness: not recorded (the run sent more than "
+                  f"{prof.max_witness_messages:,} messages, the witness record's limit)")
+            continue
         print(w.render())
-        if w.complete and w.replayed() != s.max_depth:  # pragma: no cover
-            print("  WARNING: witness replay disagrees with MachineStats.max_depth",
+        if w.complete and w.replayed() != want:
+            field = "max_depth" if metric == "depth" else "max_distance"
+            print(f"  WARNING: witness replay disagrees with MachineStats.{field}",
                   file=sys.stderr)
-    if args.witness in ("distance", "both"):
-        w = prof.distance_witness()
-        print()
-        print(w.render())
-        if w.complete and w.replayed() != s.max_distance:  # pragma: no cover
-            print("  WARNING: witness replay disagrees with MachineStats.max_distance",
-                  file=sys.stderr)
+            disagrees = True
 
     cells = prof.cell_grid(args.metric)
     if args.ascii:
@@ -394,7 +396,7 @@ def _cmd_profile(args) -> int:
             raise SystemExit(f"cannot write trace to {args.trace}: {e}")
         print(f"wrote {count} trace event(s) to {args.trace} "
               "(load in ui.perfetto.dev or chrome://tracing)")
-    return 0
+    return 1 if disagrees else 0
 
 
 def _cmd_serve(args) -> int:

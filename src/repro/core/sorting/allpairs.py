@@ -35,7 +35,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine.fastpath import quad_broadcast_energy, quad_offsets, quad_reduce_offsets, ragged
+from ...machine.fastpath import (
+    quad_broadcast_energy,
+    quad_offsets,
+    quad_reduce_offsets,
+    ragged,
+    segment_starts,
+)
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
@@ -55,18 +61,17 @@ def _subgrid_side(n: int) -> int:
     return side
 
 
-# every table the batched body reads depends only on the subgrid side s —
-# scatter corners, replication orders and pad cells are fixed by the
-# exploded-grid geometry, not the data — so each is computed once and reused
-_SIDE_CACHE: dict[int, dict] = {}
+def _side_tables(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form tables of an ``s x s`` exploded grid: every table the
+    batched body reads depends only on the subgrid side ``s`` -- scatter
+    corners, replication orders and pad cells are fixed by the geometry,
+    not the data.
 
-
-def _side_tables(s: int) -> dict:
-    """Per-cell metadata offsets of an ``s x s`` exploded grid, plus the
-    per-size maxima of the rank's closed form, indexed by segment size."""
-    t = _SIDE_CACHE.get(s)
-    if t is not None:
-        return t
+    Returns the per local row-major cell offsets ``(doff, dstoff, rdo,
+    rso)``, the per segment size maxima of the rank's closed form ``(doff_max,
+    dstoff_max, a_dep, a_dst, pad_dep, pad_dst)``, indexed by size
+    ``0..s*s``, and the scalars ``(k, energy, messages)``.
+    """
     per = s * s
     row_off, col_off, depth_off, dist_off = quad_offsets(s)
     # quadrant index landing on local row-major cell 0..per-1
@@ -86,23 +91,51 @@ def _side_tables(s: int) -> dict:
         """Entry n: max of x[n:] (0 for n = per), the zero-meta pad cells."""
         return np.concatenate([np.maximum.accumulate(x[::-1])[::-1], [0]])
 
+    return (
+        np.stack([doff, dstoff, rdo, rso]),
+        np.stack([
+            prefix_max(doff),
+            prefix_max(dstoff),
+            prefix_max(doff + rdo),
+            prefix_max(dstoff + rso),
+            suffix_max(rdo),
+            suffix_max(rso),
+        ]),
+        np.array([
+            s.bit_length() - 1,
+            # two quadrant broadcasts (strides 1 and s) and one quadrant reduce
+            quad_broadcast_energy(s) + quad_broadcast_energy(s, s) + block_energy,
+            3 * (per - 1),
+        ]),
+    )
+
+
+# _side_tables of every side 1, 2, 4, ... up to the largest seen, stacked:
+# side 2**k's cell c at column cell_base[k] + c of "cell", its size n at
+# column size_base[k] + n of "size", its scalars in column k of "scalar";
+# read-only, and replaced whole when a larger side shows up
+_STACKED: dict = {"cell": np.zeros((4, 0), dtype=META_DTYPE)}
+
+
+def _stacked_tables(kmax: int) -> dict:
+    """The stacked side tables for every side up to ``2**kmax`` (cached;
+    built for sides up to 32 at least, which covers the samples and windows
+    of merges of up to ~30k entries)."""
+    global _STACKED
+    t = _STACKED
+    if t["cell"].shape[1] >= (4 ** (kmax + 1) - 1) // 3:
+        return t
+    cell, size, scalar = zip(*(_side_tables(1 << k) for k in range(max(kmax, 5) + 1)))
     t = {
-        "doff": doff,
-        "dstoff": dstoff,
-        "rdo": rdo,
-        "rso": rso,
-        "k": s.bit_length() - 1,
-        # two quadrant broadcasts (strides 1 and s) and one quadrant reduce
-        "energy": quad_broadcast_energy(s) + quad_broadcast_energy(s, s) + block_energy,
-        "messages": 3 * (per - 1),
-        "doff_max": prefix_max(doff),
-        "dstoff_max": prefix_max(dstoff),
-        "a_dep": prefix_max(doff + rdo),
-        "a_dst": prefix_max(dstoff + rso),
-        "pad_dep": suffix_max(rdo),
-        "pad_dst": suffix_max(rso),
+        "cell": np.concatenate(cell, 1).astype(META_DTYPE),
+        "size": np.concatenate(size, 1).astype(META_DTYPE),
+        "scalar": np.stack(scalar, 1).astype(np.int64),
+        "cell_base": segment_starts([c.shape[1] for c in cell]),
+        "size_base": segment_starts([c.shape[1] for c in size]),
     }
-    _SIDE_CACHE[s] = t
+    for table in t.values():
+        table.flags.writeable = False
+    _STACKED = t
     return t
 
 
@@ -175,37 +208,25 @@ def _rank_segments(
     it: one ``np.lexsort`` of the keys (:func:`_segment_ranks`), or
     arithmetic on a merged order it already holds.
     """
-    n_total = len(ta)
-    nseg = len(sizes)
     starts, seg, pos = ragged(sizes)
     s_seg = _subgrid_sides(sizes)
+    k_seg = np.frexp(s_seg)[1] - 1  # log2 of each segment's side
     s = s_seg[seg]
 
-    # per-element cell offsets and per-segment closed-form scalars
-    e_doff = np.empty(n_total, dtype=META_DTYPE)
-    e_dstoff = np.empty(n_total, dtype=META_DTYPE)
-    e_rdo = np.empty(n_total, dtype=META_DTYPE)
-    e_rso = np.empty(n_total, dtype=META_DTYPE)
-    fields = ("k", "energy", "messages", "doff_max", "dstoff_max", "a_dep", "a_dst",
-              "pad_dep", "pad_dst")
-    g = {f: np.empty(nseg, dtype=np.int64) for f in fields}
-    for side in np.unique(s_seg).tolist():
-        t = _side_tables(side)
-        on = s_seg == side
-        at = s == side
-        p = pos[at]
-        e_doff[at], e_dstoff[at] = t["doff"][p], t["dstoff"][p]
-        e_rdo[at], e_rso[at] = t["rdo"][p], t["rso"][p]
-        sz = sizes[on]
-        for f in ("k", "energy", "messages"):
-            g[f][on] = t[f]
-        for f in fields[3:]:
-            g[f][on] = t[f][sz]
+    # per-element cell offsets and per-segment closed-form scalars, read
+    # from every side's tables at once
+    t = _stacked_tables(int(k_seg.max()))
+    e_doff, e_dstoff, e_rdo, e_rso = t["cell"][:, t["cell_base"][k_seg][seg] + pos]
+    doff_max, dstoff_max, a_dep, a_dst, pad_dep, pad_dst = t["size"][
+        :, t["size_base"][k_seg] + sizes
+    ]
+    k, energy, messages = t["scalar"][:, k_seg]
 
     # -- 1. scatter A_i to the corner of Γ_i; 3. compact A into Γ_0
     R, C = ws_rows[seg], ws_cols[seg]
-    pivots = machine.send_many((ta, R + (pos // s) * s, C + (pos % s) * s), starts=starts)
-    copies0 = machine.send_many((ta, R + pos // s, C + pos % s), starts=starts)
+    sub_r, sub_c = np.divmod(pos, s)
+    pivots = machine.send_many((ta, R + sub_r * s, C + sub_c * s), starts=starts)
+    copies0 = machine.send_many((ta, R + sub_r, C + sub_c), starts=starts)
     pd_max = np.maximum.reduceat(pivots.depth, starts)
     ps_max = np.maximum.reduceat(pivots.dist, starts)
     cd_max = np.maximum.reduceat(copies0.depth, starts)
@@ -214,31 +235,30 @@ def _rank_segments(
     # -- 2-5. blanket broadcast, subgrid-lattice replication and the
     #         per-block reduce: closed-form counters; every compare at cell
     #         j of Γ_i sees max(pivot[i] + off[j], copy[j] + off[i])
-    k = g["k"]
     machine._charge(
-        int(np.dot(sizes, g["energy"])), int(np.dot(sizes, g["messages"])), 9 * int(k.sum())
+        int(np.dot(sizes, energy)), int(np.dot(sizes, messages)), 9 * int(k.sum())
     )
-    dmax = np.maximum(np.maximum(pd_max, cd_max) + k, np.maximum(pd_max, cd_max) + g["doff_max"])
+    dmax = np.maximum(np.maximum(pd_max, cd_max) + k, np.maximum(pd_max, cd_max) + doff_max)
     smax = np.maximum.reduce([
         ps_max + 2 * (s_seg - 1),
         cs_max + 2 * (s_seg - 1) * s_seg,
-        ps_max + g["dstoff_max"],
-        cs_max + s_seg * g["dstoff_max"],
+        ps_max + dstoff_max,
+        cs_max + s_seg * dstoff_max,
     ])
     machine.observe_maxima(int(dmax.max()), int(smax.max()))
 
     # per-block reduce metadata: max over cells j of (bit meta + reduce
     # carry offset), split over the two bit terms + the zero-meta pads
     rdep = np.maximum(
-        pivots.depth + g["a_dep"][seg],
+        pivots.depth + a_dep[seg],
         e_doff + np.maximum.reduceat(copies0.depth + e_rdo, starts)[seg],
     )
     rdst = np.maximum(
-        pivots.dist + g["a_dst"][seg],
+        pivots.dist + a_dst[seg],
         e_dstoff * s + np.maximum.reduceat(copies0.dist + e_rso, starts)[seg],
     )
-    np.maximum(rdep, g["pad_dep"][seg], out=rdep)
-    np.maximum(rdst, g["pad_dst"][seg], out=rdst)
+    np.maximum(rdep, pad_dep[seg], out=rdep)
+    np.maximum(rdst, pad_dst[seg], out=rdst)
     # fold the reduction's metadata into the element sitting at the corner
     out_dep = np.maximum(pivots.depth, rdep)
     out_dst = np.maximum(pivots.dist, rdst)

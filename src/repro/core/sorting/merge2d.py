@@ -32,13 +32,16 @@ each for chunk moves and leaf parks.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
-from ...machine.fastpath import ragged, segment_starts
+from ...machine.fastpath import interleave, ragged, segment_starts
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
-from ..collectives import broadcast, broadcast_many
+from ..collectives import _broadcast_tables, broadcast
 from ..validate import check_keys
 from .sortutil import merged_ranks
 from .two_sorted_select import select_ranked, select_ranks_two_sorted
@@ -134,100 +137,246 @@ def merge_sorted_2d_many(
     merge's output in row-major order of its region, merges in order.
 
     Each merge is sorted once, under the selection's strict key, and every
-    entry carries its merged rank ``r`` through the levels: the splits are
-    exact rank splits, so a subproblem at offset ``off`` holds exactly the
-    ranks ``[off, off + n)``, and every order a level needs is read off the
-    ranks.
+    entry carries its rank within its subproblem through the levels: the
+    splits are exact rank splits, so a subproblem holds exactly the ranks
+    ``[off, off + n)`` of its merge, and every order a level needs is read
+    off the ranks.  For the same reason every subproblem's size, offset,
+    region and broadcast are fixed by the merge shapes; they come from a
+    cached plan (:func:`_merge_plan`), and a level computes only what depends on
+    the keys: the A/B split, the cuts and the moves.
     """
     if not machine.clean_fast:
         raise ValueError("merge_sorted_2d_many charges closed forms: clean fast machines only")
     a_sizes = np.asarray(a_sizes, dtype=np.int64)
     b_sizes = np.asarray(b_sizes, dtype=np.int64)
     regions = np.asarray(regions, dtype=np.int64)
-    parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]] = []
+    sizes = a_sizes + b_sizes
+    if not np.array_equal(sizes, regions[:, 2] * regions[:, 3]):
+        raise ValueError("every merge must fill its region: |A| + |B| == height * width")
+    origin = (int(regions[0, 0]), int(regions[0, 1])) if len(regions) else (0, 0)
+    plan = _merge_plan(regions, base_case)
+    parked: list[tuple[TrackedArray, np.ndarray]] = []
     with machine.phase("merge2d"):
-        starts, merge, pos = ragged(a_sizes + b_sizes)
+        starts, merge, pos = ragged(sizes)
         in_b = pos >= a_sizes[merge]
         rank = merged_ranks(
             ta.payload, key_cols, merge, in_b, pos - np.where(in_b, a_sizes[merge], 0), starts
         )
-        # one row per live subproblem: (na, nb, row, col, h, w, offset, merge)
-        sub = np.column_stack(
-            [a_sizes, b_sizes, regions, np.zeros(len(a_sizes), dtype=np.int64),
-             np.arange(len(a_sizes), dtype=np.int64)]
-        )
-        cur = ta
-        while len(sub):
-            cur, rank, sub = _merge_level(machine, cur, rank, sub, base_case, parked)
+        # each entry's row-major cell in its region; after the first level
+        # every entry sits at the cell of its index in its subproblem
+        row, col, width = regions[merge, 0], regions[merge, 1], regions[merge, 3]
+        cell = (ta.rows - row) * width + (ta.cols - col)
+        state = (ta, rank, a_sizes, merge, pos, cell)
+        for level in plan:
+            state = _merge_level(machine, *state, level, origin, parked)
 
         # Fig. 3d: permute from the recursion's traversal order into row-major
         placed = concat_tracked([p[0] for p in parked])
-        at = np.concatenate([starts[p[2]] + p[1] for p in parked])
+        at = np.concatenate([p[1] for p in parked])
         del parked
         order = np.empty(len(at), dtype=np.int64)
         order[at] = np.arange(len(at), dtype=np.int64)
         placed = placed[order]
-        row, col, width = regions[merge, 0], regions[merge, 1], regions[merge, 3]
         return machine.send_many(
             (placed, row + pos // width, col + pos % width), starts=starts
         )
 
 
+class _Level:
+    """One level of the merge tree, from the merge shapes alone.
+
+    Subproblems are in layout order (the previous level's children, in
+    order), regions relative to the first merge's corner.  Columns over all
+    ``S`` subproblems:
+
+    - ``n`` entries and ``region`` (row, col, height, width);
+    - ``leaf``: parks without splitting; ``park_at``: where its rank 0 lands
+      in the merges' concatenated output (merge start + offset);
+      ``leaf_starts``: each leaf's first entry among the leaves' entries;
+    - ``split_of``: each subproblem's index among the splitting ones.
+
+    Columns over the ``P`` splitting subproblems, ``split`` (their indices
+    into the level), in order:
+
+    - ``seg_start``: first entry in the layout of the splitting subproblems;
+    - ``ks``: the three splitter ranks (multiples of the quarter);
+    - ``child_row``/``child_col`` (``4P``), ``child_h``/``child_w``: the
+      sub-regions (square: Z-order quadrants, wide/tall: four strips);
+    - ``child_start`` (``4P``): each child's first entry in the next level;
+    - the broadcast of the routing decision: ``bc_dep``/``bc_dst`` per-cell
+      offsets of every shape at the level stacked into one array, each
+      subproblem's table at ``bc_base``, its largest offsets ``bc_dmax``/
+      ``bc_smax``, and the summed ``bc_charge`` (energy, messages, sends).
+    """
+
+    __slots__ = (
+        "n", "region", "leaf", "park_at", "leaf_starts", "split", "split_of", "seg_start",
+        "ks", "child_row", "child_col", "child_h", "child_w", "child_start",
+        "bc_dep", "bc_dst", "bc_base", "bc_dmax", "bc_smax", "bc_charge",
+    )  # fmt: skip
+
+
+def _plan_array(values) -> np.ndarray:
+    """A read-only int32 plan column."""
+    out = np.ascontiguousarray(values, dtype=np.int32)
+    out.flags.writeable = False
+    return out
+
+
+#: how many plans the cache keeps (least recently used goes first)
+_PLAN_CACHE_SIZE = 64
+_PLANS: OrderedDict[tuple[bytes, int], tuple[_Level, ...]] = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _merge_plan(regions: np.ndarray, base_case: int) -> tuple[_Level, ...]:
+    """The cached plan of a batch of merges onto ``regions`` (``(merges,
+    4)``: row, col, height, width; merge ``i`` fills region ``i``): one
+    :class:`_Level` per level of the merge tree.
+
+    Plans are keyed by the regions taken relative to the first corner and by
+    ``base_case``, so the same shapes anywhere on the grid share one plan.
+    A region that splits must be a power-of-two square or 2:1 rectangle;
+    any other raises ``ValueError`` and caches nothing.
+    """
+    regions = np.asarray(regions, dtype=np.int64)
+    origin = regions[0, :2] if len(regions) else np.zeros(2, dtype=np.int64)
+    rel = regions.copy()
+    rel[:, :2] -= origin
+    key = (rel.tobytes(), int(base_case))
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+    plan = _build_plan(rel, base_case, origin)
+    with _PLANS_LOCK:
+        _PLANS[key] = plan
+        while len(_PLANS) > _PLAN_CACHE_SIZE:
+            _PLANS.popitem(last=False)
+    return plan
+
+
+def _build_plan(rel: np.ndarray, base_case: int, origin: np.ndarray) -> tuple[_Level, ...]:
+    """Walk the recursion over shapes alone (``origin`` only names a bad
+    region in the error)."""
+    row, col, h, w = rel.T
+    n = h * w
+    at = segment_starts(n)  # where each subproblem's rank 0 lands
+    levels = []
+    while len(n):
+        lv = _Level()
+        leaf = (n <= base_case) | (h == 1) | (w == 1) | (n < 4)
+        split = np.flatnonzero(~leaf)
+        lv.n, lv.region = _plan_array(n), _plan_array(np.column_stack([row, col, h, w]))
+        lv.leaf, lv.park_at = leaf, _plan_array(at)
+        lv.leaf.flags.writeable = False
+        lv.leaf_starts = _plan_array(segment_starts(n[leaf]))
+        lv.split, lv.split_of = _plan_array(split), _plan_array(np.cumsum(~leaf) - 1)
+        levels.append(lv)
+        if not len(split):
+            break
+        n, row, col, h, w, at = n[split], row[split], col[split], h[split], w[split], at[split]
+        # a split region is broadcast over, so its sides are powers of two,
+        # and it splits into four congruent parts, so it is a square or 2:1
+        pow2 = ((h & (h - 1)) == 0) & ((w & (w - 1)) == 0)
+        shape_ok = pow2 & ((h == w) | (w == 2 * h) | (h == 2 * w))
+        if not shape_ok.all():
+            i = int(np.argmin(shape_ok))
+            bad = Region(int(row[i] + origin[0]), int(col[i] + origin[1]), int(h[i]), int(w[i]))
+            raise ValueError(
+                f"merge regions must be power-of-two squares or 2:1 rectangles, got {bad}"
+            )
+        lv.seg_start = _plan_array(segment_starts(n))
+        quarter = n // 4
+        lv.ks = _plan_array(quarter[:, None] * np.arange(1, 4))
+        # sub-region q: square -> Z-order quadrants, wide/tall -> four strips
+        q4 = np.arange(4, dtype=np.int64)
+        sq, wide = (h == w)[:, None], (w > h)[:, None]
+        sub_h = np.where(sq[:, 0], h // 2, np.where(wide[:, 0], h, h // 4))
+        sub_w = np.where(sq[:, 0], w // 2, np.where(wide[:, 0], w // 4, w))
+        sub_row = row[:, None] + np.where(sq, (q4 >= 2), np.where(wide, 0, q4)) * sub_h[:, None]
+        sub_col = col[:, None] + np.where(sq, (q4 & 1), np.where(wide, q4, 0)) * sub_w[:, None]
+        lv.child_row, lv.child_col = _plan_array(sub_row.ravel()), _plan_array(sub_col.ravel())
+        lv.child_h, lv.child_w = _plan_array(sub_h), _plan_array(sub_w)
+        # chunk q holds the ranks [q * quarter, (q + 1) * quarter), the last
+        # chunk the rest; children follow in order, each A part then B part
+        child_n = np.column_stack([quarter, quarter, quarter, n - 3 * quarter])
+        lv.child_start = _plan_array(segment_starts(child_n.ravel()))
+        _plan_broadcasts(lv, h, w)
+        n, h, w = child_n.ravel(), np.repeat(sub_h, 4), np.repeat(sub_w, 4)
+        row, col = sub_row.ravel(), sub_col.ravel()
+        at = (at[:, None] + q4 * quarter[:, None]).ravel()
+    return tuple(levels)
+
+
+def _plan_broadcasts(lv: _Level, h: np.ndarray, w: np.ndarray) -> None:
+    """The level's broadcasts, one per splitting subproblem: every shape's
+    closed form (:func:`~repro.core.collectives._broadcast_tables`) once."""
+    _, first, shape_of = np.unique(
+        h * (int(w.max()) + 1) + w, return_index=True, return_inverse=True
+    )
+    tables = [_broadcast_tables(int(h[i]), int(w[i])) for i in first]
+    sizes = [len(t[0]) for t in tables]
+    if len(tables) == 1:  # the common case: views of the closed form's arrays
+        lv.bc_dep, lv.bc_dst = (t.view() for t in tables[0][:2])
+    else:
+        lv.bc_dep = np.concatenate([t[0] for t in tables])
+        lv.bc_dst = np.concatenate([t[1] for t in tables])
+    lv.bc_dep.flags.writeable = lv.bc_dst.flags.writeable = False
+    lv.bc_base = _plan_array(segment_starts(sizes)[shape_of])
+    energy, messages, sends, dmax, smax = (
+        np.array([t[i] for t in tables], dtype=np.int64)[shape_of] for i in range(2, 7)
+    )
+    lv.bc_dmax, lv.bc_smax = _plan_array(dmax), _plan_array(smax)
+    lv.bc_charge = (int(energy.sum()), int(messages.sum()), int(sends.sum()))
+
+
 def _merge_level(
     machine: SpatialMachine,
     cur: TrackedArray,
-    rank: np.ndarray,
-    sub: np.ndarray,
-    base_case: int,
-    parked: list[tuple[TrackedArray, np.ndarray, np.ndarray]],
-) -> tuple[TrackedArray, np.ndarray, np.ndarray]:
+    rho: np.ndarray,
+    na: np.ndarray,
+    seg: np.ndarray,
+    pos: np.ndarray,
+    cell: np.ndarray,
+    lv: _Level,
+    origin: tuple[int, int],
+    parked: list[tuple[TrackedArray, np.ndarray]],
+) -> tuple:
     """One level of :func:`_merge_rec` over every live subproblem.
 
     ``cur`` holds each subproblem's ``A`` then ``B`` entries, subproblems in
-    order, and ``rank`` each entry's rank in its merge.  Parks the leaves
-    (appending ``(parked, rank, merge)`` to ``parked``) and returns the next
-    level's entries, their ranks and the subproblem rows.
+    the plan's order; per entry, ``rho`` is its rank in its subproblem,
+    ``seg`` its subproblem, ``pos`` its index there and ``cell`` the
+    row-major index of its cell in the subproblem's region; ``na`` is each
+    subproblem's ``|A|``.  Parks the leaves (appending ``(parked, index in
+    the merges' output)`` to ``parked``) and returns the next level's
+    ``(cur, rho, na, seg, pos, cell)``.
     """
-    na, nb, row, col, h, w, off, merge = sub.T
-    n = na + nb
-    seg_start, seg, pos = ragged(n)
-    in_b = pos >= na[seg]
-    pos -= np.where(in_b, na[seg], 0)  # index within A or within B
-    rho = rank - off[seg]  # rank within the subproblem
-    leaf = (n <= base_case) | (h == 1) | (w == 1) | (n < 4)
-
+    r0, c0 = origin
     # ---- leaves: park the merged chunk in row-major order of its region
-    if leaf.any():
-        at = leaf[seg]
-        ls = seg[at]
-        lr, lw = rho[at], w[ls]
+    if lv.leaf.any():
+        at = lv.leaf[seg]
+        ls, lr = seg[at], rho[at]
+        lrow, lcol, _, lw = lv.region[ls].T
         out = machine.send_many(
-            (cur[at], row[ls] + lr // lw, col[ls] + lr % lw), starts=segment_starts(n[leaf])
+            (cur[at], r0 + lrow + lr // lw, c0 + lcol + lr % lw), starts=lv.leaf_starts
         )
-        parked.append((out, rank[at], merge[ls]))
-        if leaf.all():
-            return cur[0:0], rank[0:0], sub[0:0]
+        parked.append((out, lv.park_at[ls] + lr))
         keep = ~at
-        cur, rank, sub = cur[keep], rank[keep], sub[~leaf]
-        pos, in_b, rho = pos[keep], in_b[keep], rho[keep]
-        na, nb, row, col, h, w, off, merge = sub.T
-        n = na + nb
-        seg_start, seg, _ = ragged(n)
-    S = len(sub)
-    # a split region is broadcast over, so its sides are powers of two, and
-    # it splits into four congruent parts, so it is a square or 2:1
-    pow2 = ((h & (h - 1)) == 0) & ((w & (w - 1)) == 0)
-    shape_ok = pow2 & ((h == w) | (w == 2 * h) | (h == 2 * w))
-    if not shape_ok.all():
-        i = int(np.argmin(shape_ok))
-        bad = Region(int(row[i]), int(col[i]), int(h[i]), int(w[i]))
-        raise ValueError(
-            f"merge regions must be power-of-two squares or 2:1 rectangles, got {bad}"
-        )
+        cur, rho, pos, cell = cur[keep], rho[keep], pos[keep], cell[keep]
+        seg, na = lv.split_of[seg[keep]], na[lv.split]
+    if not len(lv.split):
+        return cur, rho, na, seg, pos, cell
+    nb = lv.n[lv.split] - na
+    ks = lv.ks
+    S = len(ks)
+    row = r0 + lv.region[lv.split, 0]
+    col = c0 + lv.region[lv.split, 1]
+    seg_start = lv.seg_start
 
     # ---- find the three rank splitters of every subproblem (Lemma V.6)
-    quarter = n // 4
-    ks = quarter[:, None] * np.arange(1, 4, dtype=np.int64)
     cut_a = np.zeros((S, 5), dtype=np.int64)
     cut_b = np.zeros((S, 5), dtype=np.int64)
     cut_a[:, 4], cut_b[:, 4] = na, nb
@@ -273,42 +422,35 @@ def _merge_level(
         (_tracked(machine, np.ones(S), where_r, where_c, split_d, split_s), row, col),
         starts=np.arange(S, dtype=np.int64),
     )
-    ctl_d = np.empty(len(seg), dtype=META_DTYPE)
-    ctl_s = np.empty(len(seg), dtype=META_DTYPE)
-    shapes = h * (w.max() + 1) + w
-    for key in np.unique(shapes).tolist():
-        group = shapes == key
-        gh, gw = int(h[group][0]), int(w[group][0])
-        dep_off, dst_off = broadcast_many(
-            machine, gh, gw, corner.depth[group], corner.dist[group]
+    with machine.phase("broadcast"):
+        machine._charge(*lv.bc_charge)
+        machine.observe_maxima(
+            int((corner.depth + lv.bc_dmax).max()), int((corner.dist + lv.bc_smax).max())
         )
-        at = group[seg]
-        gs = seg[at]
-        cell = (cur.rows[at] - row[gs]) * gw + (cur.cols[at] - col[gs])
-        ctl_d[at] = corner.depth[gs] + dep_off[cell]
-        ctl_s[at] = corner.dist[gs] + dst_off[cell]
+    at = lv.bc_base[seg] + cell
+    ctl_d = corner.depth[seg] + lv.bc_dep[at]
+    ctl_s = corner.dist[seg] + lv.bc_dst[at]
 
     # chunk q of a subproblem is A[cut_a[q]:cut_a[q+1]] || B[cut_b[q]:cut_b[q+1]]:
-    # the ranks [q * quarter, (q + 1) * quarter), the last chunk taking the rest
+    # the ranks [q * quarter, (q + 1) * quarter), the last chunk taking the rest;
+    # an entry's index j in its chunk is pos plus a shift per (child, side)
+    quarter = ks[:, 0][seg]
+    q = np.minimum(rho // quarter, 3)
     chunk_a = np.diff(cut_a, axis=1)
-    q = np.minimum(rho // quarter[seg], 3)
-    j = np.where(in_b, pos - cut_b[seg, q] + chunk_a[seg, q], pos - cut_a[seg, q])
+    shift = interleave((-cut_a[:, :4]).ravel(), (chunk_a - cut_b[:, :4] - na[:, None]).ravel())
+    in_b = pos >= na[seg]
+    child = 4 * seg + q
+    j = pos + shift[2 * child + in_b]
     # sub-region q: square -> Z-order quadrants, wide/tall -> four strips
-    q4 = np.arange(4, dtype=np.int64)
-    sq, wide = (h == w)[:, None], (w > h)[:, None]
-    sub_h = np.where(sq[:, 0], h // 2, np.where(wide[:, 0], h, h // 4))
-    sub_w = np.where(sq[:, 0], w // 2, np.where(wide[:, 0], w // 4, w))
-    sub_row = row[:, None] + np.where(sq, (q4 >= 2), np.where(wide, 0, q4)) * sub_h[:, None]
-    sub_col = col[:, None] + np.where(sq, (q4 & 1), np.where(wide, q4, 0)) * sub_w[:, None]
-    s_w = sub_w[seg]
-    dest_r = sub_row[seg, q] + j // s_w
-    dest_c = sub_col[seg, q] + j % s_w
+    jr, jc = np.divmod(j, lv.child_w[seg])
+    dest_r = r0 + lv.child_row[child] + jr
+    dest_c = c0 + lv.child_col[child] + jc
 
     # one send per (subproblem, chunk, side); entries regroup into the next
     # level's layout: children in order, each child's A part then B part
-    child_start = seg_start[:, None] + q4 * quarter[:, None]
+    child_start = lv.child_start
     order = np.empty(len(seg), dtype=np.int64)
-    order[child_start[seg, q] + j] = np.arange(len(seg), dtype=np.int64)
+    order[child_start[child] + j] = np.arange(len(seg), dtype=np.int64)
     moving = _tracked(
         machine,
         cur.payload[order],
@@ -319,21 +461,10 @@ def _merge_level(
     )
     moved = machine.send_many(
         (moving, dest_r[order], dest_c[order]),
-        starts=np.stack([child_start, child_start + chunk_a], 2).ravel(),
+        starts=interleave(child_start, child_start + chunk_a.ravel()),
     )
-    children = np.column_stack(
-        [
-            chunk_a.ravel(),
-            np.diff(cut_b, axis=1).ravel(),
-            sub_row.ravel(),
-            sub_col.ravel(),
-            np.repeat(sub_h, 4),
-            np.repeat(sub_w, 4),
-            (off[:, None] + q4 * quarter[:, None]).ravel(),
-            np.repeat(merge, 4),
-        ]
-    )
-    return moved, rank[order], children
+    pos = j[order]
+    return moved, (rho - q * quarter)[order], chunk_a.ravel(), child[order], pos, pos
 
 
 def _merged_order(A: TrackedArray, B: TrackedArray, key_cols: int) -> np.ndarray:

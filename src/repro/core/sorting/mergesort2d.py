@@ -80,10 +80,7 @@ def _sort_levels(
     b = side
     while b * b > base_case and b > 2:
         b //= 2
-    # entries are row-major over the full region; group them by base block
-    idx = np.arange(len(ta), dtype=np.int64)
-    r, c = idx // side, idx % side
-    order = np.argsort(zorder_encode(r // b, c // b) * (b * b) + (r % b) * b + c % b)
+    order = _base_block_order(side, b)
     nblocks = (side // b) ** 2
     br, bc = zorder_decode(np.arange(nblocks, dtype=np.int64))
     rows, cols = region.row + br * b, region.col + bc * b
@@ -118,6 +115,24 @@ def _sort_levels(
         cur = merge_sorted_2d_many(machine, cur, half, half, squares, key_cols, base_case)
         nblocks, b = nparents, 2 * b
     return cur
+
+
+# base-block Z-order permutation per (side, block side); a handful of shapes
+_BLOCK_ORDERS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _base_block_order(side: int, b: int) -> np.ndarray:
+    """The permutation taking row-major entries of a ``side x side`` region
+    to base blocks of side ``b`` in Z-order, each block row-major (cached,
+    read-only)."""
+    order = _BLOCK_ORDERS.get((side, b))
+    if order is None:
+        idx = np.arange(side * side, dtype=np.int64)
+        r, c = idx // side, idx % side
+        order = np.argsort(zorder_encode(r // b, c // b) * (b * b) + (r % b) * b + c % b)
+        order.flags.writeable = False
+        _BLOCK_ORDERS[(side, b)] = order
+    return order
 
 
 def _sort_rec(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...machine.fastpath import ragged, relay_flat, segment_starts
+from ...machine.fastpath import interleave, ragged, relay_flat, segment_starts
 from ...machine.geometry import Region
 from ...machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tracked
 from ...machine.metrics import META_DTYPE
@@ -274,40 +274,88 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return np.maximum(1, r)
 
 
-def _probe_chains(n: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep form of :func:`_probe_plan` over many searches.
+def _bisect_steps(
+    lo: np.ndarray, hi: np.ndarray, t: np.ndarray, width: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Bisect ``[lo, hi)`` in lockstep, ``t`` blocks below the target, until
+    every interval is at most ``width`` blocks wide.  Returns the probed
+    block of each step (-1 where a search did not probe) and the final
+    intervals."""
+    steps = []
+    while True:
+        active = hi - lo > width
+        if not active.any():
+            return steps, lo, hi
+        mid = (lo + hi) >> 1
+        steps.append(np.where(active, mid, -1))
+        below = mid < t
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
 
-    Search ``i`` looks for the first index of an ``n[i]``-long sorted array
-    not below a target with ``count[i]`` entries strictly below it.  Returns
-    the probe indices grouped by search in probe order, plus the number of
-    probes per search.
+
+#: widest bisection :func:`_bisect_table` holds (~600 KB of int16 cells)
+_BISECT_CAP = 256
+
+# every bisection over [0, h) blocks, stacked for each h up to the largest
+# seen: row h * (h + 1) // 2 + t lists, in probe order, the blocks probed when
+# the first t blocks lie below the target (-1 pads a row); read-only, and
+# replaced whole when a wider h shows up
+_BISECT = np.full((1, 0), -1, dtype=np.int16)
+
+
+def _bisect_table(hmax: int) -> np.ndarray:
+    """The stacked bisection probes for every ``h <= hmax <= _BISECT_CAP``
+    (built for ``h <= 64`` at least)."""
+    global _BISECT
+    table = _BISECT
+    if len(table) > hmax * (hmax + 1) // 2 + hmax:
+        return table
+    hmax = min(_BISECT_CAP, max(64, 1 << (hmax - 1).bit_length()))
+    h = np.repeat(np.arange(hmax + 1, dtype=np.int64), np.arange(1, hmax + 2))
+    t = np.arange(len(h), dtype=np.int64) - h * (h + 1) // 2
+    steps, _, _ = _bisect_steps(np.zeros_like(h), h, t, 0)
+    table = np.stack(steps, 1).astype(np.int16)
+    table.flags.writeable = False
+    _BISECT = table
+    return table
+
+
+def _bisections(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Blocks probed by bisections over ``[0, h[i])`` with the first ``t[i]``
+    below the target: one row per search, -1 where it did not probe.  A
+    search wider than the table steps in lockstep until it fits."""
+    head, lo, hi = _bisect_steps(np.zeros_like(h), h, t, _BISECT_CAP)
+    w = hi - lo
+    tail = _bisect_table(int(w.max(initial=0)))[w * (w + 1) // 2 + t - lo]
+    if not head:
+        return tail
+    return np.concatenate([np.stack(head, 1), np.where(tail < 0, -1, tail + lo[:, None])], 1)
+
+
+def _probe_chains(n: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched form of :func:`_probe_plan` over many searches.
+
+    Search ``i`` looks for the first index of an ``n[i] >= 1``-long sorted
+    array not below a target with ``count[i]`` entries strictly below it.
+    Returns the probe indices grouped by search in probe order, plus the
+    number of probes per search.  Where each level's bisection ends is
+    arithmetic (the probes below the target are a prefix), so both levels
+    read their probes from :func:`_bisections`.
     """
     stride = _isqrt(n)
-    probes: list[np.ndarray] = []  # one row per bisection step, over all searches
-    taken: list[np.ndarray] = []  # which searches probed at that step
-
-    def bisect(base: np.ndarray, hi: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Probe base, base+step, ... to find the first block not below."""
-        lo = np.zeros(len(n), dtype=np.int64)
-        active = lo < hi
-        while active.any():
-            mid = (lo + hi) >> 1
-            idx = np.minimum(base + mid * step, n - 1)
-            probes.append(idx)
-            taken.append(active)
-            below = idx < count
-            lo = np.where(active & below, mid + 1, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active = lo < hi
-        return base + lo * step
-
-    first_block = bisect(np.zeros(len(n), dtype=np.int64), (n + stride - 1) // stride, stride)
-    block_lo = np.maximum(0, first_block - stride)
-    bisect(block_lo, np.minimum(n, block_lo + 2 * stride) - block_lo, np.ones_like(n))
-    if not probes:
-        return np.zeros(0, dtype=np.int64), np.zeros(len(n), dtype=np.int64)
-    by_search = np.array(taken).T  # row i: search i's steps, in probe order
-    return np.array(probes).T[by_search], by_search.sum(1)
+    # anchor level: block b probes index min(b * stride, n - 1), below the
+    # target for the first ceil(count / stride) blocks
+    t1 = (count + stride - 1) // stride
+    p1 = _bisections((n + stride - 1) // stride, t1)
+    # within-block level: index block_lo + b, below for the first count - block_lo
+    block_lo = np.maximum(0, (t1 - 1) * stride)
+    h2 = np.minimum(n, block_lo + 2 * stride) - block_lo
+    p2 = _bisections(h2, np.clip(count - block_lo, 0, h2))
+    probed = np.concatenate([p1 >= 0, p2 >= 0], 1)
+    at = np.concatenate(
+        [np.minimum(p1 * stride[:, None], (n - 1)[:, None]), block_lo[:, None] + p2], 1
+    )
+    return at[probed], probed.sum(1)
 
 
 def select_ranks_two_sorted_many(
@@ -400,12 +448,12 @@ def select_ranked(
     #    side 0 is A, side 1 is B, and own = position within the side
     bp = np.flatnonzero(big)
     st_p = step[bp]
-    counts = np.stack([(na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p], 1)
-    s_sizes = counts.sum(1)
-    _, s_grp, s_i = ragged(counts.ravel())
+    count_a, count_b = (na[bp] + st_p - 1) // st_p, (nb[bp] + st_p - 1) // st_p
+    s_sizes = count_a + count_b
+    _, s_grp, s_i = ragged(interleave(count_a, count_b))
     s_step = st_p[s_grp // 2]
     s_own = s_i * s_step
-    s_idx = np.stack([a_start[bp], b_start[bp]], 1).ravel()[s_grp] + s_own
+    s_idx = interleave(a_start[bp], b_start[bp])[s_grp] + s_own
     # sample rank: i samples of its own side below it, and ceil(c / step) of
     # the other side, whose first c = rank - own entries are below it
     s_rank = s_i + (rank[s_idx] - s_own + s_step - 1) // s_step
@@ -439,15 +487,15 @@ def select_ranked(
     wa = np.minimum(na[pair_k], a + kp) - a
     wb = np.minimum(nb[pair_k], b + kp) - b
     w_sizes = wa + wb
-    _, w_grp, w_i = ragged(np.stack([wa, wb], 1).ravel())
+    _, w_grp, w_i = ragged(interleave(wa, wb))
     w_k = w_grp // 2
     w_b = (w_grp & 1).astype(bool)
-    lo = np.stack([a, b], 1)
-    w_own = lo.ravel()[w_grp] + w_i
-    w_idx = np.stack([a_start[pair_k], b_start[pair_k]], 1).ravel()[w_grp] + w_own
+    lo = interleave(a, b)
+    w_own = lo[w_grp] + w_i
+    w_idx = interleave(a_start[pair_k], b_start[pair_k])[w_grp] + w_own
     # window rank: its own side's window entries before it, plus the other
     # side's window entries among the rank - own entries below it
-    other_lo = lo[w_k, (~w_b).astype(np.int64)]
+    other_lo = lo[w_grp ^ 1]
     other_n = np.where(w_b, wa[w_k], wb[w_k])
     w_rank = w_i + np.clip(rank[w_idx] - w_own - other_lo, 0, other_n)
 
@@ -482,9 +530,9 @@ def select_ranked(
             #    (carrying A's end)
             pt = pair_k[kt]
             probes, hops = _probe_chains(
-                np.stack([na[pt], nb[pt]], 1).ravel(), np.stack([probe_a, probe_b], 1).ravel()
+                interleave(na[pt], nb[pt]), interleave(probe_a, probe_b)
             )
-            probe_at = probes + np.repeat(np.stack([a_start[pt], b_start[pt]], 1).ravel(), hops)
+            probe_at = probes + np.repeat(interleave(a_start[pt], b_start[pt]), hops)
             end_d, end_s = relay_flat(
                 machine,
                 np.repeat(placed.rows[t], 2),
@@ -492,8 +540,8 @@ def select_ranked(
                 U.rows[probe_at],
                 U.cols[probe_at],
                 hops,
-                np.stack([placed.depth[t], np.zeros_like(t)], 1).ravel(),
-                np.stack([placed.dist[t], np.zeros_like(t)], 1).ravel(),
+                interleave(placed.depth[t], np.zeros_like(t)),
+                interleave(placed.dist[t], np.zeros_like(t)),
                 np.tile([False, True], len(kt)),
             )
             depth[kt] = end_d[1::2]

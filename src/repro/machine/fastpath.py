@@ -20,6 +20,7 @@ import numpy as np
 from .metrics import META_DTYPE
 
 __all__ = [
+    "interleave",
     "quad_broadcast_energy",
     "quad_offsets",
     "quad_reduce_charge",
@@ -50,6 +51,16 @@ def ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts = segment_starts(sizes)
     seg = np.repeat(np.arange(len(starts), dtype=np.int64), sizes)
     return starts, seg, np.arange(len(seg), dtype=np.int64) - starts[seg]
+
+
+def interleave(*cols: np.ndarray) -> np.ndarray:
+    """Equal-length arrays taken in turn, ``x[0], y[0], x[1], y[1], ...``:
+    ``np.stack(cols, 1).ravel()`` without its per-call overhead."""
+    k = len(cols)
+    out = np.empty(k * len(cols[0]), dtype=np.result_type(*cols))
+    for i, col in enumerate(cols):
+        out[i::k] = col
+    return out
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .faults import (
     spare_extras,
     sample_failures,
 )
-from .fastpath import quadrant_reduce_fast, segment_sums
+from .fastpath import quadrant_reduce_fast
 from .geometry import Region, manhattan_arrays
 from .metrics import META_DTYPE, CostReport, CostTree, MachineStats, combine_meta
 from .profiler import SpatialProfiler
@@ -726,7 +726,12 @@ class SpatialMachine:
         d += t
         moved = d > 0
         messages = int(np.count_nonzero(moved))
-        ncomm = int(np.count_nonzero(segment_sums(moved, starts))) if messages else 0
+        ncomm = 0
+        if messages:
+            # segments holding a moved entry (reduceat wants non-empty ones)
+            ends = np.empty_like(starts)
+            ends[:-1], ends[-1] = starts[1:], len(d)
+            ncomm = int(np.count_nonzero(np.logical_or.reduceat(moved, starts[ends > starts])))
         self._charge(int(np.add.reduce(d)), messages, ncomm)
         depth = depth + moved
         dist = dist + d

@@ -407,6 +407,8 @@ class SpatialProfiler:
         # phase span + counter timelines for the Chrome trace export
         self.phase_events: list[tuple[int, str, str]] = []  # (tick, "B"|"E", path)
         self.counters: list[tuple[int, int, int, int]] = []  # (tick, E_cum, msgs, depth)
+        # metric -> (len(frames) when searched, witness)
+        self._witness_cache: dict[str, tuple[int, Witness]] = {}
 
     # ------------------------------------------------------------------
     # online recording (called by SpatialMachine)
@@ -546,41 +548,68 @@ class SpatialProfiler:
         return self._witness("distance")
 
     def _witness(self, metric: str) -> Witness | None:
+        """The witness of ``metric``, searched once per recorded state."""
         if not self.witnesses or self.witness_overflow:
             return None
-        if not self.frames:
+        stamp, wit = self._witness_cache.get(metric, (-1, None))
+        if stamp != len(self.frames):
+            wit = self._search_witness(metric)
+            self._witness_cache[metric] = (len(self.frames), wit)
+        return wit
+
+    def _search_witness(self, metric: str) -> Witness:
+        """Backward chaining from the first hop that reaches the metric.
+
+        Each step takes the latest hop strictly before the current one (in
+        frame order, then message order) that delivered exactly the
+        remaining metric to the current hop's source cell; failing that,
+        the latest such hop anywhere, flagged ``relinked``.  Both lookups
+        are binary searches in two orderings of every recorded hop.
+        """
+        frames = self.frames
+        if not frames:
             return Witness(metric=metric, target=0)
 
-        def vals(f: HopFrame) -> np.ndarray:
-            return f.depth_after if metric == "depth" else f.dist_after
+        def cat(name: str) -> np.ndarray:
+            """One field of every hop, numbered in frame then message order."""
+            return np.concatenate([getattr(f, name) for f in frames])
 
-        def incs(f: HopFrame) -> np.ndarray:
-            return f.attempts if metric == "depth" else f.wire * f.attempts
-
-        # index every hop by (value-after, destination cell); lists are in
-        # frame order, so reverse scans prefer the latest eligible hop
-        by_val_cell: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        by_val: dict[int, list[tuple[int, int]]] = {}
-        target = 0
-        start: tuple[int, int] | None = None
-        for fi, f in enumerate(self.frames):
-            v = vals(f)
-            for mi in range(len(f)):
-                key = (int(v[mi]), int(f.dst_rows[mi]), int(f.dst_cols[mi]))
-                by_val_cell.setdefault(key, []).append((fi, mi))
-                by_val.setdefault(int(v[mi]), []).append((fi, mi))
-            fmax = int(v.max())
-            if fmax > target:
-                target = fmax
-                start = (fi, int(np.argmax(v)))
-
-        wit = Witness(metric=metric, target=target)
-        if start is None:  # all hops were zero-increment (cannot happen: moved only)
+        dst_r, dst_c, attempts = cat("dst_rows"), cat("dst_cols"), cat("attempts")
+        if metric == "depth":
+            vals, incs = cat("depth_after"), attempts
+        else:
+            vals, incs = cat("dist_after"), cat("wire") * attempts
+        wit = Witness(metric=metric, target=max(0, int(vals.max())))
+        if wit.target <= 0:  # no hop increments the metric (moved hops always do)
             return wit
-        fi, mi = start
+        sizes = [len(f) for f in frames]
+        frame_of = np.repeat(np.arange(len(frames), dtype=np.int64), sizes)
+        first = np.concatenate([[0], np.cumsum(sizes)])
+        # hop numbers ordered by (value, dst row, dst col, number) and by
+        # (value, number)
+        by_cell = np.lexsort((dst_c, dst_r, vals))
+        cell_keys = (vals[by_cell], dst_r[by_cell], dst_c[by_cell])
+        by_val = np.argsort(vals, kind="stable")
+        val_sorted = vals[by_val]
+
+        def latest(order: np.ndarray, keys: tuple, key: tuple, before: int) -> int | None:
+            """The largest hop number below ``before`` among the hops of
+            ``order`` whose ``keys`` equal ``key`` (a contiguous run)."""
+            lo, hi = 0, len(order)
+            for col, k in zip(keys, key):
+                lo, hi = lo + np.searchsorted(col[lo:hi], k), lo + np.searchsorted(
+                    col[lo:hi], k, side="right"
+                )
+                if lo == hi:
+                    return None
+            p = lo + int(np.searchsorted(order[lo:hi], before))
+            return int(order[p - 1]) if p > lo else None
+
+        g = int(np.argmax(vals))
         chain: list[WitnessHop] = []
         while True:
-            f = self.frames[fi]
+            f = frames[frame_of[g]]
+            mi = g - int(first[frame_of[g]])
             hop = WitnessHop(
                 src=(int(f.src_rows[mi]), int(f.src_cols[mi])),
                 dst=(int(f.dst_rows[mi]), int(f.dst_cols[mi])),
@@ -594,35 +623,23 @@ class SpatialProfiler:
                 tick=f.tick,
             )
             chain.append(hop)
-            remaining = int(vals(f)[mi]) - int(incs(f)[mi])
+            remaining = int(vals[g]) - int(incs[g])
             if remaining <= 0:
                 break
             # the predecessor delivered exactly `remaining` to this hop's
             # source cell strictly earlier (relay chains record hop i's
             # predecessor within the same frame at a smaller message index)
-            nxt = self._find_pred(by_val_cell.get((remaining, *hop.src)), fi, mi)
+            nxt = latest(by_cell, cell_keys, (remaining, *hop.src), g)
             if nxt is None:
-                nxt = self._find_pred(by_val.get(remaining), fi, mi)
+                nxt = latest(by_val, (val_sorted,), (remaining,), g)
                 if nxt is None:
                     wit.complete = False
                     break
                 chain[-1] = dataclasses.replace(hop, relinked=True)
                 wit.contiguous = False
-            fi, mi = nxt
+            g = nxt
         wit.hops = list(reversed(chain))
         return wit
-
-    @staticmethod
-    def _find_pred(
-        candidates: list[tuple[int, int]] | None, fi: int, mi: int
-    ) -> tuple[int, int] | None:
-        """Latest candidate hop strictly before ``(fi, mi)``."""
-        if not candidates:
-            return None
-        for cfi, cmi in reversed(candidates):
-            if cfi < fi or (cfi == fi and cmi < mi):
-                return (cfi, cmi)
-        return None
 
     # ------------------------------------------------------------------
     # summaries

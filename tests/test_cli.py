@@ -285,3 +285,37 @@ class TestGraphCommand:
     def test_unknown_algo_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["graph", "kcore"])
+
+
+class TestProfileWitness:
+    """``repro profile`` when a witness is missing or wrong."""
+
+    def test_overflowed_witness_is_reported_not_fatal(self, tmp_path, monkeypatch, capsys):
+        from repro.machine import machine as machine_mod
+        from repro.machine.profiler import SpatialProfiler
+
+        class SmallRecord(SpatialProfiler):
+            def __init__(self):
+                super().__init__(max_witness_messages=10)
+
+        monkeypatch.setattr(machine_mod, "SpatialProfiler", SmallRecord)
+        trace = tmp_path / "trace.json"
+        assert main(["profile", "scan", "--n", "64", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        for metric in ("depth", "distance"):
+            assert f"{metric} witness: not recorded" in out
+        assert "10 messages" in out and "trace event(s)" in out
+        assert trace.stat().st_size > 0
+
+    def test_wrong_complete_witness_fails(self, monkeypatch, capsys):
+        from repro.machine.profiler import SpatialProfiler, Witness, WitnessHop
+
+        hop = WitnessHop((0, 0), (0, 1), 1, 1, 1, 1, "", "send", 0, 0)
+        monkeypatch.setattr(
+            SpatialProfiler, "depth_witness",
+            lambda self: Witness("depth", target=1, hops=[hop]),
+        )
+        assert main(["profile", "scan", "--n", "64", "--witness", "depth"]) == 1
+        assert "WARNING: witness replay disagrees with MachineStats.max_depth" in (
+            capsys.readouterr().err
+        )

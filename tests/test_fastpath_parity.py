@@ -275,8 +275,8 @@ class TestBroadcastParity:
     )
     def test_broadcast_closed_form(self, h, w):
         """The per-shape closed form that ``broadcast`` charges on a clean
-        machine (and the merge tree charges through ``broadcast_many``)
-        against the reference composition of 1D and quadrant broadcasts."""
+        machine (and the merge tree's plans read) against the reference
+        composition of 1D and quadrant broadcasts."""
         region = Region(3, 5, h, w)
 
         def run(m):
