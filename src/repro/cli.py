@@ -603,20 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inline", action="store_true",
                     help="run simulations on threads instead of the worker pool "
                     "(for hosts that cannot fork; disables profile requests)")
-    sp.add_argument("--max-inflight", type=int, default=64,
-                    help="admitted requests in flight before 429")
     sp.add_argument("--timeout", type=float, default=30.0,
                     help="per-execution deadline in seconds (overrun -> 504)")
-    sp.add_argument("--memory-cache", type=int, default=512,
-                    help="in-process LRU entries")
     sp.add_argument("--cache-dir", default=".bench_cache",
                     help="content-addressed disk cache shared with `repro bench run`")
-    sp.add_argument("--no-disk-cache", action="store_true",
-                    help="serve from the in-memory LRU only")
     sp.add_argument("--bench-dir", default="",
                     help="suite directory (default: ./benchmarks)")
-    sp.add_argument("--drain-timeout", type=float, default=30.0,
-                    help="seconds to wait for in-flight requests on SIGTERM")
     sp.add_argument("--plan-db", default="benchmarks/plans/plan_db.json",
                     help="tuner plan database answering /plan and auto: dispatch")
     sp.add_argument("--shard-id", default="",
@@ -635,31 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--port", type=int, default=8640,
                     help="gateway listen port (0 picks a free one)")
     sp.add_argument("--shards", type=int, default=2)
-    sp.add_argument("--replicas", type=int, default=2,
-                    help="replicas per shard when spawning (ignored with --backends)")
-    sp.add_argument("--backends", default="",
-                    help="comma-separated host:port list of running shard servers, "
-                    "dealt round-robin into --shards groups; empty = spawn "
-                    "shards x replicas `repro serve` children")
+    sp.add_argument("--replicas", type=int, default=2, help="replicas per shard")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes per spawned shard replica")
-    sp.add_argument("--max-inflight", type=int, default=256)
-    sp.add_argument("--request-timeout", type=float, default=30.0,
-                    help="overall per-request deadline across failover attempts")
-    sp.add_argument("--attempt-timeout", type=float, default=5.0,
-                    help="per-attempt budget before failing over to the next replica")
-    sp.add_argument("--hedge-after", type=float, default=0.75,
-                    help="seconds before a slow first attempt may be hedged")
-    sp.add_argument("--hedge-rate", type=float, default=0.05,
-                    help="maximum fraction of requests that start a hedge (0 disables)")
+                    help="worker processes per shard replica")
     sp.add_argument("--probe-interval", type=float, default=0.5,
                     help="health-probe loop interval per replica")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for breaker jitter, probe jitter")
     sp.add_argument("--cache-dir", default=".bench_cache",
                     help="shared content-addressed cache (stale serving reads it)")
-    sp.add_argument("--no-disk-cache", action="store_true",
-                    help="disable stale-result serving from the disk cache")
     sp.add_argument("--bench-dir", default="")
     sp.add_argument("--trace-dir", default="",
                     help="trace the gateway and its spawned shards into "
@@ -670,9 +646,20 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-chaos",
         help="shard-kill chaos gates: clean vs faulted fleet must match exactly",
     )
-    from .service.fleetchaos import add_fleet_chaos_args
-
-    add_fleet_chaos_args(sp)
+    sp.add_argument("--shards", type=int, default=2)
+    sp.add_argument("--replicas", type=int, default=2)
+    sp.add_argument("--requests", type=int, default=300)
+    sp.add_argument("--concurrency", type=int, default=8)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes per shard replica")
+    sp.add_argument("--hedge-rate", type=float, default=0.05)
+    sp.add_argument("--bench-dir", default="")
+    sp.add_argument("--out", default="chaos_fleet_out",
+                    help="artifact directory (reports, metrics, caches)")
+    sp.add_argument("--trace", action="store_true",
+                    help="trace both runs and gate span counts against "
+                    "the gateway's /metrics failover/hedge counters")
     sp.set_defaults(func=_cmd_fleet_chaos)
 
     sp = sub.add_parser(

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiler import SpatialProfiler
 
-__all__ = ["chrome_trace_events", "write_chrome_trace"]
+__all__ = ["chrome_trace_events", "write_chrome_trace", "write_trace_doc"]
 
 _PID = 1
 _TID_PHASES = 1
@@ -86,16 +86,18 @@ def chrome_trace_events(profiler: "SpatialProfiler", label: str = "repro") -> di
             "otherData": {"label": label, "time_axis": "machine batch ticks"}}
 
 
-def write_chrome_trace(
-    profiler: "SpatialProfiler", target: str | Path | IO[str], label: str = "repro"
-) -> int:
-    """Write the trace JSON; returns the number of events emitted."""
-    doc = chrome_trace_events(profiler, label)
-    if hasattr(target, "write"):
-        json.dump(doc, target, separators=(",", ":"))  # type: ignore[arg-type]
-    else:
-        path = Path(target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+def write_trace_doc(doc: dict, path: str | Path) -> int:
+    """Write a ``{"traceEvents": [...]}`` document as compact JSON, creating
+    parent directories; returns its event count.  Every Chrome trace the
+    repo writes goes through here: a profiled run's, ``repro
+    trace-collect --out`` and ``repro fleet-chaos --trace``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
     return len(doc["traceEvents"])
+
+
+def write_chrome_trace(profiler: "SpatialProfiler", path: str | Path, label: str = "repro") -> int:
+    """Write one profiled run's trace JSON; returns the number of events emitted."""
+    return write_trace_doc(chrome_trace_events(profiler, label), path)

@@ -9,10 +9,10 @@ Input: a trace directory of ``spans-*.jsonl`` files, one per traced process
 2. groups spans by trace id and validates chain integrity (parents resolve,
    forwarded gateway requests reach a ``server.request``, executed misses
    reach ``server.execute`` and — on the pool backend — ``worker.execute``);
-3. emits one Perfetto-loadable Chrome trace reusing the conventions of
-   :mod:`repro.machine.chrometrace` (process/thread name metadata, "X"
-   duration slices, instant events), with one thread lane per trace so
-   concurrent requests never falsely nest.  A worker span carrying machine
+3. emits one Perfetto-loadable Chrome trace reusing the conventions and
+   the writer of :mod:`repro.machine.chrometrace` (process/thread name
+   metadata, "X" duration slices, instant events), with one thread lane
+   per trace so concurrent requests never falsely nest.  A worker span carrying machine
    ``phases`` rows (the CostTree link) gets nested sub-slices scaled by
    inclusive energy — the serving trace bottoms out in model phases;
 4. prints a per-stage latency breakdown (p50/p95 per span name, plus the
@@ -26,6 +26,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..machine.chrometrace import write_trace_doc
+
 __all__ = [
     "ProcessLog",
     "aligned_events",
@@ -33,8 +35,10 @@ __all__ = [
     "chrome_trace_doc",
     "group_traces",
     "load_trace_dir",
+    "print_stage_table",
     "quantile",
     "stage_breakdown",
+    "stage_rows",
     "trace_collect_main",
     "validate_traces",
 ]
@@ -196,6 +200,12 @@ def stage_breakdown(spans: list[dict]) -> list[dict]:
         attempt_ms = max(0.0, (parent["end_u"] - parent["start_u"]) * 1000.0)
         server_ms = max(0.0, (span["end_u"] - span["start_u"]) * 1000.0)
         samples.setdefault("network (gw->server)", []).append(max(0.0, attempt_ms - server_ms))
+    return stage_rows(samples)
+
+
+def stage_rows(samples: dict[str, list[float]]) -> list[dict]:
+    """One row per stage, sorted by name: the count, mean, p50, p95 and max
+    of its latency samples (ms)."""
     rows = []
     for name in sorted(samples):
         values = samples[name]
@@ -210,6 +220,19 @@ def stage_breakdown(spans: list[dict]) -> list[dict]:
             }
         )
     return rows
+
+
+def print_stage_table(rows: list[dict]) -> None:
+    """Print :func:`stage_rows` output as an aligned table (nothing if empty)."""
+    if not rows:
+        return
+    width = max(len(r["stage"]) for r in rows)
+    print(f"{'stage'.ljust(width)}  {'count':>6}  {'p50_ms':>9}  {'p95_ms':>9}  {'max_ms':>9}")
+    for row in rows:
+        print(
+            f"{row['stage'].ljust(width)}  {row['count']:>6}  "
+            f"{row['p50_ms']:>9.3f}  {row['p95_ms']:>9.3f}  {row['max_ms']:>9.3f}"
+        )
 
 
 def validate_traces(traces: dict[str, list[dict]], *, require_worker: bool = True) -> list[str]:
@@ -483,20 +506,11 @@ def trace_collect_main(args) -> int:
         f"trace-collect: {summary['traces']} trace(s), {summary['spans']} span(s), "
         f"{summary['events']} event(s) merged"
     )
-    if summary["stages"]:
-        width = max(len(r["stage"]) for r in summary["stages"])
-        print(f"{'stage'.ljust(width)}  {'count':>6}  {'p50_ms':>9}  {'p95_ms':>9}  {'max_ms':>9}")
-        for row in summary["stages"]:
-            print(
-                f"{row['stage'].ljust(width)}  {row['count']:>6}  "
-                f"{row['p50_ms']:>9.3f}  {row['p95_ms']:>9.3f}  {row['max_ms']:>9.3f}"
-            )
+    print_stage_table(summary["stages"])
     if args.out:
-        doc = chrome_trace_doc(logs)
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(doc))
+        count = write_trace_doc(chrome_trace_doc(logs), args.out)
         print(
-            f"trace-collect: wrote {len(doc['traceEvents'])} trace event(s) to {args.out} "
+            f"trace-collect: wrote {count} trace event(s) to {args.out} "
             "(load in ui.perfetto.dev or chrome://tracing)"
         )
     if args.json:

@@ -26,14 +26,12 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import random
 import re
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from .context import TraceContext
@@ -41,8 +39,6 @@ from .context import TraceContext
 __all__ = [
     "DEFAULT_MAX_RECORDS",
     "ENV_TRACE_DIR",
-    "ENV_TRACE_MAX_RECORDS",
-    "ENV_TRACE_SEED",
     "NULL_TRACER",
     "ActiveSpan",
     "NullTracer",
@@ -56,8 +52,6 @@ __all__ = [
 #: opt-in switch: a directory path enables tracing for the process and (via
 #: fork/exec inheritance) its pool workers and spawned shard replicas
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
-ENV_TRACE_SEED = "REPRO_TRACE_SEED"
-ENV_TRACE_MAX_RECORDS = "REPRO_TRACE_MAX_RECORDS"
 
 DEFAULT_MAX_RECORDS = 100_000
 
@@ -215,23 +209,6 @@ class Tracer:
             dict(attrs) if attrs else {},
         )
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        parent: TraceContext | None = None,
-        trace_id: str | None = None,
-        attrs: dict | None = None,
-    ):
-        active = self.start_span(name, parent=parent, trace_id=trace_id, attrs=attrs)
-        try:
-            yield active
-        except BaseException as exc:
-            active.end("cancelled" if isinstance(exc, asyncio.CancelledError) else "error")
-            raise
-        active.end()
-
     def _record_span(self, span: ActiveSpan) -> None:
         span.end_mono = self.clock.mono()
         record = {
@@ -288,18 +265,8 @@ class NullTracer:
     service = ""
     sink = None
 
-    def new_trace_id(self) -> str:
-        return ""
-
-    def new_span_id(self) -> str:
-        return ""
-
     def start_span(self, name, **kwargs) -> _NullSpan:
         return NULL_SPAN
-
-    @contextmanager
-    def span(self, name, **kwargs):
-        yield NULL_SPAN
 
     def event(self, etype, **kwargs) -> None:
         pass
@@ -320,7 +287,7 @@ def make_tracer(
     *,
     seed: int | None = None,
     clock: WallClock | None = None,
-    max_records: int | None = None,
+    max_records: int = DEFAULT_MAX_RECORDS,
 ) -> Tracer:
     """A real tracer writing ``spans-<service>-<pid>.jsonl`` under ``trace_dir``."""
     clock = clock if clock is not None else WallClock()
@@ -334,26 +301,15 @@ def make_tracer(
         "started_unix": clock.unix(),
         "started_mono": clock.mono(),
     }
-    if max_records is None:
-        try:
-            max_records = int(os.environ.get(ENV_TRACE_MAX_RECORDS, "") or DEFAULT_MAX_RECORDS)
-        except ValueError:
-            max_records = DEFAULT_MAX_RECORDS
     sink = SpanSink(Path(trace_dir) / f"spans-{safe}-{pid}.jsonl", header, max_records=max_records)
     return Tracer(str(service), sink, seed=seed, clock=clock)
 
 
-def tracer_from_env(service: str, *, seed: int | None = None) -> Tracer | NullTracer:
+def tracer_from_env(service: str) -> Tracer | NullTracer:
     """The process tracer: real when ``REPRO_TRACE_DIR`` is set, else the
     shared no-op.  Pool workers and spawned shard replicas inherit the
     environment, which is how one flag traces a whole fleet."""
     trace_dir = os.environ.get(ENV_TRACE_DIR, "")
     if not trace_dir:
         return NULL_TRACER
-    if seed is None:
-        env_seed = os.environ.get(ENV_TRACE_SEED, "")
-        if env_seed:
-            # mix in the process identity: two processes sharing the env seed
-            # must not mint identical span-id sequences within one trace
-            seed = hash((env_seed, str(service), os.getpid())) & 0x7FFFFFFF
-    return make_tracer(service, trace_dir, seed=seed)
+    return make_tracer(service, trace_dir)

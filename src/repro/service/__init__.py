@@ -25,8 +25,8 @@ minimal HTTP/1.1 interface (stdlib asyncio only, no new dependencies):
   (429 + Retry-After), liveness/readiness split (``/healthz`` vs
   ``/readyz``), per-request timeouts (504), graceful SIGTERM drain;
 * :mod:`repro.service.loadgen` — a closed-loop load generator (Retry-After
-  honoring backoff, multi-target fan-out) used by the tests, the CI smoke
-  jobs, and ``benchmarks/bench_service.py``.
+  honoring backoff) used by the tests, the CI smoke jobs, and
+  ``benchmarks/bench_service.py``.
 
 ``repro fleet`` layers a resilient sharded front tier on top:
 

@@ -56,13 +56,11 @@ class CircuitBreaker:
         *,
         seed: int = 0,
         clock=time.monotonic,
-        max_transitions: int = 256,
     ) -> None:
         self.name = name
         self.config = config or BreakerConfig()
         self._clock = clock
         self._rng = random.Random(seed)
-        self._max_transitions = max(1, int(max_transitions))
         self.state = CLOSED
         self.consecutive_failures = 0
         self.failures = 0
@@ -85,8 +83,7 @@ class CircuitBreaker:
             "reason": reason,
         }
         self.transitions.append(record)
-        if len(self.transitions) > self._max_transitions:
-            del self.transitions[: -self._max_transitions]
+        del self.transitions[:-256]  # the log keeps the latest 256
         self.state = to
         if self.on_transition is not None:
             self.on_transition(self.name, record)

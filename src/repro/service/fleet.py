@@ -68,10 +68,9 @@ __all__ = [
     "HashRing",
     "ShardProcess",
     "fleet_main",
-    "group_backends",
-    "parse_backend_list",
     "routing_key",
     "serve_argv",
+    "spawn_replicas",
 ]
 
 
@@ -644,8 +643,6 @@ def serve_argv(
     workers: int = 1,
     cache_dir: str = "",
     bench_dir: str = "",
-    timeout: float | None = None,
-    extra: tuple = (),
 ) -> list[str]:
     """Build the ``repro serve`` command line for one shard replica."""
     argv = [
@@ -659,9 +656,6 @@ def serve_argv(
         argv += ["--cache-dir", cache_dir]
     if bench_dir:
         argv += ["--bench-dir", bench_dir]
-    if timeout is not None:
-        argv += ["--timeout", str(timeout)]
-    argv += list(extra)
     return argv
 
 
@@ -741,78 +735,66 @@ class ShardProcess:
         return None
 
 
-def parse_backend_list(spec: str) -> list[tuple[str, int]]:
-    """``"host:port,host:port,..."`` -> [(host, port), ...]."""
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        host, _, port = part.rpartition(":")
-        try:
-            out.append((host or "127.0.0.1", int(port)))
-        except ValueError:
-            raise SystemExit(f"bad backend address {part!r} (want host:port)")
-    return out
+def spawn_replicas(
+    procs: dict[str, ShardProcess],
+    names: list[str],
+    *,
+    workers: int,
+    cache_dir: str,
+    bench_dir: str = "",
+    trace_dir: str = "",
+) -> None:
+    """Start a ``repro serve`` replica for each of ``names``, one after another.
 
-
-def group_backends(flat: list[tuple[str, int]], shards: int) -> list[list[tuple[str, int]]]:
-    """Deal ``flat`` round-robin into ``shards`` replica groups."""
-    shards = max(1, int(shards))
-    if len(flat) < shards:
-        raise SystemExit(f"{len(flat)} backend(s) cannot fill {shards} shard(s)")
-    return [flat[i::shards] for i in range(shards)]
+    A name already in ``procs`` restarts on its old port.  Each replica is
+    entered in ``procs`` before it starts, so the caller's cleanup also
+    reaches one that never printed its banner.  ``trace_dir`` traces the
+    replicas and, through the environment they pass on, their pool workers.
+    """
+    env = dict(os.environ, **{ENV_TRACE_DIR: trace_dir}) if trace_dir else None
+    for name in names:
+        old = procs.get(name)
+        argv = serve_argv(
+            name,
+            port=old.port if old is not None else 0,
+            workers=workers,
+            cache_dir=cache_dir,
+            bench_dir=bench_dir,
+        )
+        proc = procs[name] = ShardProcess(name, argv, env=env)
+        proc.start()
 
 
 def fleet_main(args) -> int:
     """Entry point for the ``repro fleet`` CLI verb."""
-    procs: list[ShardProcess] = []
-    trace_dir = getattr(args, "trace_dir", "") or ""
-    if trace_dir:
-        # set before spawning shards so replicas (and their pool workers)
-        # inherit the flag and write their own span sinks
-        os.environ[ENV_TRACE_DIR] = trace_dir
+    procs: dict[str, ShardProcess] = {}
     try:
-        if args.backends:
-            groups = group_backends(parse_backend_list(args.backends), args.shards)
-        else:
-            groups = []
-            for s in range(args.shards):
-                group = []
-                for r in range(args.replicas):
-                    name = f"s{s}r{r}"
-                    proc = ShardProcess(
-                        name,
-                        serve_argv(
-                            name,
-                            workers=args.workers,
-                            cache_dir=args.cache_dir,
-                            bench_dir=args.bench_dir,
-                        ),
-                    )
-                    procs.append(proc)
-                    port = proc.start()
-                    group.append(("127.0.0.1", port))
-                    print(f"repro-fleet: shard {name} up on :{port}", flush=True)
-                groups.append(group)
+        spawn_replicas(
+            procs,
+            [f"s{s}r{r}" for s in range(args.shards) for r in range(args.replicas)],
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            bench_dir=args.bench_dir,
+            trace_dir=args.trace_dir,
+        )
+        for name, proc in procs.items():
+            print(f"repro-fleet: shard {name} up on :{proc.port}", flush=True)
+        groups = [
+            [("127.0.0.1", procs[f"s{s}r{r}"].port) for r in range(args.replicas)]
+            for s in range(args.shards)
+        ]
         config = FleetConfig(
             host=args.host,
             port=args.port,
-            max_inflight=args.max_inflight,
-            request_timeout=args.request_timeout,
-            attempt_timeout=args.attempt_timeout,
-            hedge_after=args.hedge_after,
-            hedge_rate=args.hedge_rate,
             probe_interval=args.probe_interval,
             seed=args.seed,
             cache_dir=args.cache_dir,
-            disk_cache=not args.no_disk_cache,
             bench_dir=args.bench_dir,
-            trace_dir=trace_dir,
+            trace_dir=args.trace_dir,
         )
         return FleetGateway.main(config, groups)
     finally:
-        for proc in procs:
+        for proc in procs.values():
             proc.terminate()
-        for proc in procs:
+        for proc in procs.values():
             proc.wait(10)

@@ -30,22 +30,22 @@ are exact, not statistical:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import contextlib
+import functools
 import json
-import os
 import random
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..obs.tracer import ENV_TRACE_DIR, make_tracer
-from .fleet import FleetConfig, FleetGateway, ShardProcess, serve_argv
+from ..machine.chrometrace import write_trace_doc
+from ..obs.tracer import make_tracer
+from .fleet import FleetConfig, FleetGateway, ShardProcess, spawn_replicas
 from .loadgen import build_requests, run_load
 
-__all__ = ["ChaosEvent", "build_schedule", "fleet_chaos_main", "main"]
+__all__ = ["ChaosEvent", "build_schedule", "fleet_chaos_main"]
 
 
 @dataclass(frozen=True)
@@ -84,37 +84,6 @@ def build_schedule(shards: int, replicas: int, seed: int) -> list[ChaosEvent]:
     ]
 
 
-def _spawn_fleet(
-    shards: int,
-    replicas: int,
-    *,
-    workers: int,
-    cache_dir: str,
-    bench_dir: str = "",
-    trace_dir: str = "",
-) -> dict[str, ShardProcess]:
-    env = dict(os.environ, **{ENV_TRACE_DIR: trace_dir}) if trace_dir else None
-    procs: dict[str, ShardProcess] = {}
-    try:
-        for s in range(shards):
-            for r in range(replicas):
-                name = f"s{s}r{r}"
-                proc = ShardProcess(
-                    name,
-                    serve_argv(
-                        name, workers=workers, cache_dir=cache_dir, bench_dir=bench_dir
-                    ),
-                    env=env,
-                )
-                procs[name] = proc
-                proc.start()
-    except Exception:
-        for proc in procs.values():
-            proc.kill()
-        raise
-    return procs
-
-
 class _HeldGateway(FleetGateway):
     """A gateway that holds new ``/run`` requests while ``admit`` is clear."""
 
@@ -135,9 +104,10 @@ async def _controller(
     schedule: list[ChaosEvent],
     total: int,
     fired: list[dict],
-    respawn,
+    spawn,
 ) -> None:
-    """Fire each event once ``fraction * total`` responses have completed."""
+    """Fire each event once ``fraction * total`` responses have completed;
+    ``spawn([name])`` restarts a replica on its old port."""
 
     def finished() -> int:
         return gateway.metrics.latency.count
@@ -171,12 +141,10 @@ async def _controller(
             proc.resume()
         elif event.action == "restart":
             retired.append(proc)
-            fresh = respawn(event.target, proc.port)
-            procs[event.target] = fresh
 
-            def _start(p=fresh, t=event.target):
+            def _start(t=event.target):
                 try:
-                    p.start()
+                    spawn([t])
                 except RuntimeError as exc:
                     fired.append({"action": "restart-failed", "target": t,
                                   "error": str(exc)})
@@ -205,12 +173,11 @@ async def _drive(
     requests: list[dict],
     *,
     concurrency: int,
-    timeout: float,
     seed: int,
     schedule: list[ChaosEvent] | None,
     procs: dict[str, ShardProcess],
     retired: list[ShardProcess],
-    respawn,
+    spawn,
     gw_tracer=None,
     lg_tracer=None,
 ) -> tuple[dict, dict, list[dict]]:
@@ -226,14 +193,14 @@ async def _drive(
     controller = None
     if schedule:
         controller = asyncio.create_task(
-            _controller(gateway, procs, retired, schedule, len(requests), fired, respawn)
+            _controller(gateway, procs, retired, schedule, len(requests), fired, spawn)
         )
     report = await run_load(
         "127.0.0.1",
         gateway.port,
         requests,
         concurrency=concurrency,
-        timeout=timeout,
+        timeout=60.0,
         max_retries=12,
         backoff_seed=seed,
         tracer=lg_tracer,
@@ -261,34 +228,16 @@ def _run_scenario(
         f"{args.requests} requests",
         flush=True,
     )
-    procs = _spawn_fleet(
-        args.shards,
-        args.replicas,
+    procs: dict[str, ShardProcess] = {}
+    retired: list[ShardProcess] = []
+    spawn = functools.partial(
+        spawn_replicas,
+        procs,
         workers=args.workers,
         cache_dir=cache_dir,
         bench_dir=args.bench_dir,
         trace_dir=trace_dir,
     )
-    retired: list[ShardProcess] = []
-    respawn_env = dict(os.environ, **{ENV_TRACE_DIR: trace_dir}) if trace_dir else None
-
-    def respawn(name: str, port: int) -> ShardProcess:
-        return ShardProcess(
-            name,
-            serve_argv(
-                name,
-                port=port,
-                workers=args.workers,
-                cache_dir=cache_dir,
-                bench_dir=args.bench_dir,
-            ),
-            env=respawn_env,
-        )
-
-    groups = [
-        [("127.0.0.1", procs[f"s{s}r{r}"].port) for r in range(args.replicas)]
-        for s in range(args.shards)
-    ]
     config = FleetConfig(
         host="127.0.0.1",
         port=0,
@@ -314,18 +263,22 @@ def _run_scenario(
         gw_tracer = make_tracer("gateway", trace_dir, seed=args.seed, max_records=500000)
         lg_tracer = make_tracer("loadgen", trace_dir, seed=args.seed, max_records=500000)
     try:
+        spawn([f"s{s}r{r}" for s in range(args.shards) for r in range(args.replicas)])
+        groups = [
+            [("127.0.0.1", procs[f"s{s}r{r}"].port) for r in range(args.replicas)]
+            for s in range(args.shards)
+        ]
         report, metrics, fired = asyncio.run(
             _drive(
                 config,
                 groups,
                 requests,
                 concurrency=args.concurrency,
-                timeout=args.timeout,
                 seed=args.seed,
                 schedule=schedule,
                 procs=procs,
                 retired=retired,
-                respawn=respawn,
+                spawn=spawn,
                 gw_tracer=gw_tracer,
                 lg_tracer=lg_tracer,
             )
@@ -473,8 +426,8 @@ def _trace_gate(trace_dir: str, metrics: dict, out_dir: Path, label: str) -> lis
             )
             break
 
-    (out_dir / f"trace_{label}.json").write_text(
-        json.dumps(chrome_trace_doc(logs, label=f"fleet-chaos {label}"))
+    write_trace_doc(
+        chrome_trace_doc(logs, label=f"fleet-chaos {label}"), out_dir / f"trace_{label}.json"
     )
     return failures
 
@@ -543,35 +496,3 @@ def fleet_chaos_main(args) -> int:
         return 1
     print("fleet-chaos: PASS — surviving fleet matched the clean run exactly", flush=True)
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.fleetchaos",
-        description="Shard-kill chaos gates for the fleet gateway.",
-    )
-    add_fleet_chaos_args(parser)
-    return fleet_chaos_main(parser.parse_args(argv))
-
-
-def add_fleet_chaos_args(parser) -> None:
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument("--requests", type=int, default=300)
-    parser.add_argument("--concurrency", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes per shard replica")
-    parser.add_argument("--hedge-rate", type=float, default=0.05)
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="client-side per-request timeout")
-    parser.add_argument("--bench-dir", default="")
-    parser.add_argument("--out", default="chaos_fleet_out",
-                        help="artifact directory (reports, metrics, caches)")
-    parser.add_argument("--trace", action="store_true",
-                        help="trace both runs and gate span counts against "
-                             "the gateway's /metrics failover/hedge counters")
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,8 +6,7 @@ jitter so a fleet of gateways does not thunder in lockstep):
 
 * **readiness** — ``GET /readyz`` on the backend.  200 means the replica is
   warm and accepting work; 503 means it is alive but warming or draining;
-  a connect error or timeout means it is down.  Servers that predate
-  ``/readyz`` (404) fall back to ``/healthz``.
+  a connect error or timeout means it is down.
 * **liveness** — implied: any HTTP answer marks the process alive.
 
 State flips are debounced: ``fall`` consecutive failed probes mark a
@@ -15,7 +14,7 @@ backend down, ``rise`` consecutive successes mark it ready again.  Every
 flip is recorded with a timestamp so the gateway's ``/metrics`` can show
 the health history next to the breaker transitions.
 
-Every ``metrics_every``-th probe of a backend also scrapes a compact
+Every 8th probe of a backend, from its first, also scrapes a compact
 summary of the backend's own ``/metrics`` (request totals, executions,
 cache hits) which the gateway aggregates per shard.
 """
@@ -100,7 +99,6 @@ class HealthMonitor:
         fall: int = 2,
         rise: int = 1,
         seed: int = 0,
-        metrics_every: int = 8,
         on_flip=None,
     ) -> None:
         self.backends = list(backends)
@@ -108,7 +106,6 @@ class HealthMonitor:
         self.timeout = float(timeout)
         self.fall = max(1, int(fall))
         self.rise = max(1, int(rise))
-        self.metrics_every = max(1, int(metrics_every))
         #: optional ``(backend, ready, reason)`` observer for debounced flips
         self.on_flip = on_flip
         self._rng = random.Random(seed)
@@ -131,8 +128,6 @@ class HealthMonitor:
         t0 = time.monotonic()
         try:
             status, _doc = await self._get(backend, "/readyz")
-            if status == 404:  # pre-/readyz server: liveness is the best signal
-                status, _doc = await self._get(backend, "/healthz")
         except (OSError, asyncio.TimeoutError, ConnectionError, ValueError) as exc:
             backend.last_latency_ms = (time.monotonic() - t0) * 1000.0
             backend.last_status = 0
@@ -145,7 +140,7 @@ class HealthMonitor:
         backend.alive = True
         ok = status == 200
         self._mark(backend, ok=ok, alive=True, reason=f"http {status}")
-        if ok and backend.probes % self.metrics_every == 1:
+        if ok and backend.probes % 8 == 1:
             with contextlib.suppress(
                 OSError, asyncio.TimeoutError, ConnectionError, ValueError, KeyError
             ):

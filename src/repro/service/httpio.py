@@ -15,8 +15,9 @@ health, readiness and metrics documents, and when it counts as idle.
 
 On the client side, :func:`request_once` is every call the tier makes to
 another process under one deadline; given a :class:`ConnectionPool` it
-reuses kept-alive connections (the gateway's attempts), without one it
-dials a connection of its own (health probes, ``/metrics`` scrapes).
+reuses kept-alive connections (the gateway's attempts, each load-generator
+worker's connection), without one it dials a connection of its own (health
+probes, ``/metrics`` scrapes).
 """
 
 from __future__ import annotations
@@ -201,10 +202,11 @@ async def _roundtrip(
 class ConnectionPool:
     """Idle kept-alive client connections, per ``(host, port)``.
 
-    :func:`request_once` takes from and hands back to it.  A connection is
-    either idle here or in use by exactly one request, so the idle ones per
-    address never outnumber the most requests ever in flight to it at once:
-    the pool needs no cap."""
+    :func:`request_once` takes from and hands back to it; :meth:`park`
+    opens one ahead of a first request.  A connection is either idle here
+    or in use by exactly one request, so the idle ones per address never
+    outnumber the most requests (and parked connections) ever in flight to
+    it at once: the pool needs no cap."""
 
     def __init__(self) -> None:
         self._idle: dict[tuple[str, int], list] = {}
@@ -224,6 +226,11 @@ class ConnectionPool:
 
     def put(self, addr: tuple[str, int], conn) -> None:
         self._idle.setdefault(addr, []).append(conn)
+
+    async def park(self, addr: tuple[str, int]) -> None:
+        """Open one connection to ``addr`` and leave it idle here, for a
+        client that must hold its connection before it sends."""
+        self.put(addr, await _dial(addr, self))
 
     async def close(self) -> None:
         """Close every idle connection."""
@@ -270,10 +277,16 @@ async def _request(addr, method, path, payload, headers, pool):
         if conn is not None:
             with contextlib.suppress(NoResponse):  # stale: once more, freshly
                 return await _exchange(addr, conn, method, path, payload, headers, pool)
+    conn = await _dial(addr, pool)
+    return await _exchange(addr, conn, method, path, payload, headers, pool)
+
+
+async def _dial(addr, pool):
+    """A new connection to ``addr``, counted in ``pool.connects``."""
     conn = await asyncio.open_connection(*addr)
     if pool is not None:
         pool.connects[addr] += 1
-    return await _exchange(addr, conn, method, path, payload, headers, pool)
+    return conn
 
 
 async def _exchange(addr, conn, method, path, payload, headers, pool):

@@ -19,6 +19,12 @@ up to ``max_retries`` times.  Only the final status of a request is
 recorded, so the report's summed model metrics stay a pure function of the
 request multiset even when the server sheds load mid-run.
 
+Each worker sends through :func:`~repro.service.httpio.request_once` on a
+:class:`~repro.service.httpio.ConnectionPool` of its own, so it follows the
+gateway's reconnect rule: a kept connection the server closed before the
+status line is redialled once; any other failure ends the request as an
+error.
+
 Also usable directly::
 
     python -m repro.service.loadgen --port 8642 --requests 200 --require-hits 1
@@ -36,10 +42,10 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from ..obs.collect import quantile
+from ..obs.collect import print_stage_table, stage_rows
 from ..obs.context import TRACE_HEADER, deterministic_span_id, deterministic_trace_id
 from ..obs.tracer import make_tracer, tracer_from_env
-from .httpio import http_call, request_once
+from .httpio import ConnectionPool, request_once
 
 __all__ = ["DEFAULT_MIX", "LoadReport", "build_requests", "fetch_metrics", "run_load", "wait_ready"]
 
@@ -57,58 +63,26 @@ _SUM_METRICS = ("energy", "messages", "rounds")
 _MAX_METRICS = ("max_depth", "max_distance")
 
 
-#: algo classes the tuner can auto-dispatch (``--auto`` rewrites these)
-_AUTO_CLASSES = frozenset({"sort", "scan", "spmv"})
-
-
 def build_requests(
     count: int,
     seed: int,
     *,
     mix: tuple = DEFAULT_MIX,
     seed_pool: int = 3,
-    zipf_alpha: float = 0.0,
-    auto: bool = False,
 ) -> list[dict]:
-    """Deterministic request multiset for ``(count, seed)``.
-
-    ``zipf_alpha == 0`` (the default) draws uniformly — byte-identical to
-    the historical generator, which ``benchmarks/bench_service.py`` gates
-    on.  ``zipf_alpha > 0`` enumerates every ``(algo, n, seed)`` key the
-    pools can produce and draws with probability proportional to
-    ``1 / rank**alpha`` (rank 1 = first enumerated key), the classic
-    skewed-popularity shape: a few hot keys dominate, so cache hits and
-    coalescing climb with ``alpha`` while the multiset stays a pure
-    function of ``(count, seed, alpha)``.
-
-    ``auto=True`` rewrites tunable algos to their ``auto:<class>`` form so
-    the served requests exercise plan-based dispatch.
-    """
+    """Deterministic request multiset for ``(count, seed)``, drawn uniformly
+    from the ``mix`` pools; ``benchmarks/bench_service.py`` gates on it."""
     rng = random.Random(seed)
     requests = []
-    if zipf_alpha > 0.0:
-        keys = [
-            {"algo": algo, "n": n, "seed": s}
-            for algo, sizes in mix
-            for n in sizes
-            for s in range(seed_pool)
-        ]
-        weights = [1.0 / (rank + 1) ** zipf_alpha for rank in range(len(keys))]
-        requests = [dict(k) for k in rng.choices(keys, weights=weights, k=count)]
-    else:
-        for _ in range(count):
-            algo, sizes = mix[rng.randrange(len(mix))]
-            requests.append(
-                {
-                    "algo": algo,
-                    "n": sizes[rng.randrange(len(sizes))],
-                    "seed": rng.randrange(seed_pool),
-                }
-            )
-    if auto:
-        for payload in requests:
-            if payload["algo"] in _AUTO_CLASSES:
-                payload["algo"] = f"auto:{payload['algo']}"
+    for _ in range(count):
+        algo, sizes = mix[rng.randrange(len(mix))]
+        requests.append(
+            {
+                "algo": algo,
+                "n": sizes[rng.randrange(len(sizes))],
+                "seed": rng.randrange(seed_pool),
+            }
+        )
     return requests
 
 
@@ -181,23 +155,6 @@ class LoadReport:
                 net = max(0.0, latency_s * 1000.0 - float(upstream))
                 self.stage_ms.setdefault("network (client)", []).append(net)
 
-    def stage_rows(self) -> list[dict]:
-        """Per-stage latency breakdown rows (sorted by stage name)."""
-        rows = []
-        for name in sorted(self.stage_ms):
-            values = self.stage_ms[name]
-            rows.append(
-                {
-                    "stage": name,
-                    "count": len(values),
-                    "mean_ms": round(sum(values) / len(values), 3),
-                    "p50_ms": round(quantile(values, 0.50), 3),
-                    "p95_ms": round(quantile(values, 0.95), 3),
-                    "max_ms": round(max(values), 3),
-                }
-            )
-        return rows
-
     def as_dict(self) -> dict:
         return {
             "requests": self.requests,
@@ -216,7 +173,7 @@ class LoadReport:
             "latency_p99_ms": round(self.latency_quantile(0.99) * 1000.0, 3),
             "latency_max_ms": round(max(self.latencies_s) * 1000.0, 3) if self.latencies_s else 0.0,
             "model_metrics": dict(self.model_metrics),
-            "stages_ms": self.stage_rows(),
+            "stages_ms": stage_rows(self.stage_ms),
         }
 
 
@@ -247,16 +204,13 @@ async def run_load(
     timeout: float = 30.0,
     max_retries: int = 8,
     backoff_seed: int = 0,
-    targets: list[tuple[str, int]] | None = None,
     tracer=None,
 ) -> LoadReport:
     """Drive ``requests`` through ``concurrency`` persistent connections.
 
     429/503 responses are resent after sleeping for the server's
     ``Retry-After`` hint (seeded jitter, up to ``max_retries`` per request);
-    only the final status is recorded.  ``targets`` optionally spreads the
-    workers round-robin over several (host, port) endpoints — e.g. every
-    replica of a fleet — instead of the single ``(host, port)``.
+    only the final status is recorded.  ``timeout`` bounds each request.
 
     ``tracer`` (or the ``REPRO_TRACE_DIR`` environment) enables distributed
     tracing: each request gets a root ``loadgen.request`` span with
@@ -273,27 +227,14 @@ async def run_load(
 
     async def worker(windex: int) -> None:
         nonlocal ready
-        t_host, t_port = targets[windex % len(targets)] if targets else (host, port)
         rng = random.Random((backoff_seed << 16) ^ windex)
-        reader = writer = None
-
-        async def connect() -> None:
-            """(Re)open this worker's connection, closing the previous one."""
-            nonlocal reader, writer
-            if writer is not None:
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-            reader, writer = await asyncio.open_connection(t_host, t_port)
-
-        await connect()
-        ready += 1
-        if ready == workers:
-            start_gate.set()
-        await start_gate.wait()
-        # the server closed the connection: reopen it before the next send
-        closed = False
+        pool = ConnectionPool()
+        await pool.park((host, port))
         try:
+            ready += 1
+            if ready == workers:
+                start_gate.set()
+            await start_gate.wait()
             while True:
                 try:
                     idx, payload = pending.popleft()
@@ -312,29 +253,19 @@ async def run_load(
                 t0 = time.monotonic()
                 retries = 0
                 while True:
-                    for attempt in (1, 2):
-                        try:
-                            if closed:
-                                await connect()
-                            status, headers, doc, closed = await http_call(
-                                reader, writer, "POST", "/run", payload,
-                                timeout=timeout, headers=trace_headers,
-                            )
-                            break
-                        except (
-                            ConnectionError,
-                            OSError,
-                            asyncio.IncompleteReadError,
-                            asyncio.TimeoutError,
-                            ValueError,
-                        ) as exc:
-                            if attempt == 2:
-                                report.errors.append(f"{payload['algo']}/{payload['n']}: {exc!r}")
-                                if span is not None:
-                                    span.set(error=repr(exc)[:200])
-                                    span.end("error")
-                                return
-                            closed = True  # stale connection: reconnect once and resend
+                    try:
+                        status, headers, doc = await request_once(
+                            host, port, "POST", "/run", payload,
+                            timeout=timeout, headers=trace_headers, pool=pool,
+                        )
+                    except (
+                        OSError, asyncio.IncompleteReadError, asyncio.TimeoutError, ValueError
+                    ) as exc:
+                        report.errors.append(f"{payload['algo']}/{payload['n']}: {exc!r}")
+                        if span is not None:
+                            span.set(error=repr(exc)[:200])
+                            span.end("error")
+                        return
                     if status in (429, 503) and retries < max_retries:
                         retries += 1
                         report.backoff_retries += 1
@@ -352,9 +283,7 @@ async def run_load(
                     span.set(status_code=status, retries=retries)
                     span.end("ok" if status == 200 else "error")
         finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            await pool.close()
 
     t_start = time.monotonic()
     outcomes = await asyncio.gather(
@@ -379,17 +308,6 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--concurrency", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--zipf-alpha", type=float, default=0.0,
-                        help="key-popularity skew: 0 = uniform (historical mix), "
-                        "higher = fewer, hotter keys (see build_requests)")
-    parser.add_argument("--auto", action="store_true",
-                        help="rewrite tunable algos to auto:<class> (plan dispatch)")
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--max-retries", type=int, default=8,
-                        help="Retry-After-honoring resends per request on 429/503")
-    parser.add_argument("--targets", default="",
-                        help="comma-separated host:port list to spread workers "
-                        "over round-robin (overrides --host/--port per worker)")
     parser.add_argument("--wait", type=float, default=0.0, help="seconds to wait for /healthz first")
     parser.add_argument("--out", default="", help="write the load report JSON here")
     parser.add_argument("--metrics-out", default="", help="scrape /metrics afterwards into this file")
@@ -412,14 +330,7 @@ def main(argv=None) -> int:
         print(f"loadgen: no /healthz from {args.host}:{args.port} after {args.wait}s", file=sys.stderr)
         return 2
 
-    requests = build_requests(
-        args.requests, args.seed, zipf_alpha=args.zipf_alpha, auto=args.auto
-    )
-    targets = None
-    if args.targets:
-        from .fleet import parse_backend_list
-
-        targets = parse_backend_list(args.targets)
+    requests = build_requests(args.requests, args.seed)
     tracer = None
     if args.trace_dir:
         tracer = make_tracer("loadgen", args.trace_dir, seed=args.seed)
@@ -429,10 +340,7 @@ def main(argv=None) -> int:
             args.port,
             requests,
             concurrency=args.concurrency,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
             backoff_seed=args.seed,
-            targets=targets,
             tracer=tracer,
         )
     )
@@ -446,20 +354,13 @@ def main(argv=None) -> int:
         f"{doc['throughput_rps']} req/s, p95 {doc['latency_p95_ms']}ms, "
         f"p99 {doc['latency_p99_ms']}ms"
     )
-    if doc["stages_ms"]:
-        width = max(len(r["stage"]) for r in doc["stages_ms"])
-        print(f"{'stage'.ljust(width)}  {'count':>6}  {'p50_ms':>9}  {'p95_ms':>9}  {'max_ms':>9}")
-        for row in doc["stages_ms"]:
-            print(
-                f"{row['stage'].ljust(width)}  {row['count']:>6}  "
-                f"{row['p50_ms']:>9.3f}  {row['p95_ms']:>9.3f}  {row['max_ms']:>9.3f}"
-            )
+    print_stage_table(doc["stages_ms"])
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"loadgen: report -> {args.out}")
     if args.metrics_out:
-        metrics = asyncio.run(fetch_metrics(args.host, args.port, timeout=args.timeout))
+        metrics = asyncio.run(fetch_metrics(args.host, args.port, timeout=30.0))
         with open(args.metrics_out, "w") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
         print(f"loadgen: metrics -> {args.metrics_out}")

@@ -68,7 +68,6 @@ class ServiceConfig:
     max_inflight: int = 64
     #: execution deadline; the request deadline adds 1s
     timeout: float = 30.0
-    memory_cache: int = 512
     cache_dir: str = DEFAULT_CACHE_DIR
     disk_cache: bool = True
     bench_dir: str = ""
@@ -110,7 +109,7 @@ class SpatialService(HttpFront):
         for cls_name in AUTO_CLASSES:
             self.code_versions[f"{AUTO_PREFIX}{cls_name}"] = tuner_ver
         disk = ResultCache(config.cache_dir) if config.disk_cache else None
-        self.cache = ServiceCache(maxsize=config.memory_cache, disk=disk)
+        self.cache = ServiceCache(disk=disk)
         self.planner = ServicePlanner(
             bench_dir=config.bench_dir or None,
             cache=disk,
@@ -456,15 +455,11 @@ def serve_main(args) -> int:
         port=args.port,
         workers=args.workers,
         inline=args.inline,
-        max_inflight=args.max_inflight,
         timeout=args.timeout,
-        memory_cache=args.memory_cache,
         cache_dir=args.cache_dir,
-        disk_cache=not args.no_disk_cache,
         bench_dir=args.bench_dir,
-        drain_timeout=args.drain_timeout,
-        plan_db=getattr(args, "plan_db", "benchmarks/plans/plan_db.json"),
-        shard_id=getattr(args, "shard_id", "") or "",
-        trace_dir=getattr(args, "trace_dir", "") or "",
+        plan_db=args.plan_db,
+        shard_id=args.shard_id,
+        trace_dir=args.trace_dir,
     )
     return SpatialService.main(config)

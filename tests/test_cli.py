@@ -319,3 +319,49 @@ class TestProfileWitness:
         assert "WARNING: witness replay disagrees with MachineStats.max_depth" in (
             capsys.readouterr().err
         )
+
+
+#: serving-tier flags that nothing passed, each deleted with its default
+#: kept as the fixed value: (command, argv that sets the flag)
+DELETED_SERVING_FLAGS = [
+    ("serve", ["--max-inflight", "64"]),
+    ("serve", ["--memory-cache", "512"]),
+    ("serve", ["--no-disk-cache"]),
+    ("serve", ["--drain-timeout", "30"]),
+    ("fleet", ["--max-inflight", "256"]),
+    ("fleet", ["--request-timeout", "30"]),
+    ("fleet", ["--attempt-timeout", "5"]),
+    ("fleet", ["--hedge-after", "0.75"]),
+    ("fleet", ["--hedge-rate", "0.05"]),
+    ("fleet", ["--no-disk-cache"]),
+    ("fleet", ["--backends", "127.0.0.1:1"]),
+    ("fleet-chaos", ["--timeout", "60"]),
+    ("loadgen", ["--zipf-alpha", "1.0"]),
+    ("loadgen", ["--auto"]),
+    ("loadgen", ["--targets", "127.0.0.1:1"]),
+    ("loadgen", ["--max-retries", "8"]),
+    ("loadgen", ["--timeout", "30"]),
+]
+
+
+class TestDeletedServingFlags:
+    @pytest.mark.parametrize(
+        "command, argv",
+        DELETED_SERVING_FLAGS,
+        ids=[f"{command} {argv[0]}" for command, argv in DELETED_SERVING_FLAGS],
+    )
+    def test_refused(self, command, argv, monkeypatch, capsys):
+        """Only the parsers run: nothing is served and no load is sent."""
+        with pytest.raises(SystemExit) as exc:
+            if command == "loadgen":
+                from repro.service import loadgen
+
+                def no_load(*args, **kwargs):
+                    raise AssertionError(f"loadgen accepted {argv[0]}")
+
+                monkeypatch.setattr(loadgen, "build_requests", no_load)
+                loadgen.main(["--port", "1", *argv])
+            else:
+                build_parser().parse_args([command, *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err

@@ -8,8 +8,9 @@ Mirrors the tiers of ``test_service.py``:
   ``SpatialService`` backends on real sockets (health probing, failover,
   breakers, hedging, stale degradation, readiness);
 * subprocess tests through the shipped ``repro serve`` entry point: a live
-  replica killed under load, gating on zero failed client responses, and a
-  SIGTERM sent the moment the listen banner is read, gating on a clean drain.
+  replica killed under load, gating on zero failed client responses, a
+  SIGTERM sent the moment the listen banner is read, gating on a clean drain,
+  and the one replica spawner restarting a killed replica on its old port.
 """
 
 import asyncio
@@ -33,12 +34,12 @@ from repro.service import (
     SpatialService,
 )
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
+from repro.obs.collect import load_trace_dir
 from repro.service.fleet import (
     ShardProcess,
-    group_backends,
-    parse_backend_list,
     routing_key,
     serve_argv,
+    spawn_replicas,
 )
 from repro.service.fleetchaos import build_schedule
 from repro.service.health import BackendState
@@ -396,20 +397,6 @@ class TestChaosSchedule:
 
 
 class TestBackendHelpers:
-    def test_parse_and_group_backends(self):
-        flat = parse_backend_list("127.0.0.1:1, :2,localhost:3,127.0.0.1:4")
-        assert flat == [
-            ("127.0.0.1", 1),
-            ("127.0.0.1", 2),
-            ("localhost", 3),
-            ("127.0.0.1", 4),
-        ]
-        assert group_backends(flat, 2) == [[flat[0], flat[2]], [flat[1], flat[3]]]
-        with pytest.raises(SystemExit):
-            parse_backend_list("nope")
-        with pytest.raises(SystemExit):
-            group_backends(flat[:1], 2)
-
     def test_serve_argv_shape(self):
         argv = serve_argv("s1r0", workers=2, cache_dir="/tmp/c")
         assert argv[:3] == [sys.executable, "-m", "repro"]
@@ -894,3 +881,73 @@ class TestFleetSubprocess:
                 proc.terminate()
             for proc in procs:
                 proc.wait(15.0)
+
+
+async def _until_ready(port: int, timeout: float = 60.0) -> bool:
+    """Poll ``/readyz`` on ``port`` until it answers 200 or ``timeout`` lapses."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with contextlib.suppress(OSError, asyncio.TimeoutError):
+            status, _headers, _doc = await request_once(
+                "127.0.0.1", port, "GET", "/readyz", timeout=2.0
+            )
+            if status == 200:
+                return True
+        await asyncio.sleep(0.05)
+    return False
+
+
+class TestSpawnReplicas:
+    """``spawn_replicas``, the one place replicas are spawned: ``repro
+    fleet``'s replicas, fleet-chaos's, and fleet-chaos's restart."""
+
+    def test_a_killed_replica_restarts_on_its_old_port(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(
+            "PYTHONPATH", str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", "")
+        )
+        trace_dir = tmp_path / "spans"
+        procs: dict[str, ShardProcess] = {}
+        retired: list[ShardProcess] = []
+
+        def spawn(names):
+            spawn_replicas(
+                procs, names, workers=1, cache_dir=str(tmp_path / "cache"),
+                trace_dir=str(trace_dir),
+            )
+
+        try:
+            spawn(["s0r0", "s0r1"])
+            ports = {name: proc.port for name, proc in procs.items()}
+            assert list(ports) == ["s0r0", "s0r1"]
+            assert all(ports.values()) and ports["s0r0"] != ports["s0r1"]
+
+            retired.append(procs["s0r1"])
+            procs["s0r1"].kill()
+            assert procs["s0r1"].wait(10.0) is not None
+            spawn(["s0r1"])
+            assert procs["s0r1"] is not retired[0] and procs["s0r1"].alive
+            assert {name: proc.port for name, proc in procs.items()} == ports
+
+            async def both_ready():
+                return await asyncio.gather(*(_until_ready(p) for p in ports.values()))
+
+            assert asyncio.run(both_ready()) == [True, True]
+        finally:
+            for proc in procs.values():
+                proc.terminate()
+            codes = [proc.wait(15.0) for proc in procs.values()]
+            for proc in retired:
+                proc.kill()
+                proc.wait(5.0)
+        assert codes == [0, 0], {name: proc.log[-3:] for name, proc in procs.items()}
+        for proc in procs.values():
+            deadline = time.monotonic() + 5.0
+            while not any("drained cleanly" in line for line in proc.log):
+                assert time.monotonic() < deadline, proc.log
+                time.sleep(0.02)
+        # the tracing env reached both replicas, the restarted one included:
+        # each drain wrote its events to the replica's own span sink
+        sinks = {(log.service, log.pid) for log in load_trace_dir(trace_dir)}
+        assert sinks == {
+            (f"shard-{name}", proc.proc.pid) for name, proc in procs.items()
+        }

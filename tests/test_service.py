@@ -854,7 +854,6 @@ class TestServeSubprocess:
                 "--port", "0",
                 "--workers", "2",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--drain-timeout", "30",
                 *extra,
             ],
             env=env,

@@ -281,29 +281,6 @@ class TestLoadgenZipf:
                 {"algo": algo, "n": sizes[rng.randrange(len(sizes))], "seed": rng.randrange(3)}
             )
         assert build_requests(80, 11) == expect
-        assert build_requests(80, 11, zipf_alpha=0.0) == expect
-
-    def test_zipf_is_deterministic_and_skewed(self):
-        from collections import Counter
-
-        from repro.service.loadgen import build_requests
-
-        skewed = build_requests(400, 5, zipf_alpha=1.5)
-        assert skewed == build_requests(400, 5, zipf_alpha=1.5)
-        hot = Counter((r["algo"], r["n"], r["seed"]) for r in skewed).most_common(1)[0][1]
-        uniform_hot = Counter(
-            (r["algo"], r["n"], r["seed"]) for r in build_requests(400, 5)
-        ).most_common(1)[0][1]
-        assert hot > 2 * uniform_hot
-
-    def test_auto_rewrite_validates(self):
-        from repro.service import ServiceRequest
-        from repro.service.loadgen import build_requests
-
-        payloads = build_requests(60, 2, zipf_alpha=0.9, auto=True)
-        assert any(p["algo"].startswith("auto:") for p in payloads)
-        for p in payloads:
-            ServiceRequest.from_payload(p)
 
 
 class TestServicePlanEndpoint:
