@@ -115,6 +115,25 @@ def _scan_plan(n: int) -> _ScanPlan:
     return plan
 
 
+def _layout_plan(ta: TrackedArray, region: Region) -> _ScanPlan:
+    """The plan of a scan over ``ta`` on ``region``, after checking its layout.
+
+    Raises ``ValueError`` for an empty input, one not filling the region, a
+    size that is not a power of 4, a non-square region, or an entry off its
+    Z-order cell; nothing is charged before.
+    """
+    n = len(ta)
+    if n == 0:
+        raise ValueError("scan of empty input")
+    if n != region.size:
+        raise ValueError(f"scan expects one value per cell ({region.size}), got {n}")
+    plan = _scan_plan(n)
+    if region.height != region.width:
+        raise ValueError(f"scan needs a square region, got {region}")
+    check_cells(ta, region, plan.rows, plan.cols, "scan expects entry i at the i-th Z-order cell")
+    return plan
+
+
 def scan(
     machine: SpatialMachine,
     ta: TrackedArray,
@@ -132,16 +151,8 @@ def scan(
     Fault-transparent: under a :class:`~repro.machine.FaultPlan` the scan
     outputs are bit-identical to the fault-free run; only costs inflate.
     """
+    plan = _layout_plan(ta, region)
     n = len(ta)
-    if n == 0:
-        raise ValueError("scan of empty input")
-    if n != region.size:
-        raise ValueError(f"scan expects one value per cell ({region.size}), got {n}")
-    plan = _scan_plan(n)
-    if region.height != region.width:
-        raise ValueError(f"scan needs a square region, got {region}")
-    check_cells(ta, region, plan.rows, plan.cols, "scan expects entry i at the i-th Z-order cell")
-
     if n == 1:
         return ScanResult(inclusive=ta, exclusive=ta.with_payload(
             monoid.identity(1, like=ta.payload)), total=ta)
@@ -210,6 +221,37 @@ def scan(
     return ScanResult(inclusive=inclusive, exclusive=exclusive, total=total)
 
 
+def _sweep_meta(plan: _ScanPlan, meta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(depth, dist)`` arithmetic of a scan, as a pure function.
+
+    ``meta`` is the ``(2, n)`` input metadata in Z-order.  Returns the
+    ``(2, 1)`` metadata of the up-sweep's root and the ``(2, n)``
+    metadata of the exclusive prefixes the down-sweep leaves at the
+    leaves.  Each level is one reshape to ``(blocks, 4)`` child slots: a
+    max over a block going up, a running max along it coming down, from a
+    ``(0, 0)`` root.  Metadata only grows along the tree, so the root holds
+    the up-sweep's maxima and the leaves the down-sweep's.
+    """
+    store = []
+    for inc in plan.inc:
+        got = meta.reshape(2, -1, 4) + inc  # as received at the parent
+        store.append(got)
+        meta = np.maximum(
+            np.maximum(got[..., 0], got[..., 1]), np.maximum(got[..., 2], got[..., 3])
+        )
+    root = meta
+    meta = np.zeros((2, 1), dtype=META_DTYPE)
+    for got, inc in zip(reversed(store), reversed(plan.inc)):
+        # prefix q depends on the node's x and child slots 0..q-1
+        sent = np.empty_like(got)
+        np.add(meta, inc[..., 0], out=sent[..., 0])
+        for q in range(1, 4):
+            meta = np.maximum(meta, got[..., q - 1])
+            np.add(meta, inc[..., q], out=sent[..., q])
+        meta = sent.reshape(2, -1)
+    return root, meta
+
+
 def _scan_fast(
     machine: SpatialMachine,
     ta: TrackedArray,
@@ -219,48 +261,34 @@ def _scan_fast(
 ) -> ScanResult:
     """The up/down-sweep from its per-side plan (clean fast machines only).
 
-    Each level is one reshape to ``(blocks, 4)`` child slots: the plan's
-    counters are charged per sweep, the ``(depth, dist)`` pairs take a max
-    over a block (up) or a running max along it (down), and the monoid
-    folds the slots in the reference's exact association.  Metadata only
-    grows along the tree, so the root holds the up-sweep's maxima and the
-    leaves the down-sweep's.
+    The plan's counters are charged per sweep and the metadata comes from
+    :func:`_sweep_meta`; the monoid folds each level's ``(blocks, 4)``
+    child slots in the reference's exact association.
     """
     shape = ta.payload.shape[1:]
+    root, meta = _sweep_meta(plan, np.stack([ta.depth, ta.dist]))
     cur = ta.payload
-    meta = np.stack([ta.depth, ta.dist])
     store = []
     with machine.phase("scan"):
         with machine.phase("up_sweep"):
-            for inc in plan.inc:
-                m = meta.shape[1] // 4
-                kids = cur.reshape((m, 4) + shape)
-                got = meta.reshape(2, m, 4) + inc  # as received at the parent
-                store.append((kids, got))
+            for _ in plan.inc:
+                kids = cur.reshape((-1, 4) + shape)
+                store.append(kids)
                 cur = monoid(monoid(monoid(kids[:, 0], kids[:, 1]), kids[:, 2]), kids[:, 3])
-                meta = np.maximum(
-                    np.maximum(got[..., 0], got[..., 1]), np.maximum(got[..., 2], got[..., 3])
-                )
             machine._charge(plan.energy, plan.messages, plan.sends)
-            machine.observe_maxima(int(meta[0, 0]), int(meta[1, 0]))
+            machine.observe_maxima(int(root[0, 0]), int(root[1, 0]))
         root_r = np.array([region.row + plan.rows[plan.root]])
         root_c = np.array([region.col + plan.cols[plan.root]])
-        total = _tracked(machine, cur, root_r, root_c, meta[0], meta[1])
+        total = _tracked(machine, cur, root_r, root_c, root[0], root[1])
 
         x = monoid.identity(1, like=ta.payload)
-        meta = np.zeros((2, 1), dtype=META_DTYPE)
         with machine.phase("down_sweep"):
-            for (kids, got), inc in zip(reversed(store), reversed(plan.inc)):
+            for kids in reversed(store):
                 # prefix q = x . s_0 . ... . s_{q-1}, forwarded to child slot q
                 prefixes = [x]
-                sent = np.empty_like(got)
-                np.add(meta, inc[..., 0], out=sent[..., 0])
                 for q in range(1, 4):
                     prefixes.append(monoid(prefixes[-1], kids[:, q - 1]))
-                    meta = np.maximum(meta, got[..., q - 1])
-                    np.add(meta, inc[..., q], out=sent[..., q])
                 x = np.stack(prefixes, axis=1).reshape((-1,) + shape)
-                meta = sent.reshape(2, -1)
             machine._charge(plan.energy, plan.messages, plan.sends)
             dmax, smax = meta.max(axis=1).tolist()
             machine.observe_maxima(dmax, smax)

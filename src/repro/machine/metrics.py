@@ -165,25 +165,42 @@ class PhaseNode:
 
     def inclusive_cost(self) -> dict[str, int]:
         """Self cost plus the sum (max for depth/distance) over descendants."""
-        total = self.self_cost()
-        for c in self.children.values():
-            sub = c.inclusive_cost()
-            total["energy"] += sub["energy"]
-            total["messages"] += sub["messages"]
-            total["sends"] += sub["sends"]
-            total["max_depth"] = max(total["max_depth"], sub["max_depth"])
-            total["max_distance"] = max(total["max_distance"], sub["max_distance"])
-        return total
+        return self.inclusive_costs()[self]
+
+    def inclusive_costs(self) -> dict["PhaseNode", dict[str, int]]:
+        """:meth:`inclusive_cost` of this node and every descendant, from one
+        post-order walk of the subtree."""
+        out: dict[PhaseNode, dict[str, int]] = {}
+
+        def visit(node: PhaseNode) -> dict[str, int]:
+            total = node.self_cost()
+            for c in node.children.values():
+                sub = visit(c)
+                total["energy"] += sub["energy"]
+                total["messages"] += sub["messages"]
+                total["sends"] += sub["sends"]
+                total["max_depth"] = max(total["max_depth"], sub["max_depth"])
+                total["max_distance"] = max(total["max_distance"], sub["max_distance"])
+            out[node] = total
+            return total
+
+        visit(self)
+        return out
 
     def as_dict(self) -> dict:
         """JSON-friendly nested representation (the ``CostTree`` schema)."""
-        return {
-            "name": self.name or "total",
-            "path": self.path,
-            "self": self.self_cost(),
-            "inclusive": self.inclusive_cost(),
-            "children": [c.as_dict() for c in self.children.values()],
-        }
+        inclusive = self.inclusive_costs()
+
+        def build(node: PhaseNode) -> dict:
+            return {
+                "name": node.name or "total",
+                "path": node.path,
+                "self": node.self_cost(),
+                "inclusive": inclusive[node],
+                "children": [build(c) for c in node.children.values()],
+            }
+
+        return build(self)
 
     def clone(self, parent: "PhaseNode | None" = None) -> "PhaseNode":
         node = PhaseNode(self.name, parent=parent)
@@ -239,9 +256,10 @@ class CostTree:
 
     def flatten(self) -> list[dict]:
         """One row per phase, pre-order: path, self and inclusive costs."""
+        inclusive = self.root.inclusive_costs()
         rows = []
         for node, level in self.root.walk():
-            inc = node.inclusive_cost()
+            inc = inclusive[node]
             rows.append(
                 {
                     "path": node.path or "total",

@@ -5,10 +5,11 @@ with no tracer, no profiler and no fault-injecting plan.  Each site that has
 a vectorized body (``send_many``, the quadrant pair, ``broadcast_1d``,
 ``broadcast``, ``broadcast_onto``, the all-pairs rank, the
 level-synchronous merge tree: mergesort levels, merge levels and batched
-selection, and the per-shape closed forms of the bitonic network and the
-scan) must take it on a clean machine and fall back to its reference loop
-or depth-first body when any single clause is turned off.  The public
-batched entry points have no reference loop and refuse such machines.
+selection, the per-shape closed forms of the bitonic network and the scan,
+and the closed-form rounds of rank selection) must take it on a clean
+machine and fall back to its reference loop or depth-first body when any
+single clause is turned off.  The public batched entry points have no
+reference loop and refuse such machines.
 """
 
 import importlib
@@ -16,7 +17,7 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.core import collectives
+from repro.core import collectives, selection
 from repro.core.selection import rank_select
 from repro.core.sorting import allpairs, bitonic, merge2d, mergesort2d, two_sorted_select
 from repro.core.sorting.sortutil import as_sort_payload, with_tiebreak
@@ -114,6 +115,11 @@ def _scan(m):
     scan_mod.scan(m, m.place_zorder(np.arange(16.0), region), region)
 
 
+def _selection_rounds(m):
+    region = Region(0, 0, 4, 4)
+    rank_select(m, m.place_zorder(np.arange(16.0), region), region, 5, np.random.default_rng(0))
+
+
 #: site -> (owner of the fast body, its attribute name, a call exercising it)
 SITES = {
     "send_many": (machine_mod.SpatialMachine, "_send_segments_fast", _send_many),
@@ -132,6 +138,7 @@ SITES = {
     ),
     "bitonic_network": (bitonic, "_network_fast", _bitonic_network),
     "scan": (scan_mod, "_scan_fast", _scan),
+    "selection_rounds": (selection, "_ClosedForm", _selection_rounds),
 }
 
 

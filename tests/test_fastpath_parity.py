@@ -2,15 +2,18 @@
 defining loops.
 
 ``send_many``'s segmented form, the quadrant broadcast and reduce, the
-1D/2D broadcasts, ``broadcast_onto``, the bitonic network, the scan and
-the reduce each have a body that a clean fast machine runs and a reference
-body that every other machine runs; the fast body must reproduce payloads,
-per-value metadata, and every machine counter exactly.  ``send_many``'s
-list form has no fast body: it is its loop of ``send`` calls on every
-machine, and its cases pin that definition.  These tests drive the pairs
-directly at the machine/collective layer — below the algorithm level the
-conformance grid covers — so a divergence pinpoints the body at fault.
+1D/2D broadcasts, ``broadcast_onto``, the bitonic network, the scan, the
+reduce and the rounds of ``rank_select`` each have a body that a clean
+fast machine runs and a reference body that every other machine runs;
+the fast body must reproduce payloads, per-value metadata, and every
+machine counter exactly.  ``send_many``'s list form has no fast body: it
+is its loop of ``send`` calls on every machine, and its cases pin that
+definition.  These tests drive the pairs directly at the
+machine/collective layer — below the algorithm level the conformance grid
+covers — so a divergence pinpoints the body at fault.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -32,7 +35,11 @@ from repro.core.sorting.quicksort2d import quicksort_2d
 from repro.core.ops import ADD, MAX, Monoid
 from repro.core.scan import scan, segmented_broadcast, segmented_scan
 from repro.core.sorting.bitonic import bitonic_merge, bitonic_sort
-from repro.machine import MachineStats, Region, ReferenceMachine, SpatialMachine
+from repro.machine import MachineStats, Region, ReferenceMachine, SpatialMachine, fastpath
+from repro.machine import machine as machine_mod
+
+# the package re-exports the scan function under the module's name
+scan_mod = importlib.import_module("repro.core.scan")
 
 GRID = 16
 coord = st.integers(min_value=0, max_value=GRID - 1)
@@ -673,6 +680,84 @@ class TestBroadcastOntoCallers:
         ref, fast = _same_run(lambda m: quicksort_2d(m, x, region, np.random.default_rng(3)))
         assert_tracked_equal(ref, fast)
         np.testing.assert_array_equal(fast.payload, np.sort(x))
+
+
+def _selection_input(m, x, region, moved):
+    """``x`` in Z-order on ``region``; ``moved`` places it row-major one row
+    lower first and sends each entry to its Z-order cell, so the input
+    metadata is nonzero and varies."""
+    target = m.place_zorder(x, region)
+    if not moved:
+        return target
+    below = Region(region.row + 1, region.col, region.height, region.width)
+    return m.send(m.place_rowmajor(x, below), target.rows, target.cols)
+
+
+class TestClosedFormSelection:
+    """``rank_select``'s closed-form rounds against the copies body: the
+    result, the stats and the cost tree must agree exactly."""
+
+    @staticmethod
+    def _check(x, rank, seed, c=3.0, moved=False):
+        side = int(np.sqrt(len(x)))
+        region = Region(2, 3, side, side)
+
+        def run(m):
+            ta = _selection_input(m, x, region, moved)
+            return rank_select(m, ta, region, rank, np.random.default_rng(seed), c=c)
+
+        ref, fast = _same_run(run)
+        assert ref == fast
+        assert fast.value == np.sort(x)[rank - 1]
+        return fast
+
+    @pytest.mark.parametrize("moved", (False, True), ids=("placed", "sent"))
+    @pytest.mark.parametrize("keys", ("normal", "duplicates"))
+    @pytest.mark.parametrize("n", (1, 4, 16, 64, 256, 1024))
+    def test_matches_reference(self, n, keys, moved):
+        rng = np.random.default_rng([n, len(keys)])
+        x = rng.standard_normal(n) if keys == "normal" else rng.integers(0, 3, n) * 1.0
+        # below c = 1 a round runs even at n = 1
+        for c in (3.0, 1.5) if n > 16 else (3.0, 1.5, 0.5):
+            for rank in sorted({1, n // 3 + 1, n // 2 or 1, n}):
+                self._check(x, rank, seed=rank, c=c, moved=moved)
+
+    def test_fallback_matches_reference(self):
+        x = np.random.default_rng([256, 1]).standard_normal(256)
+        assert self._check(x, 100, seed=1, c=1.0).fell_back
+
+    def test_runs_no_scan_or_reduce_kernel(self, monkeypatch):
+        """A clean fast selection's rounds read their scan and reduce
+        figures from tables: the fast kernels of both may not run."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form round ran a per-element kernel")
+
+        monkeypatch.setattr(scan_mod, "_scan_fast", refuse)
+        monkeypatch.setattr(machine_mod, "quadrant_reduce_fast", refuse)
+        monkeypatch.setattr(fastpath, "quadrant_reduce_fast", refuse)
+        x = np.random.default_rng(0).standard_normal(1024)
+        region = Region(0, 0, 32, 32)
+        m = fast_machine()
+        res = rank_select(m, m.place_zorder(x, region), region, 512, np.random.default_rng(1))
+        assert res.value == np.sort(x)[511]
+        assert res.iterations >= 1 and not res.fell_back
+
+    @pytest.mark.parametrize(
+        "region, message",
+        (
+            (Region(0, 0, 4, 4), r"Z-order cell of .*: entry 2 sits at \(0, 2\), not \(1, 0\)"),
+            (Region(0, 0, 2, 8), "scan needs a square region"),
+            (Region(0, 0, 4, 8), "scan input size must be a power of 4, got 32"),
+        ),
+        ids=("rowmajor", "non-square", "non-power-of-4"),
+    )
+    def test_layout_errors_match_reference(self, region, message):
+        for m in (ReferenceMachine(), fast_machine()):
+            ta = m.place_rowmajor(np.arange(region.size, dtype=float), region)
+            with pytest.raises(ValueError, match=message):
+                rank_select(m, ta, region, 3, np.random.default_rng(0))
+            assert m.stats == MachineStats()
 
 
 # ---------------------------------------------------------------------------
