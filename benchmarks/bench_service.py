@@ -13,9 +13,6 @@ latency percentiles, cache/batch efficiency) ride along in ``extra``.
 
 import asyncio
 
-from repro.service.loadgen import build_requests, run_load
-from repro.service.server import ServiceConfig, SpatialService
-
 #: small-n mix: every distinct key simulates in well under a second
 MIX = (
     ("scan", (64, 256, 1024)),
@@ -27,6 +24,10 @@ MIX = (
 
 def _serve_load(requests: int, concurrency: int, mix_seed: int) -> dict:
     """Boot a service, push the seeded mix through it, return the report."""
+    # imported here so that loading the suite registry leaves the service
+    # stack unloaded
+    from repro.service.loadgen import build_requests, run_load
+    from repro.service.server import ServiceConfig, SpatialService
 
     async def go():
         config = ServiceConfig(

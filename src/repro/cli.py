@@ -609,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="content-addressed disk cache shared with `repro bench run`")
     sp.add_argument("--bench-dir", default="",
                     help="suite directory (default: ./benchmarks)")
-    sp.add_argument("--plan-db", default="benchmarks/plans/plan_db.json",
-                    help="tuner plan database answering /plan and auto: dispatch")
+    sp.add_argument("--plan-db", default="",
+                    help="tuner plan database answering /plan and auto: dispatch "
+                    "(default: <cache-dir>/plan_db.json)")
     sp.add_argument("--shard-id", default="",
                     help="fleet identity (e.g. s0r1) echoed on /healthz, /readyz "
                     "and /metrics")

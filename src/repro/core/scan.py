@@ -221,8 +221,8 @@ def scan(
     return ScanResult(inclusive=inclusive, exclusive=exclusive, total=total)
 
 
-def _sweep_meta(plan: _ScanPlan, meta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(depth, dist)`` arithmetic of a scan, as a pure function.
+def _sweep_levels(plan: _ScanPlan, meta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(depth, dist)`` arithmetic of a scan, level by level.
 
     ``meta`` is the ``(2, n)`` input metadata in Z-order.  Returns the
     ``(2, 1)`` metadata of the up-sweep's root and the ``(2, n)``
@@ -250,6 +250,60 @@ def _sweep_meta(plan: _ScanPlan, meta: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.add(meta, inc[..., q], out=sent[..., q])
         meta = sent.reshape(2, -1)
     return root, meta
+
+
+#: far above any zero-root path of the scan, so that shifting the input by
+#: it isolates the part of each output that grows with the input
+_SHIFT = 1 << 40
+
+# per input size: _uniform_tables' (R, T0, T1)
+_UNIFORM: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _uniform_tables(plan: _ScanPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(R, T0, T1)`` of :func:`_sweep_meta`'s uniform case (cached).
+
+    Every output is a longest path of ``(max, +)`` arithmetic, from an input
+    or from the down-sweep's ``(0, 0)`` root.  The up-sweep root only has
+    input paths, so it is ``c + R``; an exclusive prefix is ``max(T0, c +
+    T1)``, ``T0`` its longest path from the root and ``T1`` its longest
+    from an input.  Sweeping ``-_SHIFT`` keeps the root paths only
+    (``T0``), sweeping ``+_SHIFT`` lifts every input path above them
+    (``T1``).  A path crosses each level at most twice, once up and once
+    down, so ``T0`` and ``T1`` fit int16 up to sides of several thousand
+    (int32 beyond): 8 bytes per input cell.
+    """
+    n = len(plan.rows)
+    cached = _UNIFORM.get(n)
+    if cached is None:
+        longest = 2 * sum(int(inc.max()) for inc in plan.inc)
+        small = np.int16 if longest < 1 << 15 else np.int32
+        shift = np.full((2, 1), _SHIFT, dtype=META_DTYPE)
+        t0 = _sweep_levels(plan, np.broadcast_to(-shift, (2, n)))[1].astype(small)
+        root, t1 = _sweep_levels(plan, np.broadcast_to(shift, (2, n)))
+        t1 -= shift
+        t1[:, 0] = 0  # no input reaches the first leaf: see _sweep_meta
+        cached = root - shift, t0, t1.astype(small)
+        _UNIFORM[n] = cached
+    return cached
+
+
+def _sweep_meta(plan: _ScanPlan, meta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sweep_levels`, or its closed form when every input carries
+    the same metadata ``c`` (a freshly placed input carries zeros): root
+    ``c + R`` and exclusive prefixes ``max(T0, c + T1)`` from
+    :func:`_uniform_tables`.  The first leaf's prefix is the root's
+    identity, forwarded down child slot 0 at every level, so it is ``T0``
+    alone, whatever ``c`` is.
+    """
+    c = meta[:, :1]
+    if not (meta == c).all():
+        return _sweep_levels(plan, meta)
+    root, t0, t1 = _uniform_tables(plan)
+    excl = c + t1
+    np.maximum(excl, t0, out=excl)
+    excl[:, 0] = t0[:, 0]
+    return c + root, excl
 
 
 def _scan_fast(

@@ -66,7 +66,7 @@ from ..machine.machine import SpatialMachine, TrackedArray, _tracked, concat_tra
 from .collectives import _broadcast_tables, broadcast_many, broadcast_onto, reduce
 from .gather import gather_masked, staging_square
 from .ops import ADD
-from .scan import _layout_plan, _ScanPlan, _sweep_meta
+from .scan import _SHIFT, _layout_plan, _ScanPlan, _sweep_meta
 from .sorting.bitonic import bitonic_sort
 from .sorting.mergesort2d import mergesort_2d
 from .sorting.sortutil import lex_less
@@ -140,10 +140,6 @@ def _sweeps(plan: _ScanPlan, side: int, meta: np.ndarray) -> _Sweeps:
         tuple(reduce_root.tolist()),
     )
 
-
-#: far above any zero-root path of the scan, so that shifting the input by
-#: it isolates the part of each output that grows with the input
-_SHIFT = 1 << 40
 
 # per side: the region's broadcast offsets in Z-order and their _Sweeps
 _ROUND_TABLES: dict[int, tuple[np.ndarray, _Sweeps]] = {}

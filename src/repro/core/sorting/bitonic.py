@@ -15,11 +15,12 @@ which costs energy:
 
 On a clean fast machine the network runs from a per-shape table
 (:func:`_network_table`): every stage of stride ``j`` sends all wires over
-the same wire length, so the counters are per-shape constants, and the
-per-wire metadata follows the max-plus schedule ``max(own, partner + hop)``
-in one integer loop.  The payload is one lexsort whenever that provably
-equals the network's output.  Every other machine runs the stage-by-stage
-body, the oracle.
+the same wire length, so the counters are per-shape constants.  The
+per-wire metadata takes one array pass per stride (:func:`_date`), since the
+stages are commuting ``(max, +)`` maps: a sort on ``2**m`` wires takes ``m``
+passes, not its ``m(m+1)/2`` stages.  The payload is one lexsort whenever
+that provably equals the network's output.  Every other machine runs the
+stage-by-stage body, the oracle.
 
 ``benchmarks/bench_fig2_bitonic_vs_mergesort.py`` regenerates the Fig. 2
 comparison.
@@ -80,6 +81,15 @@ def compare_exchange_stage(
     return cur.combined_with(recv, payload=payload)
 
 
+class _Pass(NamedTuple):
+    """The ``c`` stages of one stride ``j`` as one step of :func:`_date`:
+    wire ``i`` becomes ``max(x[i] + stay, x[i ^ j] + cross)``."""
+
+    partner: np.ndarray  # i ^ j, shared with the stages
+    stay: np.ndarray  # (2, 1): 2 * floor(c / 2) * (1, hop)
+    cross: np.ndarray  # (2, 1): (2 * ceil(c / 2) - 1) * (1, hop)
+
+
 class _Network(NamedTuple):
     """The bitonic sort network on ``n`` row-major wires of a region ``w``
     wide.  A standalone merge is its last ``log2(n)`` stages, from
@@ -89,7 +99,8 @@ class _Network(NamedTuple):
     cols: np.ndarray
     partner: tuple[np.ndarray, ...]  # per stage
     take_min: tuple[np.ndarray, ...]  # per stage: the wire keeps the min
-    inc: tuple[np.ndarray, ...]  # per stage, (2, 1): (1, hop) added by a message
+    sort_passes: tuple[_Pass, ...]  # per stride, for the sort's stages
+    merge_passes: tuple[_Pass, ...]  # per stride, for the merge's stages
     merge_start: int
     sort_energy: int
     merge_energy: int
@@ -108,14 +119,14 @@ def _network_table(n: int, w: int) -> _Network:
     merge, where all of them ascend (a standalone merge).  Wire ``i ^ j``
     differs from wire ``i`` in one bit of the row-major index, so every
     message of the stride-``j`` stage crosses ``j`` columns (``j < w``) or
-    ``j / w`` rows: the hop is one number per stage.
+    ``j / w`` rows: the hop is one number per stride.
     """
     cached = _NETWORKS.get((n, w))
     if cached is not None:
         return cached
     idx = np.arange(n, dtype=np.int64)
     partners: dict[int, np.ndarray] = {}
-    partner, take_min, hops = [], [], []
+    partner, take_min, strides = [], [], []
     k = 2
     while k <= n:
         ascending_block = (idx & k) == 0 if k < n else np.ones(n, dtype=bool)
@@ -123,16 +134,28 @@ def _network_table(n: int, w: int) -> _Network:
         while j >= 1:
             partner.append(partners.setdefault(j, idx ^ j))
             take_min.append(((idx & j) == 0) == ascending_block)
-            hops.append(j if j < w else j // w)
+            strides.append(j)
             j //= 2
         k *= 2
+    hop = {j: j if j < w else j // w for j in partners}
+    hops = [hop[j] for j in strides]
     merge_start = len(hops) - (n.bit_length() - 1)
+
+    def passes(first: int) -> tuple[_Pass, ...]:
+        out = []
+        for j in partners:  # every stride has c >= 1 stages in either range
+            c = strides[first:].count(j)
+            a = np.array([[1], [hop[j]]], dtype=META_DTYPE)
+            out.append(_Pass(partners[j], c // 2 * 2 * a, ((c + 1) // 2 * 2 - 1) * a))
+        return tuple(out)
+
     table = _Network(
         rows=idx // w,
         cols=idx % w,
         partner=tuple(partner),
         take_min=tuple(take_min),
-        inc=tuple(np.array([[1], [hop]], dtype=META_DTYPE) for hop in hops),
+        sort_passes=passes(0),
+        merge_passes=passes(merge_start),
         merge_start=merge_start,
         sort_energy=n * sum(hops),
         merge_energy=n * sum(hops[merge_start:]),
@@ -167,6 +190,28 @@ def _lexsorted(payload: np.ndarray, key_cols: int, descending: bool) -> np.ndarr
     return out[::-1].copy() if descending else out
 
 
+def _date(meta: np.ndarray, passes: tuple[_Pass, ...]) -> np.ndarray:
+    """The ``(2, n)`` wire metadata ``meta`` after the stages that
+    ``passes`` stand for (updated in place, and returned).
+
+    A stride-``j`` stage maps ``x`` to ``max(x, x[i ^ j] + a)`` with
+    ``a = (1, hop) >= 0``.  The wire permutations ``i -> i ^ j`` commute,
+    so these ``(max, +)`` maps commute too, and the stages may be taken
+    grouped by stride.  ``c`` stages of one stride leave each wire the
+    longest of its paths with ``t <= c`` crossings: an even ``t`` ends on
+    the wire itself and an odd one on its partner, and since ``a >= 0`` the
+    largest ``t`` of each parity wins, which is :class:`_Pass`'s
+    ``max(x + stay, x[i ^ j] + cross)``.
+    """
+    recv = np.empty_like(meta)
+    for partner, stay, cross in passes:
+        np.take(meta, partner, axis=1, out=recv)
+        recv += cross
+        meta += stay
+        np.maximum(meta, recv, out=meta)
+    return meta
+
+
 def _network_fast(
     machine: SpatialMachine,
     cur: TrackedArray,
@@ -179,10 +224,10 @@ def _network_fast(
     """``stages`` of the network from its per-shape table (clean fast
     machines only).
 
-    Counters are the table's totals; the per-wire metadata runs the stages
-    as integer array steps; the payload of a full sort is one lexsort when
-    :func:`_lexsorted` allows it (a merge only sorts bitonic inputs), and
-    otherwise runs the comparator rule stage by stage.
+    Counters are the table's totals; the per-wire metadata takes one
+    :func:`_date` pass per stride; the payload of a full sort is one lexsort
+    when :func:`_lexsorted` allows it (a merge only sorts bitonic inputs),
+    and otherwise runs the comparator rule stage by stage.
     """
     payload = None if merge else _lexsorted(cur.payload, key_cols, descending)
     if payload is None:
@@ -191,12 +236,8 @@ def _network_fast(
             payload = _exchange(
                 payload, payload[table.partner[s]], table.take_min[s], key_cols, descending
             )
-    meta = np.stack([cur.depth, cur.dist])
-    recv = np.empty_like(meta)
-    for s in stages:
-        np.take(meta, table.partner[s], axis=1, out=recv)
-        recv += table.inc[s]
-        np.maximum(meta, recv, out=meta)
+    passes = table.merge_passes if merge else table.sort_passes
+    meta = _date(np.stack([cur.depth, cur.dist]), passes)
     if len(stages):
         n = len(cur)
         energy = table.merge_energy if merge else table.sort_energy

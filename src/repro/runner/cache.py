@@ -119,7 +119,9 @@ class ResultCache:
         with self._entry_lock(path):
             try:
                 with open(tmp, "w") as fh:
-                    json.dump(doc, fh)
+                    # one write from the C encoder; json.dump's pure-Python
+                    # chunked encoder writes the same bytes in many pieces
+                    fh.write(json.dumps(doc))
                 tmp.replace(path)
             finally:
                 with contextlib.suppress(OSError):

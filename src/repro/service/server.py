@@ -72,8 +72,10 @@ class ServiceConfig:
     disk_cache: bool = True
     bench_dir: str = ""
     drain_timeout: float = 30.0
-    #: tuner plan database answering ``/plan`` and ``auto:`` dispatch
-    plan_db: str = "benchmarks/plans/plan_db.json"
+    #: tuner plan database answering ``/plan`` and ``auto:`` dispatch; empty
+    #: means ``<cache_dir>/plan_db.json``, or plans in memory only when the
+    #: disk cache is off
+    plan_db: str = ""
     #: fleet identity ("s0r1" = shard 0, replica 1); echoed on /healthz,
     #: /readyz and /metrics so gateways and chaos harnesses can tell
     #: replicas apart
@@ -110,10 +112,13 @@ class SpatialService(HttpFront):
             self.code_versions[f"{AUTO_PREFIX}{cls_name}"] = tuner_ver
         disk = ResultCache(config.cache_dir) if config.disk_cache else None
         self.cache = ServiceCache(disk=disk)
+        plan_db = config.plan_db
+        if not plan_db and disk is not None:
+            plan_db = disk.root / "plan_db.json"
         self.planner = ServicePlanner(
             bench_dir=config.bench_dir or None,
             cache=disk,
-            db_path=config.plan_db or None,
+            db_path=plan_db or None,
         )
         self.batcher = Batcher()
         self.executor = ServiceExecutor(

@@ -17,11 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # scipy is an install dependency; guard for minimal environments
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover
-    sp = None
-
 __all__ = [
     "COOMatrix",
     "random_coo",
@@ -74,8 +69,8 @@ class COOMatrix:
 
     def to_scipy(self):
         """Cross-check handle: the same matrix as ``scipy.sparse.coo_matrix``."""
-        if sp is None:  # pragma: no cover
-            raise RuntimeError("scipy not available")
+        import scipy.sparse as sp  # only this cross-check needs scipy
+
         return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(self.n, self.n))
 
     def deduplicated(self) -> "COOMatrix":

@@ -40,6 +40,7 @@ from repro.machine import machine as machine_mod
 
 # the package re-exports the scan function under the module's name
 scan_mod = importlib.import_module("repro.core.scan")
+bitonic_mod = importlib.import_module("repro.core.sorting.bitonic")
 
 GRID = 16
 coord = st.integers(min_value=0, max_value=GRID - 1)
@@ -401,6 +402,49 @@ class TestBitonicClosedForm:
 
         self._check(h, w, kind, run, self._variants(h * w))
 
+    @pytest.mark.parametrize("merge", (False, True), ids=("sort", "merge"))
+    @pytest.mark.parametrize("h, w", BITONIC_SHAPES)
+    def test_uniform_metadata(self, h, w, merge):
+        """Every wire carrying the same non-zero metadata."""
+        n = h * w
+        region = Region(2, 3, h, w)
+        payload = np.random.default_rng(n).random((n, 1))
+
+        def go(m):
+            ta = m.place_rowmajor(payload, region)
+            ta.depth[:], ta.dist[:] = 3, 17
+            return (bitonic_merge if merge else bitonic_sort)(m, ta, region)
+
+        mr, mf = _reference(), fast_machine()
+        assert_tracked_equal(go(mr), go(mf))
+        assert_machines_equal(mr, mf)
+
+    @pytest.mark.parametrize("n", [1 << k for k in range(13)])
+    def test_stride_passes_are_the_stage_loop(self, n):
+        """``_date``'s one pass per stride equals the stages taken one at a
+        time, on every width, over the sort's and the merge's stages."""
+        rng = np.random.default_rng(n)
+        metas = (
+            np.zeros((2, n), dtype=np.int64),
+            rng.integers(0, 20, (2, n)),
+            (1 << 40) + rng.integers(0, 1 << 20, (2, n)),
+        )
+        for w in (1 << k for k in range(n.bit_length())):
+            table = bitonic_mod._network_table(n, w)
+            for passes, first in (
+                (table.sort_passes, 0),
+                (table.merge_passes, table.merge_start),
+            ):
+                for meta in metas:
+                    expect = meta.copy()
+                    for partner in table.partner[first:]:
+                        j = int(partner[0])  # wire 0's partner is the stride
+                        hop = j if j < w else j // w
+                        expect = np.maximum(expect, expect[:, partner] + [[1], [hop]])
+                    got = bitonic_mod._date(meta.copy(), passes)
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, expect)
+
     def test_layout_is_checked_before_any_charge(self):
         """A Z-ordered input is refused on every machine."""
         region = Region(0, 0, 4, 4)
@@ -415,6 +459,10 @@ class TestBitonicClosedForm:
 
 def _first_op(a, b):
     return a
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the uniform input ran the level loop")
 
 
 FIRST = Monoid("first", _first_op, np.nan, commutative=False)
@@ -464,6 +512,68 @@ class TestScanClosedForm:
         for a, b in zip(run(mr), run(mf)):
             assert_tracked_equal(a, b)
         assert_machines_equal(mr, mf)
+
+    @pytest.mark.parametrize("meta", ((0, 0), (3, 17)), ids=("zero", "uniform"))
+    @pytest.mark.parametrize("op", ("add", "segmented", "first"))
+    @pytest.mark.parametrize("side", SCAN_SIDES)
+    def test_uniform_input(self, side, op, meta):
+        """A freshly placed input (zero metadata) and one carrying the same
+        non-zero metadata everywhere take the uniform sweep tables."""
+        n = side * side
+        rng = np.random.default_rng([side, len(op), 1])
+        x = rng.standard_normal(n)
+        flags = rng.random(n) < 0.1
+        region = Region(1, 2, side, side)
+
+        def run(m):
+            ta = m.place_zorder(x, region)
+            ta.depth[:], ta.dist[:] = meta
+            if op == "first":
+                return [segmented_broadcast(m, flags, ta, region)]
+            res = segmented_scan(m, flags, ta, region) if op == "segmented" else scan(m, ta, region)
+            return [res.inclusive, res.exclusive, res.total]
+
+        mr, mf = ReferenceMachine(), fast_machine()
+        for a, b in zip(run(mr), run(mf)):
+            assert_tracked_equal(a, b)
+        assert_machines_equal(mr, mf)
+
+    @pytest.mark.parametrize("n", [4**k for k in range(9)])
+    def test_uniform_sweep_is_the_level_loop(self, monkeypatch, n):
+        """Uniform metadata reads ``_sweep_meta`` from the tables, and the
+        tables give the level loop's root and prefixes exactly."""
+        plan = scan_mod._scan_plan(n)
+        loop = scan_mod._sweep_levels
+        scan_mod._uniform_tables(plan)  # built by the loop, before the guard
+        monkeypatch.setattr(scan_mod, "_sweep_levels", _refuse)
+        for c in ((0, 0), (3, 17), (100, 5)):
+            meta = np.empty((2, n), dtype=np.int64)
+            meta[:] = np.array(c)[:, None]
+            got, expect = scan_mod._sweep_meta(plan, meta), loop(plan, meta)
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("field", (0, 1), ids=("depth", "dist"))
+    def test_one_entry_off_takes_the_level_loop(self, monkeypatch, field):
+        n = 256
+        plan = scan_mod._scan_plan(n)
+        loop = scan_mod._sweep_levels
+        scan_mod._uniform_tables(plan)
+        calls = []
+
+        def spy(plan, meta):
+            calls.append(1)
+            return loop(plan, meta)
+
+        monkeypatch.setattr(scan_mod, "_sweep_levels", spy)
+        for i in (0, 1, n // 2, n - 1):
+            meta = np.full((2, n), 7, dtype=np.int64)
+            meta[field, i] += 1
+            got, expect = scan_mod._sweep_meta(plan, meta), loop(plan, meta)
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("entry", ("scan", "segmented_scan", "segmented_broadcast"))
     def test_layout_is_checked_before_any_charge(self, entry):

@@ -6,6 +6,8 @@ directory so a crash/timeout/exception in a worker is exercised for real
 """
 
 import hashlib
+import json
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -151,6 +153,21 @@ class TestRegistry:
                 digest = hashlib.sha1(str(path.parent).encode("utf-8")).hexdigest()[:8]
                 assert f"repro_bench_{digest}_{path.stem}" in sys.modules
 
+    def test_cold_load_imports_neither_scipy_nor_the_service(self):
+        """Loading the suite registry leaves scipy (only
+        ``COOMatrix.to_scipy`` needs it) and the serving stack unloaded."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.runner import load_suites\n"
+            "load_suites()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy' or m.startswith('repro.service')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
+
     def test_file_added_after_first_load_is_imported(self, synth_dir):
         assert "rt_late" not in load_suites(synth_dir)
         (synth_dir / "bench_late.py").write_text(LATE_BENCH)
@@ -177,6 +194,18 @@ class TestCache:
         cache.put(key, self._result())
         hit = cache.get(key)
         assert hit is not None and hit.cached and hit.ok
+
+    def test_entry_is_the_json_text_of_its_dict(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        key = cache.key_for(self._point(), "v1")
+        result = self._result()
+        result.wall_time_s = 0.25
+        result.phases = [{"path": "total", "self_energy": 1}]
+        result.extra = {"ratio": 1.5, "label": "n=4", "series": [1, 2.5, None]}
+        cache.put(key, result)
+        stored = {**result.as_dict(), "cached": False}
+        assert cache.path_for(key).read_text() == json.dumps(stored)
+        assert cache.get(key).as_dict() == {**stored, "cached": True}
 
     def test_spec_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

@@ -9,11 +9,13 @@ plan DB round-trip and staleness, the library API, the CLI verb, the
 
 import asyncio
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.runner.cache import ResultCache
+from repro.runner.registry import default_bench_dir
 from repro.tuner import (
     Evaluator,
     PlanDB,
@@ -296,7 +298,7 @@ class TestServicePlanEndpoint:
             plan_db=str(tmp_path / "plan_db.json"),
         )
 
-    def _run(self, tmp_path, scenario):
+    def _run(self, tmp_path, scenario, config=None):
         from repro.service import SpatialService
         from repro.service.httpio import http_call
 
@@ -311,7 +313,7 @@ class TestServicePlanEndpoint:
                 writer.close()
 
         async def go():
-            service = SpatialService(self._config(tmp_path))
+            service = SpatialService(config or self._config(tmp_path))
             await service.start()
             try:
                 return await scenario(service, call)
@@ -320,6 +322,37 @@ class TestServicePlanEndpoint:
                 await service.stop()
 
         return asyncio.run(go())
+
+    def test_default_plan_db_lives_in_the_cache_dir(self, tmp_path, monkeypatch):
+        """Without ``plan_db``, tuned plans go to ``<cache_dir>/plan_db.json``:
+        a copy of the checked-in database, where the old cwd-relative
+        default pointed, stays byte-identical."""
+        from repro.service import ServiceConfig, SpatialService
+
+        tracked = tmp_path / "benchmarks" / "plans" / "plan_db.json"
+        tracked.parent.mkdir(parents=True)
+        shutil.copyfile(default_bench_dir() / "plans" / "plan_db.json", tracked)
+        before = tracked.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        cache_dir = tmp_path / "cache"
+        config = ServiceConfig(port=0, inline=True, timeout=60.0, drain_timeout=10.0,
+                               cache_dir=str(cache_dir))
+
+        async def scenario(service, call):
+            status, run = await call(
+                service.port, "POST", "/run", {"algo": "auto:sort", "n": 16, "seed": 1}
+            )
+            assert status == 200 and run["ok"] and run["plan"]["source"] == "tuned"
+            return True
+
+        assert self._run(tmp_path, scenario, config)
+        assert tracked.read_bytes() == before
+        assert list(json.loads((cache_dir / "plan_db.json").read_text())["entries"]) == [
+            "sort/n=16/metric=edp/seed=1"
+        ]
+        # without the disk cache, plans stay in memory
+        config.disk_cache = False
+        assert SpatialService(config).planner.db_path is None
 
     def test_plan_endpoint_and_auto_dispatch_match_direct_run(self, tmp_path):
         async def scenario(service, call):
